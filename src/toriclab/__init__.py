@@ -5,13 +5,8 @@ from .bases import (
     GraphAnalysis,
     PrimitiveElement,
     analyze_graph,
-    circuits,
     fiber_bundle,
     graph_config,
-    graver,
-    indispensable_subset,
-    universal_groebner,
-    universal_markov,
 )
 from .binomials import BasisSet, Binomial, make_binomial
 from .corpus import random_connected_graphs
@@ -53,15 +48,12 @@ __all__ = [
     "analyze_config",
     "analyze_graph",
     "circuit_rule_violations",
-    "circuits",
     "config_from_rows",
     "fiber",
     "fiber_bundle",
     "graph_config",
-    "graver",
     "graver_bounded",
     "implication_suite",
-    "indispensable_subset",
     "load_graph",
     "make_binomial",
     "make_walk",
@@ -69,8 +61,6 @@ __all__ = [
     "random_connected_graphs",
     "robustness_verdict",
     "sample_groebner",
-    "universal_groebner",
-    "universal_markov",
     "walk_binomial",
     "__version__",
 ]

@@ -10,14 +10,14 @@ universal Markov basis doubles as an internal consistency check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .binomials import BasisSet, Binomial, make_basis_set
 from .errors import InternalInvariantError, ScaleGuardError
 from .graphs import (
+    BlockDecomposition,
     Cycle,
     Graph,
-    block_decomposition,
     connected_edge_subsets,
     enumerate_cycles,
     incidence_matrix,
@@ -32,7 +32,9 @@ from .oracle import (
     universal_markov_fibers,
 )
 from .walks import (
+    ChordReport,
     ClosedEvenWalk,
+    classify_chords,
     is_mixed,
     is_primitive_subgraph,
     make_walk,
@@ -62,13 +64,19 @@ def graph_config(graph: Graph) -> ToricConfig:
 
 @dataclass(frozen=True)
 class PrimitiveElement:
-    """One primitive walk with its binomial and classification tags."""
+    """One primitive walk with its binomial and classification tags.
+
+    ``decomposition`` and ``chords`` are the walk's block tree and chord
+    reports, worked out once here for every later reader.
+    """
 
     subset: tuple[int, ...]
     walk: ClosedEvenWalk
     binomial: Binomial
     mixed: bool
     minimality_failures: tuple[str, ...]
+    decomposition: BlockDecomposition = field(repr=False, compare=False)
+    chords: tuple[ChordReport, ...] = field(repr=False, compare=False)
 
     @property
     def minimal(self) -> bool:
@@ -82,17 +90,21 @@ def primitive_elements(graph: Graph) -> tuple[PrimitiveElement, ...]:
     for subset in connected_edge_subsets(graph):
         if len(subset) < 4:
             continue
-        if not is_primitive_subgraph(graph, subset).ok:
+        check = is_primitive_subgraph(graph, subset)
+        if not check.ok:
             continue
-        walk = walk_from_primitive_subgraph(graph, subset)
-        dec = block_decomposition(graph, walk.edges)
+        walk = walk_from_primitive_subgraph(graph, subset, _check=check)
+        dec = check.decomposition
+        chords = tuple(classify_chords(graph, walk, dec))
         out.append(
             PrimitiveElement(
                 subset=subset,
                 walk=walk,
                 binomial=walk_binomial(graph, walk),
                 mixed=is_mixed(graph, walk, dec),
-                minimality_failures=minimality_failures(graph, walk, dec),
+                minimality_failures=minimality_failures(graph, walk, dec, chords),
+                decomposition=dec,
+                chords=chords,
             )
         )
     out.sort(key=lambda e: e.binomial.sort_key())
@@ -295,23 +307,3 @@ def fiber_bundle(
         items.append((b, dict(ann)))
     indispensable = make_basis_set("indispensable", config.ncols, items)
     return FiberBundle(config, graphs, minimal, universal, indispensable)
-
-
-def circuits(graph: Graph, force: bool = False) -> BasisSet:
-    return analyze_graph(graph, force=force).circuits
-
-
-def graver(graph: Graph, force: bool = False) -> BasisSet:
-    return analyze_graph(graph, force=force).graver
-
-
-def universal_groebner(graph: Graph, force: bool = False) -> BasisSet:
-    return analyze_graph(graph, force=force).universal_groebner
-
-
-def universal_markov(graph: Graph, force: bool = False) -> BasisSet:
-    return analyze_graph(graph, force=force).universal_markov
-
-
-def indispensable_subset(graph: Graph, force: bool = False) -> BasisSet:
-    return fiber_bundle(graph, force=force).indispensable

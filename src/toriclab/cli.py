@@ -6,21 +6,20 @@ generic matrix oracle, and corpus sweeps.  JSON output is canonical and
 byte-identical across reruns of the same command; wall-clock timings are
 printed to stderr in text mode only, so they never perturb the reports.
 
-Exit codes: 0 success, 2 unreadable input, 3 scale guard, 4 internal
-invariant or expectation breach, 5 negative matrix entries.
+Exit codes: 0 success, 2 unreadable input, 3 scale guard or recursion
+depth, 4 internal invariant or expectation breach, 5 negative matrix entries.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .bases import (
+    FiberBundle,
     GraphAnalysis,
     analyze_graph,
     fiber_bundle,
@@ -33,12 +32,18 @@ from .graphs import Graph, GraphError, graph_to_json, load_graph
 from .oracle import (
     ConfigError,
     NegativeEntryError,
+    ToricConfig,
     analyze_config,
     config_from_rows,
     graver_bounded,
     sample_groebner,
 )
-from .robustness import implication_suite, robustness_verdict
+from .robustness import (
+    ImplicationSuite,
+    RobustnessVerdict,
+    implication_suite,
+    robustness_verdict,
+)
 from .walks import WalkError
 
 EXIT_OK = 0
@@ -83,6 +88,39 @@ def _input_json(graph: Graph) -> dict:
     obj["digest"] = graph.digest()
     obj["edge_labels"] = [graph.edge_label(i) for i in range(len(graph.edges))]
     return obj
+
+
+def _pipeline(
+    graph: Graph, force: bool, timings: _Timings
+) -> tuple[GraphAnalysis, FiberBundle, RobustnessVerdict, ImplicationSuite]:
+    """Walk analysis, fiber bundle, verdict and implications of one graph."""
+    with timings.stage("walk enumeration"):
+        analysis = analyze_graph(graph, force=force)
+    with timings.stage("fiber graphs"):
+        bundle = fiber_bundle(graph, analysis)
+    with timings.stage("robustness"):
+        verdict = robustness_verdict(graph, analysis, bundle)
+        suite = implication_suite(graph, analysis, bundle)
+    return analysis, bundle, verdict, suite
+
+
+def _counts(analysis: GraphAnalysis, bundle: FiberBundle) -> dict:
+    return {
+        "circuits": len(analysis.circuits),
+        "graver": len(analysis.graver),
+        "universal_groebner": len(analysis.universal_groebner),
+        "universal_markov": len(analysis.universal_markov),
+        "indispensable": len(bundle.indispensable),
+    }
+
+
+def _groebner_union(config: ToricConfig, generators, samples: int, seed: int) -> list:
+    """Distinct elements of the sampled reduced Groebner bases, sorted."""
+    runs = sample_groebner(config, generators, samples, seed)
+    return sorted(
+        {b for run in runs for b in run.elements},
+        key=lambda b: b.sort_key(),
+    )
 
 
 def _emit(report: dict, args: argparse.Namespace, timings: _Timings, renderer) -> None:
@@ -179,12 +217,8 @@ def _oracle_section(
             "enumeration; box >= 2 is exact for graphs"
         )
     if samples > 0:
-        runs = sample_groebner(
+        union = _groebner_union(
             config, analysis.universal_markov.elements, samples, seed
-        )
-        union = sorted(
-            {b for run in runs for b in run.elements},
-            key=lambda b: b.sort_key(),
         )
         ugb_keys = analysis.universal_groebner.element_set()
         inside = all((b.plus, b.minus) in ugb_keys for b in union)
@@ -205,13 +239,7 @@ def _oracle_section(
 def _cmd_analyze(args: argparse.Namespace) -> int:
     timings = _Timings()
     graph = load_graph(args.path)
-    with timings.stage("walk enumeration"):
-        analysis = analyze_graph(graph, force=args.force)
-    with timings.stage("fiber graphs"):
-        bundle = fiber_bundle(graph, analysis)
-    with timings.stage("robustness"):
-        verdict = robustness_verdict(graph, analysis, bundle)
-        suite = implication_suite(graph, analysis, bundle)
+    analysis, bundle, verdict, suite = _pipeline(graph, args.force, timings)
     report = {
         "schema": 1,
         "command": "analyze",
@@ -270,24 +298,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     timings = _Timings()
     graph = load_graph(args.path)
-    with timings.stage("walk enumeration"):
-        analysis = analyze_graph(graph, force=args.force)
-    with timings.stage("fiber graphs"):
-        bundle = fiber_bundle(graph, analysis)
-    with timings.stage("robustness"):
-        verdict = robustness_verdict(graph, analysis, bundle)
-        suite = implication_suite(graph, analysis, bundle)
+    analysis, bundle, verdict, suite = _pipeline(graph, args.force, timings)
     report = {
         "schema": 1,
         "command": "check",
         "input": _input_json(graph),
-        "counts": {
-            "circuits": len(analysis.circuits),
-            "graver": len(analysis.graver),
-            "universal_groebner": len(analysis.universal_groebner),
-            "universal_markov": len(analysis.universal_markov),
-            "indispensable": len(bundle.indispensable),
-        },
+        "counts": _counts(analysis, bundle),
         "verdict": verdict.to_json(),
         "implications": suite.to_json(),
     }
@@ -348,16 +364,9 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     }
     if args.samples > 0:
         with timings.stage("groebner samples"):
-            runs = sample_groebner(
-                config,
-                oracle.universal_markov.elements,
-                args.samples,
-                args.seed,
+            union = _groebner_union(
+                config, oracle.universal_markov.elements, args.samples, args.seed
             )
-        union = sorted(
-            {b for run in runs for b in run.elements},
-            key=lambda b: b.sort_key(),
-        )
         graver_keys = {(b.plus, b.minus) for b in oracle.graver}
         report["groebner"] = {
             "samples": args.samples,
@@ -403,21 +412,6 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("TORIC_LAB_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"TORIC_LAB_THREADS must be an integer, got {raw!r}"
-        ) from None
-    if n < 1:
-        raise ValueError("TORIC_LAB_THREADS must be at least 1")
-    return n
-
-
 def _load_expectation(path: Path) -> dict | None:
     sidecar = path.with_name(path.stem + ".expect.json")
     if not sidecar.exists():
@@ -429,22 +423,13 @@ def _load_expectation(path: Path) -> dict | None:
 def _instance_record(
     name: str, graph: Graph, expect: dict | None, force: bool
 ) -> dict:
-    analysis = analyze_graph(graph, force=force)
-    bundle = fiber_bundle(graph, analysis)
-    verdict = robustness_verdict(graph, analysis, bundle)
-    suite = implication_suite(graph, analysis, bundle)
+    analysis, bundle, verdict, suite = _pipeline(graph, force, _Timings())
     record = {
         "name": name,
         "digest": graph.digest(),
         "vertices": graph.vertex_count,
         "edges": len(graph.edges),
-        "counts": {
-            "circuits": len(analysis.circuits),
-            "graver": len(analysis.graver),
-            "universal_groebner": len(analysis.universal_groebner),
-            "universal_markov": len(analysis.universal_markov),
-            "indispensable": len(bundle.indispensable),
-        },
+        "counts": _counts(analysis, bundle),
         "generalized_robust": verdict.generalized_robust,
         "robust": verdict.robust,
         "implications_ok": suite.ok,
@@ -499,18 +484,11 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         for i, g in enumerate(graphs):
             instances.append((f"seed{args.seed}-{i:0{width}d}", g, None))
 
-    workers = _thread_count()
-
-    def run(item: tuple[str, Graph, dict | None]) -> dict:
-        name, graph, expect = item
-        return _instance_record(name, graph, expect, args.force)
-
     with timings.stage(f"{len(instances)} instances"):
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(run, instances))
-        else:
-            records = [run(item) for item in instances]
+        records = [
+            _instance_record(name, graph, expect, args.force)
+            for name, graph, expect in instances
+        ]
 
     ok = all(r["ok"] for r in records)
     report = {
@@ -641,6 +619,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NEGATIVE
     except ScaleGuardError as exc:
         print(f"toriclab: error: {exc}", file=sys.stderr)
+        return EXIT_SCALE
+    except RecursionError:
+        print(
+            "toriclab: error: input goes past the enumeration's recursion depth",
+            file=sys.stderr,
+        )
         return EXIT_SCALE
     except InternalInvariantError as exc:
         print(f"toriclab: invariant breach: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -152,7 +153,7 @@ def parse_graph(text: str) -> Graph:
     if not pairs:
         raise EmptyGraphError("no edges in input")
     names = {tok for pair in pairs for tok in pair}
-    if all(tok.lstrip("-").isdigit() for tok in names):
+    if all(re.fullmatch(r"-?[0-9]+", tok) for tok in names):
         ordered = sorted(names, key=int)
     else:
         ordered = sorted(names)
@@ -161,14 +162,18 @@ def parse_graph(text: str) -> Graph:
     return Graph(len(ordered), edges, tuple(ordered))
 
 
+def _is_integer(value: object) -> bool:
+    """True for a JSON integer; booleans, floats and strings are rejected."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def graph_from_json(obj: object) -> Graph:
     if not isinstance(obj, dict):
         raise GraphError("JSON graph must be an object")
-    try:
-        n = int(obj["vertices"])
-        raw_edges = obj["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphError("JSON graph needs integer 'vertices' and a list 'edges'") from exc
+    n = obj.get("vertices")
+    if not _is_integer(n) or "edges" not in obj:
+        raise GraphError("JSON graph needs integer 'vertices' and a list 'edges'")
+    raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
         raise GraphError("'edges' must be a list of [u, v] pairs")
     edges = []
@@ -176,7 +181,7 @@ def graph_from_json(obj: object) -> Graph:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise GraphError(f"bad edge entry {item!r}")
         u, v = item
-        if not (isinstance(u, int) and isinstance(v, int)):
+        if not (_is_integer(u) and _is_integer(v)):
             raise GraphError(f"edge labels must be integers, got {item!r}")
         if not (1 <= u <= n and 1 <= v <= n):
             raise GraphError(f"edge {item!r} outside 1..{n}")

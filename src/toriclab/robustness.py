@@ -16,8 +16,8 @@ from itertools import combinations
 
 from .bases import FiberBundle, GraphAnalysis, analyze_graph, fiber_bundle
 from .errors import InternalInvariantError
-from .graphs import Graph, block_decomposition, has_four_cycle
-from .walks import classify_chords, cross_effectively, find_F4s
+from .graphs import Graph, has_four_cycle
+from .walks import find_F4s, uncompleted_crossing
 
 
 @dataclass(frozen=True)
@@ -63,31 +63,6 @@ def check_generalized_robust_conditions(analysis: GraphAnalysis) -> CriterionRep
     return CriterionReport("primitive-chord-conditions", True)
 
 
-def _first_bad_chord(graph: Graph, element) -> dict | None:
-    for r in classify_chords(graph, element.walk):
-        if r.kind != "odd":
-            return {"chord": graph.edge_label(r.chord), "kind": r.kind}
-    return None
-
-
-def _first_bad_crossing(graph: Graph, element) -> dict | None:
-    reports = classify_chords(graph, element.walk)
-    odd = [r for r in reports if r.kind == "odd"]
-    completed = {
-        frozenset(rec.chords) for rec in find_F4s(graph, element.walk, reports)
-    }
-    for r1, r2 in combinations(odd, 2):
-        if cross_effectively(r1.span, r2.span):
-            if frozenset((r1.chord, r2.chord)) not in completed:
-                return {
-                    "chords": [
-                        graph.edge_label(r1.chord),
-                        graph.edge_label(r2.chord),
-                    ]
-                }
-    return None
-
-
 def circuit_rule_violations(graph: Graph, analysis: GraphAnalysis) -> dict[str, dict]:
     """First witness for each violated circuit rule, keyed R1/R2/R3.
 
@@ -102,23 +77,24 @@ def circuit_rule_violations(graph: Graph, analysis: GraphAnalysis) -> dict[str, 
 
     for e in circuit_elements:
         if "R1" not in violations and "M1" in e.minimality_failures:
-            witness = {"rule": "R1", "binomial": e.binomial.to_json()}
-            detail = _first_bad_chord(graph, e)
-            if detail:
-                witness.update(detail)
-            violations["R1"] = witness
+            bad = next(r for r in e.chords if r.kind != "odd")
+            violations["R1"] = {
+                "rule": "R1",
+                "binomial": e.binomial.to_json(),
+                "chord": graph.edge_label(bad.chord),
+                "kind": bad.kind,
+            }
         if "R2" not in violations and "M2" in e.minimality_failures:
-            witness = {"rule": "R2", "binomial": e.binomial.to_json()}
-            detail = _first_bad_crossing(graph, e)
-            if detail:
-                witness.update(detail)
-            violations["R2"] = witness
+            pair = uncompleted_crossing(
+                e.chords, find_F4s(graph, e.walk, e.chords)
+            )
+            violations["R2"] = {
+                "rule": "R2",
+                "binomial": e.binomial.to_json(),
+                "chords": [graph.edge_label(r.chord) for r in pair],
+            }
 
-    decs = [
-        block_decomposition(graph, e.walk.edges) for e in circuit_elements
-    ]
-    for i, j in combinations(range(len(circuit_elements)), 2):
-        e1, e2 = circuit_elements[i], circuit_elements[j]
+    for e1, e2 in combinations(circuit_elements, 2):
         shared = set(e1.walk.edges) & set(e2.walk.edges)
         if len(shared) != 1:
             continue
@@ -126,9 +102,10 @@ def circuit_rule_violations(graph: Graph, analysis: GraphAnalysis) -> dict[str, 
         endpoints = set(graph.edges[edge])
         if set(e1.walk.vertices) & set(e2.walk.vertices) != endpoints:
             continue
-        cyclic1 = decs[i].is_cyclic(decs[i].block_of_edge[edge])
-        cyclic2 = decs[j].is_cyclic(decs[j].block_of_edge[edge])
-        if cyclic1 and cyclic2:
+        if all(
+            e.decomposition.is_cyclic(e.decomposition.block_of_edge[edge])
+            for e in (e1, e2)
+        ):
             violations["R3"] = {
                 "rule": "R3",
                 "binomials": [

@@ -79,10 +79,6 @@ class ClosedEvenWalk:
             out.setdefault(e, []).append(k + 1)
         return {e: tuple(ps) for e, ps in out.items()}
 
-    def position_class(self, position: int) -> str:
-        """'plus' for odd 1-based positions, 'minus' for even ones."""
-        return "plus" if position % 2 == 1 else "minus"
-
     def to_json(self) -> dict:
         return {
             "edges": [e + 1 for e in self.edges],
@@ -386,10 +382,24 @@ def is_mixed(
     return True
 
 
+def uncompleted_crossing(
+    reports: Sequence[ChordReport], records: Sequence[F4Record]
+) -> tuple[ChordReport, ChordReport] | None:
+    """First pair of effectively crossing odd chords that no F4 completes."""
+    completed = {frozenset(rec.chords) for rec in records}
+    odd = [r for r in reports if r.kind == "odd"]
+    for r1, r2 in combinations(odd, 2):
+        if cross_effectively(r1.span, r2.span):
+            if frozenset((r1.chord, r2.chord)) not in completed:
+                return r1, r2
+    return None
+
+
 def minimality_failures(
     graph: Graph,
     walk: ClosedEvenWalk,
     decomposition: BlockDecomposition | None = None,
+    reports: Sequence[ChordReport] | None = None,
 ) -> tuple[str, ...]:
     """Chord conditions the walk violates, as sorted codes among M1..M4.
 
@@ -398,18 +408,15 @@ def minimality_failures(
     An empty result certifies membership in the universal Markov basis.
     """
     dec = decomposition or block_decomposition(graph, walk.edges)
-    reports = classify_chords(graph, walk, dec)
+    if reports is None:
+        reports = classify_chords(graph, walk, dec)
     failures = set()
     if any(r.kind != "odd" for r in reports):
         failures.add("M1")
     odd = [r for r in reports if r.kind == "odd"]
     records = find_F4s(graph, walk, reports)
-    completed = {frozenset(rec.chords) for rec in records}
-    for r1, r2 in combinations(odd, 2):
-        if cross_effectively(r1.span, r2.span):
-            if frozenset((r1.chord, r2.chord)) not in completed:
-                failures.add("M2")
-                break
+    if uncompleted_crossing(reports, records) is not None:
+        failures.add("M2")
     for rec in records:
         if any(chord_crosses_F4(graph, r, rec) for r in odd):
             failures.add("M3")
@@ -421,8 +428,11 @@ def minimality_failures(
 
 @dataclass(frozen=True)
 class PrimitivityCheck:
+    """Verdict of the primitive test; an accepted subset carries its block tree."""
+
     ok: bool
     reason: str
+    decomposition: BlockDecomposition | None = None
 
 
 def is_primitive_subgraph(graph: Graph, edge_subset: Sequence[int]) -> PrimitivityCheck:
@@ -431,7 +441,8 @@ def is_primitive_subgraph(graph: Graph, edge_subset: Sequence[int]) -> Primitivi
     Accepted shapes: a single even cycle, or a block tree in which every
     block is a cycle or a cut edge, every cut vertex lies in exactly two
     blocks, and at each cut vertex both sides carry an odd total of
-    cycle-block edges.
+    cycle-block edges. A plain cycle is recognised by its degrees alone, so
+    its block decomposition is built only once it is accepted.
     """
     edges = sorted(set(edge_subset))
     if not edges:
@@ -444,7 +455,9 @@ def is_primitive_subgraph(graph: Graph, edge_subset: Sequence[int]) -> Primitivi
         return PrimitivityCheck(False, f"pendant vertex {graph.labels[pendant[0]]}")
     if all(d == 2 for d in degrees.values()):
         if len(edges) % 2 == 0:
-            return PrimitivityCheck(True, "even cycle")
+            return PrimitivityCheck(
+                True, "even cycle", block_decomposition(graph, edges)
+            )
         return PrimitivityCheck(False, "odd cycle")
     dec = block_decomposition(graph, edges)
     if len(dec.blocks) == 1:
@@ -472,7 +485,7 @@ def is_primitive_subgraph(graph: Graph, edge_subset: Sequence[int]) -> Primitivi
                     f"cut vertex {graph.labels[v]} has a side with an even "
                     f"cycle-edge total ({cyclic_total})",
                 )
-    return PrimitivityCheck(True, "cycle/cut-edge block tree with odd sides")
+    return PrimitivityCheck(True, "cycle/cut-edge block tree with odd sides", dec)
 
 
 def _sides_at_cut_vertex(dec: BlockDecomposition, v: int) -> list[set[int]]:
@@ -498,6 +511,7 @@ def walk_from_primitive_subgraph(
     graph: Graph,
     edge_subset: Sequence[int],
     _reverse_ties: bool = False,
+    _check: PrimitivityCheck | None = None,
 ) -> ClosedEvenWalk:
     """Reconstruct the closed even walk whose subgraph is the given subset.
 
@@ -506,13 +520,13 @@ def walk_from_primitive_subgraph(
     at their cut vertices, cut edges are crossed on the way out and back.
     Each cycle edge appears once and each cut edge twice. The tie-break knob
     flips the traversal direction inside cycle blocks; the resulting binomial
-    must not depend on it.
+    must not depend on it. ``_check`` is the primitive test's verdict on this
+    same subset, when the caller has already run it.
     """
-    check = is_primitive_subgraph(graph, edge_subset)
+    check = _check or is_primitive_subgraph(graph, edge_subset)
     if not check.ok:
         raise NotPrimitiveError(check.reason)
-    edges = sorted(set(edge_subset))
-    dec = block_decomposition(graph, edges)
+    dec = check.decomposition
     cut = set(dec.cut_vertices)
     pick = max if _reverse_ties else min
 

@@ -4,13 +4,8 @@ import pytest
 
 from toriclab.bases import (
     analyze_graph,
-    circuits,
     ensure_tractable,
     fiber_bundle,
-    graver,
-    indispensable_subset,
-    universal_groebner,
-    universal_markov,
 )
 from toriclab.binomials import basis_set_from_json
 from toriclab.corpus import random_connected_graphs
@@ -87,15 +82,6 @@ def test_annotations_record_minimality(analysis_of):
     failures = {tuple(ann["minimality_failures"]) for ann in a.graver.annotations}
     assert ("M1",) in failures
     assert any("M4" in f for f in failures)
-
-
-def test_convenience_wrappers(graph_of):
-    g = graph_of("c4")
-    assert len(circuits(g)) == 1
-    assert len(graver(g)) == 1
-    assert len(universal_groebner(g)) == 1
-    assert len(universal_markov(g)) == 1
-    assert len(indispensable_subset(g)) == 1
 
 
 def test_basis_sets_round_trip_through_json(analysis_of):

@@ -1,5 +1,6 @@
 """End-to-end command line behaviour: formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -51,6 +52,39 @@ def test_json_output_is_byte_identical(capsys):
     second = run(capsys, "analyze", "--format", "json", fixture_path("domino"))
     assert first == second
     assert first[0] == 0
+
+
+# sha256 of the canonical JSON report; any change to a report's bytes shows up
+# here, so a change that means to alter output must update these on purpose.
+PINNED_JSON_SHA256 = {
+    ("bowtie", "analyze"): "da53c7f9870e63da0638d483bf977b02529dc58df772cd4af5cb17d9b1bc5862",
+    ("bowtie", "check"): "8d3db564e43ad6d6b70788c84a25ad0a1b8043f31eb0ad5d739560ed64265d1a",
+    ("c4", "analyze"): "836ff9b68e9395bb495407b6b73d98c6fde587feec416033f423418bdc52f944",
+    ("c4", "check"): "e39c6ed87d260ad3f59f219491103edd1de93bb62ff851a56ca87bcdfad8d902",
+    ("domino", "analyze"): "9a6b40d0f77fbe7bb94ae89fce3c661963357c7b3ca439f754a087bfa958fca5",
+    ("domino", "check"): "fd1f693b86ec96c63ffb5c25c9a0018bc4a2c0cc1c8708a782bbbef3a407ef90",
+    ("hexchord", "analyze"): "55a225bbd2a020409d2ae5e0366af04d37fe2d54853829fa4f859588dd00dbb4",
+    ("hexchord", "check"): "611c1ff2a6c41c45c604db71eb69dc394ae4a20b00df8cf906bd9df6734eb992",
+    ("k4", "analyze"): "7a24e3bd89a36343f54d2122be78a49230e5fd592c354ca2e5c21842f458aeb8",
+    ("k4", "check"): "ccc6c71ae926057e5c418a5eefb540e99cf36e032626e59d9e4e8fcf90bb079b",
+    ("octagon_three_chords", "analyze"): "479817eb92f2122d00219cd3203664a19bcd8a0f5cd8b2d9e1ed250ce18ae928",
+    ("octagon_three_chords", "check"): "e7459daac3ba00fbe91ba76c2d063ee8b54da2103172a3818888b845c758fd75",
+    ("tri_edge_tri", "analyze"): "58ff95e9de3401acda26125d7d2659ba75083af440ae2b2dd2e1ace130f3d716",
+    ("tri_edge_tri", "check"): "0cad8f5f862dbaf4a686db82c61ccd127eab27f9a5bb20da81eb7c6aed0d7221",
+    ("tri_square_tri_adjacent", "analyze"): "39f2e42be372a0dffc89af4cefb6fdd2d46ddc5d83d55ce6ae7d0f82144f61ba",
+    ("tri_square_tri_adjacent", "check"): "dfe29d5287f82f412d962252ccd60bb395458d02cd6ebdc05e4ed3c4336d12a8",
+    ("tri_square_tri_opposite", "analyze"): "38e9bd185fa416aa947780ddf9ee31bb729af91a732c04455850d7a4ccd77585",
+    ("tri_square_tri_opposite", "check"): "e3789ab5e63fafa9f914429357d3273f2f90ccd5170194c1da91647d13f0c6e9",
+    ("triangle_per_corner", "analyze"): "ffe13725c0fd9afcfc5ee4b4c5adfae8402410457e939024f4368ba98ca4573c",
+    ("triangle_per_corner", "check"): "394a36022a406fc878150fd5abcfeda4c85285c78e87c8186a7e299c19140395",
+}
+
+
+@pytest.mark.parametrize("name,command", sorted(PINNED_JSON_SHA256))
+def test_json_report_matches_pinned_digest(capsys, name, command):
+    code, out, _ = run(capsys, command, "--format", "json", fixture_path(name))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_JSON_SHA256[name, command]
 
 
 def test_analyze_text_report(capsys):
@@ -229,23 +263,6 @@ def test_suite_rejects_bad_paths(capsys, tmp_path):
     assert code == 2 and "no graph files" in err
 
 
-def test_thread_env_var(capsys, monkeypatch):
-    args = ("suite", "--format", "json", "--count", "4", "--seed", "8")
-    monkeypatch.delenv("TORIC_LAB_THREADS", raising=False)
-    serial = run(capsys, *args)
-    monkeypatch.setenv("TORIC_LAB_THREADS", "3")
-    threaded = run(capsys, *args)
-    assert serial == threaded
-
-    monkeypatch.setenv("TORIC_LAB_THREADS", "zero")
-    code, _, err = run(capsys, *args)
-    assert code == 2 and "TORIC_LAB_THREADS" in err
-
-    monkeypatch.setenv("TORIC_LAB_THREADS", "0")
-    code, _, _ = run(capsys, *args)
-    assert code == 2
-
-
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
@@ -308,6 +325,22 @@ def test_python_dash_m_round_trip(tmp_path):
     )
     assert proc.returncode == 2
     assert "error" in proc.stderr
+
+
+def test_deep_input_exits_three_without_traceback(tmp_path):
+    # a long path drives the recursive subset enumeration past Python's
+    # recursion limit; that must end in a documented exit code
+    path = tmp_path / "path1500.txt"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 1501)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "toriclab", "check", "--force", str(path)],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    assert proc.returncode == 3
+    assert "recursion depth" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.skipif(

@@ -66,6 +66,13 @@ def test_edge_labels_and_lookup(graph_of):
         ("", GraphError),
         ("1 2 3\n", GraphError),
         ('{"vertices": 2, "edges": [[1, 3]]}', GraphError),
+        # JSON labels and vertex counts must be true integers
+        ('{"vertices": 3, "edges": [[true, 2], [2, 3], [1, 3]]}', GraphError),
+        ('{"vertices": 3, "edges": [[1, 2.0], [2, 3], [1, 3]]}', GraphError),
+        ('{"vertices": 3, "edges": [[1, "2"], [2, 3], [1, 3]]}', GraphError),
+        ('{"vertices": 3.9, "edges": [[1, 2], [2, 3], [1, 3]]}', GraphError),
+        ('{"vertices": "3", "edges": [[1, 2], [2, 3], [1, 3]]}', GraphError),
+        ('{"vertices": true, "edges": [[1, 1]]}', GraphError),
     ],
 )
 def test_parse_rejects_bad_input(text, err):
@@ -78,6 +85,11 @@ def test_parse_accepts_arbitrary_vertex_tokens():
     assert g.vertex_count == 3
     assert g.labels == ("a", "b", "c")
     assert g.edge_label(0) == "{a, b}"
+    # integers sort numerically; tokens that only look like integers are
+    # ordinary labels and sort lexically
+    assert parse_graph("-1 2\n2 10\n10 -1\n").labels == ("-1", "2", "10")
+    assert parse_graph("--1 2\n2 10\n10 --1\n").labels == ("--1", "10", "2")
+    assert parse_graph("\u00b2 2\n2 10\n10 \u00b2\n").labels == ("10", "2", "\u00b2")
 
 
 def test_incidence_matrix_k4(graph_of):

@@ -5,6 +5,7 @@ import pytest
 from toriclab.binomials import BinomialError
 from toriclab.graphs import enumerate_cycles, load_graph, parse_graph
 from toriclab.walks import (
+    NotPrimitiveError,
     WalkError,
     chord_crosses_F4,
     classify_chords,
@@ -211,6 +212,8 @@ def test_primitive_subgraph_shapes(graph_of):
     check = is_primitive_subgraph(k4, range(6))
     assert not check.ok
     assert check.reason
+    with pytest.raises(NotPrimitiveError):
+        walk_from_primitive_subgraph(k4, range(6))
 
     tpc = graph_of("triangle_per_corner")
     assert is_primitive_subgraph(tpc, range(12)).ok
