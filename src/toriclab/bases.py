@@ -2,26 +2,26 @@
 
 Everything is driven by closed even walks.  Primitive walks are found by
 enumerating connected edge subsets and testing the block-structure
-characterization; circuits come from their own cycle-based constructions;
-the universal Groebner and universal Markov members are primitive walks
-passing the mixedness and minimality filters.  The fiber-graph route to the
-universal Markov basis doubles as an internal consistency check.
+characterization.  Circuits are read off those walks' block trees: the
+primitive walks with one cyclic block (an even cycle) or two (odd cycles
+meeting in a vertex or joined by a path).  The universal Groebner and
+universal Markov members are primitive walks passing the mixedness and
+minimality filters.  The fiber-graph route to the universal Markov basis
+doubles as an internal consistency check.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .binomials import BasisSet, Binomial, make_basis_set
 from .errors import InternalInvariantError, ScaleGuardError
 from .graphs import (
     BlockDecomposition,
-    Cycle,
     Graph,
     connected_edge_subsets,
-    enumerate_cycles,
     incidence_matrix,
-    paths_between,
 )
 from .oracle import (
     FiberGraph,
@@ -37,10 +37,8 @@ from .walks import (
     classify_chords,
     is_mixed,
     is_primitive_subgraph,
-    make_walk,
     minimality_failures,
     walk_binomial,
-    walk_from_cycle,
     walk_from_primitive_subgraph,
 )
 
@@ -111,66 +109,30 @@ def primitive_elements(graph: Graph) -> tuple[PrimitiveElement, ...]:
     return tuple(out)
 
 
-def _rotate_cycle(cycle: Cycle, vertex: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    i = cycle.vertices.index(vertex)
-    return (
-        cycle.vertices[i:] + cycle.vertices[:i],
-        cycle.edges[i:] + cycle.edges[:i],
-    )
+def circuit_walks(
+    elements: Sequence[PrimitiveElement],
+) -> list[tuple[PrimitiveElement, str]]:
+    """The circuits among the primitive walks, each labelled with its shape.
 
-
-def _path_vertices(graph: Graph, path_edges: tuple[int, ...], start: int) -> list[int]:
-    verts = [start]
-    for ei in path_edges:
-        a, b = graph.edges[ei]
-        verts.append(b if verts[-1] == a else a)
-    return verts
-
-
-def circuit_walks(graph: Graph) -> list[tuple[ClosedEvenWalk, str]]:
-    """Walks of all circuits, each labelled with its shape.
-
-    Shapes: an even cycle; two odd cycles meeting in exactly one vertex;
-    two vertex-disjoint odd cycles joined by a path that only touches them
-    at its endpoints (the path edges enter squared).
+    A graph's circuits are its even cycles, pairs of odd cycles meeting in
+    exactly one vertex, and pairs of vertex-disjoint odd cycles joined by a
+    path (whose edges enter squared).  Each is a primitive walk, and its
+    block tree tells them apart: one cyclic block is an even cycle; two
+    cyclic blocks and nothing else share a vertex; two cyclic blocks plus
+    cut edges are path-joined.  A primitive walk with three or more cyclic
+    blocks is no circuit.
     """
 
-    cycles = enumerate_cycles(graph)
-    even = [c for c in cycles if c.is_even]
-    odd = [c for c in cycles if not c.is_even]
-    out: list[tuple[ClosedEvenWalk, str]] = []
-    for c in even:
-        out.append((walk_from_cycle(graph, c), "even-cycle"))
-    for a in range(len(odd)):
-        for b in range(a + 1, len(odd)):
-            c1, c2 = odd[a], odd[b]
-            shared = set(c1.vertices) & set(c2.vertices)
-            if len(shared) == 1:
-                x = shared.pop()
-                v1, e1 = _rotate_cycle(c1, x)
-                v2, e2 = _rotate_cycle(c2, x)
-                out.append(
-                    (make_walk(graph, e1 + e2, v1 + v2), "shared-vertex")
-                )
-            elif not shared:
-                blocked = set(c1.vertices) | set(c2.vertices)
-                for u in c1.vertices:
-                    for v in c2.vertices:
-                        forbidden = tuple(blocked - {u, v})
-                        for path in paths_between(graph, u, v, forbidden):
-                            pv = _path_vertices(graph, path, u)
-                            v1, e1 = _rotate_cycle(c1, u)
-                            v2, e2 = _rotate_cycle(c2, v)
-                            edges = e1 + path + e2 + tuple(reversed(path))
-                            verts = (
-                                v1
-                                + tuple(pv[:-1])
-                                + v2
-                                + tuple(reversed(pv[1:]))
-                            )
-                            out.append(
-                                (make_walk(graph, edges, verts), "path-joined")
-                            )
+    out = []
+    for element in elements:
+        dec = element.decomposition
+        cyclic = len(dec.cyclic_blocks())
+        if cyclic == 1:
+            out.append((element, "even-cycle"))
+        elif cyclic == 2 and len(dec.blocks) == 2:
+            out.append((element, "shared-vertex"))
+        elif cyclic == 2:
+            out.append((element, "path-joined"))
     return out
 
 
@@ -205,29 +167,14 @@ def _tags(element: PrimitiveElement, circuit: bool) -> dict:
 def analyze_graph(graph: Graph, force: bool = False) -> GraphAnalysis:
     ensure_tractable(graph, force)
     elements = primitive_elements(graph)
-    known = {(e.binomial.plus, e.binomial.minus): e for e in elements}
-
-    circuit_items: list[tuple[Binomial, dict]] = []
-    circuit_keys: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    for walk, shape in circuit_walks(graph):
-        b = walk_binomial(graph, walk)
-        key = (b.plus, b.minus)
-        element = known.get(key)
-        if element is None:
-            raise InternalInvariantError(
-                f"circuit {b.render()} missing from the primitive enumeration"
-            )
-        circuit_keys.add(key)
-        circuit_items.append((b, {**_tags(element, True), "shape": shape}))
+    circuits = circuit_walks(elements)
+    in_circuit = {e.subset for e, _ in circuits}
 
     m = len(graph.edges)
     graver = make_basis_set(
         "graver",
         m,
-        [
-            (e.binomial, _tags(e, (e.binomial.plus, e.binomial.minus) in circuit_keys))
-            for e in elements
-        ],
+        [(e.binomial, _tags(e, e.subset in in_circuit)) for e in elements],
     )
     ugb = make_basis_set(
         "ugb",
@@ -250,7 +197,14 @@ def analyze_graph(graph: Graph, force: bool = False) -> GraphAnalysis:
     return GraphAnalysis(
         graph,
         elements,
-        make_basis_set("circuits", m, circuit_items),
+        make_basis_set(
+            "circuits",
+            m,
+            [
+                (e.binomial, {**_tags(e, True), "shape": shape})
+                for e, shape in circuits
+            ],
+        ),
         graver,
         ugb,
         markov,
@@ -273,13 +227,7 @@ class FiberBundle:
     indispensable: BasisSet
 
 
-def fiber_bundle(
-    graph: Graph,
-    analysis: GraphAnalysis | None = None,
-    force: bool = False,
-) -> FiberBundle:
-    if analysis is None:
-        analysis = analyze_graph(graph, force=force)
+def fiber_bundle(graph: Graph, analysis: GraphAnalysis) -> FiberBundle:
     config = graph_config(graph)
     degrees = candidate_degrees([e.binomial for e in analysis.elements])
     graphs, minimal = fiber_graphs(config, degrees)

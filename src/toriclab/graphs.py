@@ -430,40 +430,6 @@ def enumerate_cycles(graph: Graph) -> list[Cycle]:
     return cycles
 
 
-def paths_between(
-    graph: Graph,
-    source: int,
-    target: int,
-    forbidden: Sequence[int] = (),
-) -> list[tuple[int, ...]]:
-    """All simple paths source -> target as edge-index tuples.
-
-    ``forbidden`` vertices may not appear in the interior of a path; the
-    endpoints themselves are exempt.
-    """
-    if source == target:
-        raise ValueError("source and target must differ")
-    blocked = set(forbidden)
-    out: list[tuple[int, ...]] = []
-    path_edges: list[int] = []
-    visited = {source}
-
-    def dfs(u: int) -> None:
-        for w, ei in graph.adjacency[u]:
-            if w == target:
-                out.append(tuple(path_edges + [ei]))
-            elif w not in visited and w not in blocked:
-                visited.add(w)
-                path_edges.append(ei)
-                dfs(w)
-                path_edges.pop()
-                visited.remove(w)
-
-    dfs(source)
-    out.sort()
-    return out
-
-
 def has_four_cycle(graph: Graph) -> bool:
     """Whether any simple 4-cycle exists: two vertices with two common neighbors."""
     neighbor_sets = [

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .bases import FiberBundle, GraphAnalysis, analyze_graph, fiber_bundle
+from .bases import FiberBundle, GraphAnalysis
 from .errors import InternalInvariantError
 from .graphs import Graph, has_four_cycle
 from .walks import find_F4s, uncompleted_crossing
@@ -72,7 +72,10 @@ def circuit_rule_violations(graph: Graph, analysis: GraphAnalysis) -> dict[str, 
     and have that edge on a cycle of both.
     """
 
-    circuit_elements = [analysis.element_for(b) for b in analysis.circuits.elements]
+    circuits = analysis.circuits.element_set()
+    circuit_elements = [
+        e for e in analysis.elements if (e.binomial.plus, e.binomial.minus) in circuits
+    ]
     violations: dict[str, dict] = {}
 
     for e in circuit_elements:
@@ -164,13 +167,8 @@ class RobustnessVerdict:
 
 
 def robustness_verdict(
-    graph: Graph,
-    analysis: GraphAnalysis | None = None,
-    bundle: FiberBundle | None = None,
-    force: bool = False,
+    graph: Graph, analysis: GraphAnalysis, bundle: FiberBundle
 ) -> RobustnessVerdict:
-    if analysis is None:
-        analysis = analyze_graph(graph, force=force)
     sets_rep = check_generalized_robust_sets(analysis)
     cond_rep = check_generalized_robust_conditions(analysis)
     circ_rep = check_generalized_robust_circuits(graph, analysis)
@@ -180,8 +178,6 @@ def robustness_verdict(
             f"sets={sets_rep.holds} conditions={cond_rep.holds} "
             f"circuits={circ_rep.holds}"
         )
-    if bundle is None:
-        bundle = fiber_bundle(graph, analysis)
     unique_rep = check_unique_generation(analysis, bundle)
     generalized = sets_rep.holds
     return RobustnessVerdict(
@@ -231,15 +227,8 @@ class ImplicationSuite:
 
 
 def implication_suite(
-    graph: Graph,
-    analysis: GraphAnalysis | None = None,
-    bundle: FiberBundle | None = None,
-    force: bool = False,
+    graph: Graph, analysis: GraphAnalysis, bundle: FiberBundle
 ) -> ImplicationSuite:
-    if analysis is None:
-        analysis = analyze_graph(graph, force=force)
-    if bundle is None:
-        bundle = fiber_bundle(graph, analysis)
     verdict = robustness_verdict(graph, analysis, bundle)
     sets_rep, cond_rep, circ_rep, unique_rep = verdict.criteria
 

@@ -28,6 +28,26 @@ def fixture_path(name: str) -> Path:
     return FIXTURES / f"{name}.txt"
 
 
+def support_minimal(elements) -> set:
+    """The ``(plus, minus)`` keys whose support is minimal among ``elements``.
+
+    The support is the set of edges with a nonzero exponent.  Among Graver
+    elements the support-minimal ones are exactly the circuits, which makes
+    this an independent check of the walk-based circuit search.
+    """
+    supports = {
+        (plus, minus): frozenset(
+            i for i, (p, q) in enumerate(zip(plus, minus)) if p or q
+        )
+        for plus, minus in elements
+    }
+    return {
+        key
+        for key, support in supports.items()
+        if not any(other < support for other in supports.values())
+    }
+
+
 @pytest.fixture(scope="session")
 def graph_of():
     cache = {}

@@ -33,7 +33,7 @@ from toriclab.robustness import (
 )
 from toriclab.walks import sinks_and_strong_primitivity
 
-from conftest import FIXTURES, fixture_path
+from conftest import FIXTURES, fixture_path, support_minimal
 
 CORPUS_SIZE = 200
 CORPUS_SEED = 424242
@@ -182,6 +182,9 @@ def test_criterion_5_oracle_equivalence():
         if keys(bounded) != analysis.graver.element_set():
             mismatches.append((g.digest(), "graver"))
             continue
+        if analysis.circuits.element_set() != support_minimal(keys(bounded)):
+            mismatches.append((g.digest(), "circuits"))
+            continue
         graphs, _ = fiber_graphs(config, candidate_degrees(bounded))
         if (
             universal_markov_fibers(config, graphs).element_set()
@@ -238,7 +241,7 @@ def test_criterion_7_structural_witnesses():
     t0 = time.perf_counter()
     g = load_graph(str(fixture_path("tri_square_tri_adjacent")))
     a = analyze_graph(g)
-    verdict = robustness_verdict(g, a)
+    verdict = robustness_verdict(g, a, fiber_bundle(g, a))
     m4_failures = [
         e for e in a.elements if "M4" in e.minimality_failures
     ]

@@ -12,6 +12,8 @@ from toriclab.corpus import random_connected_graphs
 from toriclab.errors import ScaleGuardError
 from toriclab.graphs import parse_graph
 
+from conftest import support_minimal
+
 # circuits, graver, universal Groebner, universal Markov, indispensable
 EXPECTED_COUNTS = {
     "k4": (3, 3, 3, 3, 0),
@@ -44,7 +46,7 @@ def test_set_counts(analysis_of, bundle_of, name):
 def test_set_inclusions(analysis_of, bundle_of, name):
     a = analysis_of(name)
     gr = a.graver.element_set()
-    assert a.circuits.element_set() <= gr
+    assert a.circuits.element_set() == support_minimal(gr)
     assert a.universal_markov.element_set() <= a.universal_groebner.element_set() <= gr
     assert bundle_of(name).indispensable.element_set() <= a.universal_markov.element_set()
 
@@ -127,7 +129,7 @@ def test_random_graphs_keep_inclusions_and_cross_checks():
     for g in random_connected_graphs(25, seed=20250815):
         a = analyze_graph(g)
         gr = a.graver.element_set()
-        assert a.circuits.element_set() <= gr
+        assert a.circuits.element_set() == support_minimal(gr)
         assert a.universal_markov.element_set() <= a.universal_groebner.element_set() <= gr
         # raises internally if the fiber side disagrees with the walk side
         bundle = fiber_bundle(g, a)

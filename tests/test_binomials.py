@@ -119,12 +119,29 @@ def test_conformal_leq():
     assert not conformal_leq(big, small)
 
 
-vectors = st.lists(st.integers(-3, 3), min_size=2, max_size=6).filter(
-    lambda v: any(x > 0 for x in v) and sum(v) == 0
-)
+@st.composite
+def vectors(draw):
+    """Lists of 2-6 integers in -3..3 with zero sum and a positive entry.
+
+    Built to meet the condition rather than filtered: one entry is drawn
+    positive, each other entry is drawn from the values that still let the
+    entries after it cancel the running sum, and the last one cancels it.
+    """
+    n = draw(st.integers(2, 6))
+    at = draw(st.integers(0, n - 1))
+    positive = draw(st.integers(1, 3))
+    running = positive
+    others = []
+    for left in range(n - 2, 0, -1):
+        low, high = max(-3, -running - 3 * left), min(3, 3 * left - running)
+        x = draw(st.integers(low, high))
+        others.append(x)
+        running += x
+    others.append(-running)
+    return others[:at] + [positive] + others[at:]
 
 
-@given(vectors)
+@given(vectors())
 @settings(max_examples=150, deadline=None)
 def test_vector_round_trip_any(v):
     b = binomial_from_vector(v, total)

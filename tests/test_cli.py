@@ -343,6 +343,34 @@ def test_deep_input_exits_three_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_scripts_run_to_completion():
+    scripts = PYPROJECT.parent / "scripts"
+    walk = subprocess.run(
+        [sys.executable, str(scripts / "walkthrough.py"), "-v"],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    assert walk.returncode == 0, walk.stderr
+    sweep = subprocess.run(
+        [
+            sys.executable,
+            str(scripts / "corpus_sweep.py"),
+            "--count",
+            "10",
+            "--max-edges",
+            "8",
+            "--oracle-every",
+            "5",
+        ],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    assert sweep.returncode == 0, sweep.stderr
+    assert "all matched" in sweep.stdout
+
+
 @pytest.mark.skipif(
     shutil.which("toriclab") is None, reason="toriclab console script not installed"
 )

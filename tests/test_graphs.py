@@ -24,7 +24,6 @@ from toriclab.graphs import (
     incidence_matrix,
     is_connected_subset,
     parse_graph,
-    paths_between,
 )
 
 
@@ -174,22 +173,6 @@ def test_cycles_are_canonical_and_closed(graph_of):
             u = c.vertices[i]
             v = c.vertices[(i + 1) % len(c.vertices)]
             assert set(g.edges[e]) == {u, v}
-
-
-def test_paths_between_k4(graph_of):
-    k4 = graph_of("k4")
-    paths = paths_between(k4, 0, 1)
-    assert len(paths) == 5
-    assert all(isinstance(p, tuple) for p in paths)
-    # forbidding one interior vertex keeps the direct edge and one 2-path
-    short = paths_between(k4, 0, 1, forbidden={3})
-    assert len(short) == 2
-
-
-def test_paths_forbidden_bans_interior_only(graph_of):
-    bowtie = graph_of("bowtie")
-    # endpoint itself may appear in the forbidden set without effect
-    assert paths_between(bowtie, 0, 2, forbidden={0}) == paths_between(bowtie, 0, 2)
 
 
 def test_has_four_cycle(graph_of):
