@@ -143,8 +143,9 @@ def fiber(config: ToricConfig, degree: Sequence[int]) -> tuple[tuple[int, ...], 
 def graver_bounded(config: ToricConfig, box: int) -> tuple[Binomial, ...]:
     """Primitive kernel elements whose exponents are bounded by ``box``.
 
-    Enumerates every exponent vector in {0..box}^m, groups them by degree,
-    forms coprime same-degree pairs, and keeps the conformally minimal ones.
+    Enumerates every exponent vector in {0..box}^m, sorts them by degree so
+    each degree is a run of rows, pairs rows of a run whose supports (as
+    bitmasks) are disjoint, and keeps the conformally minimal pairs.
     Minimality inside the box equals global minimality because a proper
     conformal divisor of an in-box vector is itself in the box.
     """
@@ -158,31 +159,43 @@ def graver_bounded(config: ToricConfig, box: int) -> tuple[Binomial, ...]:
             f"box enumeration would need {total} exponent vectors "
             f"(limit {_MAX_BOX_ROWS}); reduce the box or the variable count"
         )
-    exps = np.indices((box + 1,) * m, dtype=np.int32).reshape(m, -1).T
-    matrix = np.array(config.rows, dtype=np.int32)
-    degs = exps @ matrix.T
-    _, inverse, counts = np.unique(
-        degs, axis=0, return_inverse=True, return_counts=True
+    exps = np.indices((box + 1,) * m, dtype=np.min_scalar_type(box))
+    exps = exps.reshape(m, -1).T
+    # Entries are nonnegative, so no partial sum exceeds the largest degree
+    # entry and the narrowest type holding it is safe for the product.
+    matrix = np.array(
+        config.rows,
+        dtype=np.min_scalar_type(box * max(sum(row) for row in config.rows)),
     )
-    order = np.argsort(inverse.reshape(-1), kind="stable")
-    boundaries = np.cumsum(counts)
+    degs = exps @ matrix.T
+    order = np.lexsort(degs.T)
+    ranked_degs = degs[order]
+    del degs
+    starts = np.any(ranked_degs[1:] != ranked_degs[:-1], axis=1)
+    del ranked_degs
+    group = np.concatenate(([0], np.cumsum(starts)))
+    bits = np.zeros(total, dtype=np.int64)
+    for j in range(m):
+        bits |= (exps[:, j] > 0).astype(np.int64) << j
+    bits = bits[order]
+
+    # Sorted row k pairs with row k + d while both lie in one degree run.
+    firsts = [np.empty(0, dtype=np.intp)]
+    seconds = [np.empty(0, dtype=np.intp)]
+    for d in range(1, total):
+        same = group[:-d] == group[d:]
+        if not same.any():
+            break
+        kept = np.flatnonzero(same & ((bits[:-d] & bits[d:]) == 0))
+        firsts.append(kept)
+        seconds.append(kept + d)
+    firsts_rows = exps[order[np.concatenate(firsts)]].tolist()
+    seconds_rows = exps[order[np.concatenate(seconds)]].tolist()
 
     candidates: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    start = 0
-    for gi in range(len(counts)):
-        end = int(boundaries[gi])
-        if counts[gi] >= 2:
-            members = exps[order[start:end]]
-            for i in range(len(members)):
-                ui = members[i]
-                for j in range(i + 1, len(members)):
-                    vj = members[j]
-                    if np.any(np.minimum(ui, vj)):
-                        continue
-                    ut = tuple(int(x) for x in ui)
-                    vt = tuple(int(x) for x in vj)
-                    candidates.add((ut, vt) if ut > vt else (vt, ut))
-        start = end
+    for u, v in zip(firsts_rows, seconds_rows):
+        ut, vt = tuple(u), tuple(v)
+        candidates.add((ut, vt) if ut > vt else (vt, ut))
 
     ranked = sorted(candidates, key=lambda pv: (sum(pv[0]) + sum(pv[1]), pv))
     accepted: list[tuple[tuple[int, ...], tuple[int, ...]]] = []

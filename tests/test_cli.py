@@ -382,3 +382,26 @@ def test_installed_console_script_round_trip():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"]["robust"] is True
+
+
+def test_parser_is_built_once_and_still_rejects_bad_arguments(
+    capsys, monkeypatch
+):
+    import toriclab.cli as cli
+
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    for _ in range(3):
+        code, out, _ = run(capsys, "check", "--format", "json", fixture_path("c4"))
+        assert code == 0 and json.loads(out)["verdict"]["robust"]
+    assert built == [1]
+    for bad in (["check", "--format", "yaml", "c4"], ["nosuch"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "check", "--format", "json", fixture_path("c4"))
+    assert code == 0 and json.loads(out)["verdict"]["robust"]
+    assert built == [1]

@@ -1,15 +1,18 @@
 """Brute-force toric oracle: fibers, bounded Graver, fiber graphs, Buchberger."""
 
+import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toriclab.bases import graph_config
+from toriclab.bases import analyze_graph, fiber_bundle, graph_config
 from toriclab.binomials import binomial_from_vector, make_binomial
 from toriclab.errors import ScaleGuardError
+from toriclab.graphs import Graph, GraphError
 from toriclab.oracle import (
     ConfigError,
     NegativeEntryError,
@@ -27,6 +30,8 @@ from toriclab.oracle import (
     sample_groebner,
     universal_markov_fibers,
 )
+
+from conftest import FIXTURES, support_minimal
 
 N5_ROWS = json.loads(
     (Path(__file__).parent / "fixtures" / "matrix" / "n5.json").read_text()
@@ -97,6 +102,147 @@ def test_graver_box_one_n5():
         "x1*x2 - x5*x6",
         "x1*x2 - x3*x4",
     ]
+
+
+def _graver_bounded_reference(config, box):
+    """Plain-Python ``graver_bounded``: test every same-degree pair.
+
+    Groups the box's exponent vectors by degree, keeps each pair inside a
+    group whose supports are disjoint, then applies the same ranking and
+    conformal-minimality filter as the oracle.
+    """
+
+    # Each degree entry is below ``base``, so the key is injective on degrees.
+    base = box * max(sum(row) for row in config.rows) + 1
+    weights = [
+        sum(c * base**r for r, c in enumerate(column))
+        for column in config.columns
+    ]
+    groups = {}
+    for u in itertools.product(range(box + 1), repeat=config.ncols):
+        groups.setdefault(sum(w * x for w, x in zip(weights, u)), []).append(u)
+    candidates = set()
+    for members in groups.values():
+        for i, u in enumerate(members):
+            for v in members[i + 1 :]:
+                if not any(x and y for x, y in zip(u, v)):
+                    candidates.add((u, v) if u > v else (v, u))
+
+    ranked = sorted(candidates, key=lambda pv: (sum(pv[0]) + sum(pv[1]), pv))
+    accepted = []
+    for plus, minus in ranked:
+        if not any(
+            (_lead_divides(ap, plus) and _lead_divides(am, minus))
+            or (_lead_divides(am, plus) and _lead_divides(ap, minus))
+            for ap, am in accepted
+        ):
+            accepted.append((plus, minus))
+    return tuple(
+        make_binomial(plus, minus, config.degree) for plus, minus in accepted
+    )
+
+
+FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.txt"))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_graver_bounded_matches_reference_on_fixtures(graph_of, name):
+    cfg = graph_config(graph_of(name))
+    for box in (1, 2):
+        assert graver_bounded(cfg, box) == _graver_bounded_reference(cfg, box)
+    if 4**cfg.ncols > 5_000_000:
+        with pytest.raises(ScaleGuardError):
+            graver_bounded(cfg, 3)
+    elif 4**cfg.ncols <= 2**16:
+        assert graver_bounded(cfg, 3) == _graver_bounded_reference(cfg, 3)
+    else:
+        # The reference needs minutes for a box this size.  A graph's Graver
+        # elements have exponents at most 2, so box 3 must repeat box 2,
+        # which the reference has just checked.
+        assert graver_bounded(cfg, 3) == graver_bounded(cfg, 2)
+
+
+def test_graver_bounded_matches_reference_on_n5():
+    cfg = config_from_rows(N5_ROWS)
+    for box in (1, 2):
+        assert graver_bounded(cfg, box) == _graver_bounded_reference(cfg, box)
+
+
+def test_graver_bounded_takes_entries_past_int32():
+    cfg = config_from_rows([[2**40, 2**40, 1, 1], [1, 1, 1, 1]])
+    assert graver_bounded(cfg, 2) == _graver_bounded_reference(cfg, 2)
+    assert len(graver_bounded(cfg, 2)) == 2
+
+
+def test_graver_bounded_of_a_tree_is_empty():
+    # a spider: no even closed walk, so no kernel element at any box
+    tree = Graph(6, ((0, 1), (1, 2), (1, 3), (3, 4), (3, 5)))
+    cfg = graph_config(tree)
+    for box in (1, 2):
+        assert graver_bounded(cfg, box) == ()
+        assert _graver_bounded_reference(cfg, box) == ()
+
+
+@st.composite
+def _small_configs(draw):
+    nrows = draw(st.integers(1, 3))
+    ncols = draw(st.integers(1, 6))
+    columns = [
+        draw(
+            st.lists(st.integers(0, 3), min_size=nrows, max_size=nrows).filter(
+                any
+            )
+        )
+        for _ in range(ncols)
+    ]
+    return config_from_rows([list(row) for row in zip(*columns)])
+
+
+@given(_small_configs(), st.integers(1, 2))
+@settings(max_examples=150, deadline=None)
+def test_graver_bounded_matches_reference_on_random_configs(cfg, box):
+    assert graver_bounded(cfg, box) == _graver_bounded_reference(cfg, box)
+
+
+def _wide_graphs(count, seed, edges=12):
+    """Seeded connected graphs with ``edges`` edges on 7 or 8 vertices."""
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice((7, 8))
+        pairs = list(itertools.combinations(range(n), 2))
+        try:
+            out.append(Graph(n, tuple(sorted(rng.sample(pairs, edges)))))
+        except GraphError:
+            continue
+    return out
+
+
+def _keys(binomials):
+    return {(b.plus, b.minus) for b in binomials}
+
+
+@pytest.mark.parametrize(
+    "graph", _wide_graphs(8, seed=1212), ids=lambda g: g.digest()[:12]
+)
+def test_walk_sets_match_oracle_past_corpus_edge_cap(graph):
+    # The acceptance corpus stops at 11 edges; these have 12.
+    analysis = analyze_graph(graph)
+    bundle = fiber_bundle(graph, analysis)
+    cfg = graph_config(graph)
+    bounded = graver_bounded(cfg, 2)
+    assert _keys(bounded) == analysis.graver.element_set()
+    assert support_minimal(_keys(bounded)) == analysis.circuits.element_set()
+    graphs, _ = fiber_graphs(cfg, candidate_degrees(bounded))
+    assert (
+        universal_markov_fibers(cfg, graphs).element_set()
+        == analysis.universal_markov.element_set()
+    )
+    assert (
+        _keys(indispensability_report(cfg, graphs).indispensable)
+        == bundle.indispensable.element_set()
+    )
 
 
 def test_graver_bounded_guards_scale():
