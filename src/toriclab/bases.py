@@ -34,7 +34,9 @@ from .oracle import (
 from .walks import (
     ChordReport,
     ClosedEvenWalk,
+    F4Record,
     classify_chords,
+    find_F4s,
     is_mixed,
     is_primitive_subgraph,
     minimality_failures,
@@ -64,8 +66,8 @@ def graph_config(graph: Graph) -> ToricConfig:
 class PrimitiveElement:
     """One primitive walk with its binomial and classification tags.
 
-    ``decomposition`` and ``chords`` are the walk's block tree and chord
-    reports, worked out once here for every later reader.
+    ``decomposition``, ``chords`` and ``f4s`` are the walk's block tree,
+    chord reports and F4s, worked out once here for every later reader.
     """
 
     subset: tuple[int, ...]
@@ -75,6 +77,7 @@ class PrimitiveElement:
     minimality_failures: tuple[str, ...]
     decomposition: BlockDecomposition = field(repr=False, compare=False)
     chords: tuple[ChordReport, ...] = field(repr=False, compare=False)
+    f4s: tuple[F4Record, ...] = field(repr=False, compare=False)
 
     @property
     def minimal(self) -> bool:
@@ -94,15 +97,19 @@ def primitive_elements(graph: Graph) -> tuple[PrimitiveElement, ...]:
         walk = walk_from_primitive_subgraph(graph, subset, _check=check)
         dec = check.decomposition
         chords = tuple(classify_chords(graph, walk, dec))
+        f4s = tuple(find_F4s(graph, walk, chords))
         out.append(
             PrimitiveElement(
                 subset=subset,
                 walk=walk,
                 binomial=walk_binomial(graph, walk),
                 mixed=is_mixed(graph, walk, dec),
-                minimality_failures=minimality_failures(graph, walk, dec, chords),
+                minimality_failures=minimality_failures(
+                    graph, walk, dec, chords, f4s
+                ),
                 decomposition=dec,
                 chords=chords,
+                f4s=f4s,
             )
         )
     out.sort(key=lambda e: e.binomial.sort_key())

@@ -413,11 +413,21 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _load_expectation(path: Path) -> dict | None:
+    """The graph's ``<stem>.expect.json`` sidecar, if there is one.
+
+    It must be an object; its ``counts``, if given, an object too.
+    """
     sidecar = path.with_name(path.stem + ".expect.json")
     if not sidecar.exists():
         return None
     with open(sidecar, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        expect = json.load(fh)
+    if not isinstance(expect, dict) or not isinstance(expect.get("counts", {}), dict):
+        raise ValueError(
+            f"{sidecar}: expectation must be a JSON object whose 'counts', "
+            "if given, is an object"
+        )
+    return expect
 
 
 def _instance_record(

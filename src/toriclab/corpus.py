@@ -17,13 +17,17 @@ def random_connected_graphs(
 
     Rejection sampling: draw a vertex count and an edge probability, build
     the Erdos-Renyi draw, keep it when it is connected and fits the edge
-    budget.  The same seed always yields the same list.
+    budget.  The same seed always yields the same list.  A budget that no
+    connected graph on 3 or more vertices fits is a ValueError.
     """
 
     if count < 0:
         raise ValueError("count must be nonnegative")
     if max_vertices < 3:
         raise ValueError("max_vertices must be at least 3")
+    if max_edges < 2:
+        # a connected graph on at least 3 vertices has at least 2 edges
+        raise ValueError("max_edges must be at least 2")
     rng = random.Random(seed)
     out: list[Graph] = []
     while len(out) < count:

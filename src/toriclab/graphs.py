@@ -322,8 +322,6 @@ def block_decomposition(
     edge_list = sorted(set(edge_subset))
     if not edge_list:
         raise ValueError("empty edge subset")
-    if not is_connected_subset(graph, edge_list):
-        raise DisconnectedGraphError("edge subset spans a disconnected subgraph")
 
     adj: dict[int, list[tuple[int, int]]] = {}
     for i in edge_list:
@@ -371,63 +369,14 @@ def block_decomposition(
 
     parent_edge[root] = None
     dfs(root)
+    if len(disc) != len(adj):
+        raise DisconnectedGraphError("edge subset spans a disconnected subgraph")
     if stack:  # pragma: no cover - DFS on a connected subgraph drains the stack
         raise AssertionError("unpopped edges after block search")
 
     ordered = sorted(tuple(sorted(b)) for b in blocks)
     verts = tuple(subset_vertices(graph, b) for b in ordered)
     return BlockDecomposition(tuple(ordered), verts, tuple(sorted(cut)))
-
-
-@dataclass(frozen=True)
-class Cycle:
-    """Simple cycle given by its vertex sequence; edges[i] joins vertices i, i+1."""
-
-    vertices: tuple[int, ...]
-    edges: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    @property
-    def is_even(self) -> bool:
-        return len(self.edges) % 2 == 0
-
-
-def enumerate_cycles(graph: Graph) -> list[Cycle]:
-    """All simple cycles, one representative per rotation/reflection class.
-
-    Canonical form: the cycle starts at its smallest vertex and runs toward
-    the smaller of that vertex's two cycle neighbors.
-    """
-    cycles: list[Cycle] = []
-    n = graph.vertex_count
-    adj = graph.adjacency
-    for start in range(n):
-        path = [start]
-        on_path = {start}
-
-        def dfs() -> None:
-            u = path[-1]
-            for w, _ei in adj[u]:
-                if w == start and len(path) >= 3:
-                    if path[1] < path[-1]:  # fix direction once per cycle
-                        verts = tuple(path)
-                        edges = tuple(
-                            graph.edge_between(verts[i], verts[(i + 1) % len(verts)])
-                            for i in range(len(verts))
-                        )
-                        cycles.append(Cycle(verts, edges))  # type: ignore[arg-type]
-                elif w > start and w not in on_path:
-                    path.append(w)
-                    on_path.add(w)
-                    dfs()
-                    path.pop()
-                    on_path.remove(w)
-
-        dfs()
-    cycles.sort(key=lambda c: (len(c), c.vertices))
-    return cycles
 
 
 def has_four_cycle(graph: Graph) -> bool:

@@ -60,7 +60,9 @@ class ToricConfig:
                 raise ConfigError("configuration matrix rows have unequal lengths")
             for entry in row:
                 if not isinstance(entry, int) or isinstance(entry, bool):
-                    raise ConfigError("configuration entries must be integers")
+                    raise ConfigError(
+                        f"configuration entries must be integers, got {entry!r}"
+                    )
                 if entry < 0:
                     raise NegativeEntryError(
                         "configuration entries must be nonnegative"
@@ -98,7 +100,17 @@ class ToricConfig:
 
 
 def config_from_rows(rows: Sequence[Sequence[int]]) -> ToricConfig:
-    return ToricConfig(tuple(tuple(int(x) for x in row) for row in rows))
+    """Configuration from a list of integer rows, as read from text or JSON.
+
+    Entries are taken as they are, not coerced: a float, boolean, string or
+    null entry is a ConfigError, as is a matrix or row that is not a list.
+    """
+    if not isinstance(rows, (list, tuple)):
+        raise ConfigError("matrix must be a list of rows")
+    for i, row in enumerate(rows, 1):
+        if not isinstance(row, (list, tuple)):
+            raise ConfigError(f"matrix row {i} is not a list, got {row!r}")
+    return ToricConfig(tuple(tuple(row) for row in rows))
 
 
 def fiber(config: ToricConfig, degree: Sequence[int]) -> tuple[tuple[int, ...], ...]:

@@ -17,7 +17,7 @@ from itertools import combinations
 from .bases import FiberBundle, GraphAnalysis
 from .errors import InternalInvariantError
 from .graphs import Graph, has_four_cycle
-from .walks import find_F4s, uncompleted_crossing
+from .walks import uncompleted_crossing
 
 
 @dataclass(frozen=True)
@@ -88,9 +88,7 @@ def circuit_rule_violations(graph: Graph, analysis: GraphAnalysis) -> dict[str, 
                 "kind": bad.kind,
             }
         if "R2" not in violations and "M2" in e.minimality_failures:
-            pair = uncompleted_crossing(
-                e.chords, find_F4s(graph, e.walk, e.chords)
-            )
+            pair = uncompleted_crossing(e.chords, e.f4s)
             violations["R2"] = {
                 "rule": "R2",
                 "binomial": e.binomial.to_json(),

@@ -25,12 +25,9 @@ from .binomials import Binomial, make_binomial
 from .errors import InternalInvariantError
 from .graphs import (
     BlockDecomposition,
-    Cycle,
-    DisconnectedGraphError,
     Graph,
     block_decomposition,
     degree_of,
-    is_connected_subset,
     subset_degrees,
 )
 
@@ -133,12 +130,6 @@ def make_walk(graph: Graph, edges: Sequence[int], vertices: Sequence[int]) -> Cl
     return ClosedEvenWalk(ce, cv)
 
 
-def walk_from_cycle(graph: Graph, cycle: Cycle) -> ClosedEvenWalk:
-    if len(cycle) % 2 != 0:
-        raise WalkError("cycle has odd length")
-    return make_walk(graph, cycle.edges, cycle.vertices)
-
-
 def walk_binomial(graph: Graph, walk: ClosedEvenWalk) -> Binomial:
     """Binomial of the walk: odd positions minus even positions.
 
@@ -187,9 +178,7 @@ def chords_of(graph: Graph, walk: ClosedEvenWalk) -> list[int]:
 
 
 def classify_chords(
-    graph: Graph,
-    walk: ClosedEvenWalk,
-    decomposition: BlockDecomposition | None = None,
+    graph: Graph, walk: ClosedEvenWalk, dec: BlockDecomposition
 ) -> list[ChordReport]:
     """Classify every chord of the walk as bridge, even, or odd.
 
@@ -198,7 +187,6 @@ def classify_chords(
     off first this cannot trigger on a primitive walk, where non-bridge
     endpoints occur exactly once, but the diagnostic is kept as a guard.
     """
-    dec = decomposition or block_decomposition(graph, walk.edges)
     cut = set(dec.cut_vertices)
     reports = []
     for f in chords_of(graph, walk):
@@ -246,7 +234,6 @@ class F4Record:
     walk_edges: tuple[int, int]
     walk_edge_positions: tuple[int, int]
     chords: tuple[int, int]
-    chord_positions: tuple[tuple[int, int], tuple[int, int]]
     sides: tuple[tuple[int, ...], tuple[int, ...]]
 
 
@@ -260,17 +247,13 @@ def _single_position(walk: ClosedEvenWalk, edge: int) -> int:
 
 
 def find_F4s(
-    graph: Graph,
-    walk: ClosedEvenWalk,
-    reports: Sequence[ChordReport] | None = None,
+    graph: Graph, walk: ClosedEvenWalk, reports: Sequence[ChordReport]
 ) -> list[F4Record]:
     """All 4-cycles (e, f, e', f') with walk edges e, e' and crossing odd chords f, f'.
 
     Both ways of completing a crossing pair by walk edges are reported when
     they exist; the walk is cyclic, so neither completion is preferred.
     """
-    if reports is None:
-        reports = classify_chords(graph, walk)
     odd = [r for r in reports if r.kind == "odd"]
     on_walk = set(walk.edges)
     records = []
@@ -301,7 +284,6 @@ def find_F4s(
                     walk_edges=(walk.edges[lo - 1], walk.edges[hi - 1]),
                     walk_edge_positions=(lo, hi),
                     chords=(r1.chord, r2.chord),
-                    chord_positions=(r1.span, r2.span),
                     sides=(side1, side2),
                 )
             )
@@ -334,11 +316,8 @@ class SinkReport:
 
 
 def sinks_and_strong_primitivity(
-    graph: Graph,
-    walk: ClosedEvenWalk,
-    decomposition: BlockDecomposition | None = None,
+    graph: Graph, walk: ClosedEvenWalk, dec: BlockDecomposition
 ) -> SinkReport:
-    dec = decomposition or block_decomposition(graph, walk.edges)
     blocks = []
     sinks = []
     strongly = True
@@ -367,12 +346,9 @@ def sinks_and_strong_primitivity(
 
 
 def is_mixed(
-    graph: Graph,
-    walk: ClosedEvenWalk,
-    decomposition: BlockDecomposition | None = None,
+    graph: Graph, walk: ClosedEvenWalk, dec: BlockDecomposition
 ) -> bool:
     """Whether no cyclic block is pure, i.e. none sits entirely in one class."""
-    dec = decomposition or block_decomposition(graph, walk.edges)
     for bi in dec.cyclic_blocks():
         classes = {
             _single_position(walk, e) % 2 for e in dec.blocks[bi]
@@ -398,23 +374,22 @@ def uncompleted_crossing(
 def minimality_failures(
     graph: Graph,
     walk: ClosedEvenWalk,
-    decomposition: BlockDecomposition | None = None,
-    reports: Sequence[ChordReport] | None = None,
+    dec: BlockDecomposition,
+    reports: Sequence[ChordReport],
+    records: Sequence[F4Record],
 ) -> tuple[str, ...]:
     """Chord conditions the walk violates, as sorted codes among M1..M4.
 
     M1: every chord is odd. M2: odd chords crossing effectively must form an
     F4. M3: no odd chord crosses an F4. M4: the walk is strongly primitive.
     An empty result certifies membership in the universal Markov basis.
+    ``dec``, ``reports`` and ``records`` are the walk's block tree, chord
+    reports and F4s, worked out once by the caller.
     """
-    dec = decomposition or block_decomposition(graph, walk.edges)
-    if reports is None:
-        reports = classify_chords(graph, walk, dec)
     failures = set()
     if any(r.kind != "odd" for r in reports):
         failures.add("M1")
     odd = [r for r in reports if r.kind == "odd"]
-    records = find_F4s(graph, walk, reports)
     if uncompleted_crossing(reports, records) is not None:
         failures.add("M2")
     for rec in records:
@@ -441,27 +416,22 @@ def is_primitive_subgraph(graph: Graph, edge_subset: Sequence[int]) -> Primitivi
     Accepted shapes: a single even cycle, or a block tree in which every
     block is a cycle or a cut edge, every cut vertex lies in exactly two
     blocks, and at each cut vertex both sides carry an odd total of
-    cycle-block edges. A plain cycle is recognised by its degrees alone, so
-    its block decomposition is built only once it is accepted.
+    cycle-block edges. Connectivity is left to the block search, which
+    raises DisconnectedGraphError on a disconnected subset; a subset with a
+    pendant vertex is rejected before that search, connected or not.
     """
     edges = sorted(set(edge_subset))
-    if not edges:
-        raise ValueError("empty edge subset")
-    if not is_connected_subset(graph, edges):
-        raise DisconnectedGraphError("edge subset spans a disconnected subgraph")
     degrees = subset_degrees(graph, edges)
     pendant = sorted(v for v, d in degrees.items() if d == 1)
     if pendant:
         return PrimitivityCheck(False, f"pendant vertex {graph.labels[pendant[0]]}")
-    if all(d == 2 for d in degrees.values()):
-        if len(edges) % 2 == 0:
-            return PrimitivityCheck(
-                True, "even cycle", block_decomposition(graph, edges)
-            )
-        return PrimitivityCheck(False, "odd cycle")
     dec = block_decomposition(graph, edges)
     if len(dec.blocks) == 1:
-        return PrimitivityCheck(False, "biconnected but not a cycle")
+        if not dec.is_cyclic(0):
+            return PrimitivityCheck(False, "biconnected but not a cycle")
+        if len(edges) % 2:
+            return PrimitivityCheck(False, "odd cycle")
+        return PrimitivityCheck(True, "even cycle", dec)
     for bi in range(len(dec.blocks)):
         if not (dec.is_cut_edge(bi) or dec.is_cyclic(bi)):
             return PrimitivityCheck(

@@ -260,7 +260,7 @@ def test_criterion_7_structural_witnesses():
         element.binomial.plus[cut_edge] == 2
         or element.binomial.minus[cut_edge] == 2
     )
-    sinks = sinks_and_strong_primitivity(g, element.walk)
+    sinks = sinks_and_strong_primitivity(g, element.walk, element.decomposition)
     results.append(
         len(a.elements) == 1
         and doubled

@@ -200,6 +200,26 @@ def test_parse_failures_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        5,
+        [[1, 2], 7],
+        [[1, None], [1, 1]],
+        [[1.5, 2], [1, 1]],
+        [[True, 1], [1, 1]],
+        [["1", 1], [1, 1]],
+    ],
+)
+def test_malformed_matrix_json_exits_two(capsys, tmp_path, matrix):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"matrix": matrix}))
+    code, out, err = run(capsys, "matrix", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("toriclab: error:") and err.count("\n") == 1
+
+
 def test_scale_guard_exit_code_and_force(capsys, tmp_path):
     path = tmp_path / "long_path.txt"
     path.write_text("\n".join(f"{i} {i + 1}" for i in range(1, 22)))
@@ -230,6 +250,16 @@ def test_suite_directory_with_expectations(capsys, tmp_path):
     mismatch = report["instances"][0]["expect_mismatch"]
     assert mismatch["robust"] == {"expected": False, "actual": True}
     assert mismatch["counts.graver"] == {"expected": 7, "actual": 1}
+
+
+@pytest.mark.parametrize("sidecar", [[1], {"counts": 5}])
+def test_suite_rejects_malformed_sidecar(capsys, tmp_path, sidecar):
+    shutil.copy(fixture_path("c4"), tmp_path / "square.txt")
+    (tmp_path / "square.expect.json").write_text(json.dumps(sidecar))
+    code, out, err = run(capsys, "suite", "--format", "json", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("toriclab: error:") and "square.expect.json" in err
 
 
 def test_suite_over_bundled_fixtures(capsys):
@@ -325,6 +355,24 @@ def test_python_dash_m_round_trip(tmp_path):
     )
     assert proc.returncode == 2
     assert "error" in proc.stderr
+
+
+@pytest.mark.parametrize("max_edges", ["0", "1"])
+def test_suite_edge_budget_below_two_stops(max_edges):
+    # no connected graph on 3 or more vertices has fewer than 2 edges, so
+    # the random corpus could never fill; it must stop, not loop forever
+    proc = subprocess.run(
+        [sys.executable, "-m", "toriclab", "suite", "--count", "1",
+         "--max-edges", max_edges],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("toriclab: error:")
+    assert "max_edges" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_deep_input_exits_three_without_traceback(tmp_path):

@@ -17,7 +17,6 @@ from toriclab.graphs import (
     block_decomposition,
     connected_edge_subsets,
     degree_of,
-    enumerate_cycles,
     graph_from_json,
     graph_to_json,
     has_four_cycle,
@@ -155,24 +154,6 @@ def test_cut_vertices_on_random_graphs():
     for g in random_connected_graphs(30, seed=11):
         dec = block_decomposition(g)
         assert set(dec.cut_vertices) == brute_force_cut_vertices(g)
-
-
-def test_cycle_counts(graph_of):
-    assert len(enumerate_cycles(graph_of("k4"))) == 7
-    assert len(enumerate_cycles(graph_of("c4"))) == 1
-    assert len(enumerate_cycles(graph_of("domino"))) == 3
-    assert len(enumerate_cycles(graph_of("octagon_three_chords"))) == 13
-
-
-def test_cycles_are_canonical_and_closed(graph_of):
-    g = graph_of("domino")
-    for c in enumerate_cycles(g):
-        assert c.vertices[0] == min(c.vertices)
-        assert len(set(c.vertices)) == len(c.vertices)
-        for i, e in enumerate(c.edges):
-            u = c.vertices[i]
-            v = c.vertices[(i + 1) % len(c.vertices)]
-            assert set(g.edges[e]) == {u, v}
 
 
 def test_has_four_cycle(graph_of):

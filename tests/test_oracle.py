@@ -47,6 +47,17 @@ def test_config_validation():
         config_from_rows([[1, 0], [1, 0]])  # zero column
     with pytest.raises(ConfigError):
         config_from_rows([])
+    # malformed JSON matrices: rejected as they are, never coerced
+    for rows in (
+        5,
+        [[1, 2], 7],
+        [[1, None], [1, 1]],
+        [[1.5, 2], [1, 1]],
+        [[True, 1], [1, 1]],
+        [["1", 1], [1, 1]],
+    ):
+        with pytest.raises(ConfigError):
+            config_from_rows(rows)
 
 
 def test_fiber_enumeration_total_degree():

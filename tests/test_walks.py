@@ -2,8 +2,14 @@
 
 import pytest
 
+from toriclab.bases import analyze_graph
 from toriclab.binomials import BinomialError
-from toriclab.graphs import enumerate_cycles, load_graph, parse_graph
+from toriclab.graphs import (
+    DisconnectedGraphError,
+    block_decomposition,
+    load_graph,
+    parse_graph,
+)
 from toriclab.walks import (
     NotPrimitiveError,
     WalkError,
@@ -17,7 +23,6 @@ from toriclab.walks import (
     minimality_failures,
     sinks_and_strong_primitivity,
     walk_binomial,
-    walk_from_cycle,
     walk_from_primitive_subgraph,
 )
 
@@ -29,10 +34,30 @@ BOWTIE_EDGES = (2, 0, 1, 3, 4, 5)
 BOWTIE_VERTICES = (2, 0, 1, 2, 3, 4)
 
 
-def rim_walk(graph, rim_size):
-    rim = frozenset(range(rim_size))
-    (cycle,) = [c for c in enumerate_cycles(graph) if frozenset(c.edges) == rim]
-    return walk_from_cycle(graph, cycle)
+def element_on(analysis, subset):
+    """The primitive element whose walk runs over exactly these edges."""
+    (element,) = [e for e in analysis.elements if e.subset == tuple(subset)]
+    return element
+
+
+def checked_facts(graph, element):
+    """Block tree, chords and F4s of the element's walk, worked out anew.
+
+    Each is checked against the fact stored on the element, and so are the
+    stored mixedness and minimality codes.
+    """
+    walk = element.walk
+    dec = block_decomposition(graph, walk.edges)
+    chords = classify_chords(graph, walk, dec)
+    f4s = find_F4s(graph, walk, chords)
+    assert element.decomposition == dec
+    assert element.chords == tuple(chords)
+    assert element.f4s == tuple(f4s)
+    assert element.mixed == is_mixed(graph, walk, dec)
+    assert element.minimality_failures == minimality_failures(
+        graph, walk, dec, chords, f4s
+    )
+    return dec, chords, f4s
 
 
 def test_walk_canonical_under_rotation_and_reflection(graph_of):
@@ -59,7 +84,7 @@ def test_walk_binomial_bowtie(graph_of):
 
 def test_walk_binomial_square(graph_of):
     c4 = graph_of("c4")
-    w = walk_from_cycle(c4, enumerate_cycles(c4)[0])
+    w = walk_from_primitive_subgraph(c4, range(4))
     assert walk_binomial(c4, w).render() == "e1*e2 - e3*e4"
 
 
@@ -69,7 +94,9 @@ def test_cut_edge_appears_squared(analysis_of):
     # e4 = {3, 4} is the cut edge; the walk passes it twice with one parity
     assert b.plus[3] == 2
     report = sinks_and_strong_primitivity(
-        load_graph("tests/fixtures/tri_edge_tri.txt"), element.walk
+        load_graph("tests/fixtures/tri_edge_tri.txt"),
+        element.walk,
+        element.decomposition,
     )
     assert report.strongly_primitive
     assert sorted(v for block in report.sinks for v in block) == [2, 3]
@@ -93,13 +120,12 @@ def test_degenerate_walk_has_no_binomial(graph_of):
         walk_binomial(g, w)
 
 
-def test_even_chord_on_domino_hexagon(graph_of):
+def test_even_chord_on_domino_hexagon(analysis_of, graph_of):
     g = graph_of("domino")
-    hexagon = max(enumerate_cycles(g), key=len)
-    w = walk_from_cycle(g, hexagon)
-    reports = classify_chords(g, w)
+    hexagon = element_on(analysis_of("domino"), (0, 1, 3, 4, 5, 6))
+    dec, reports, records = checked_facts(g, hexagon)
     assert [(r.chord, r.kind) for r in reports] == [(2, "even")]
-    assert minimality_failures(g, w) == ("M1",)
+    assert minimality_failures(g, hexagon.walk, dec, reports, records) == ("M1",)
 
 
 def test_bridge_chord_on_joined_circuit(analysis_of, graph_of):
@@ -112,7 +138,8 @@ def test_bridge_chord_on_joined_circuit(analysis_of, graph_of):
     ]
     assert len(bridged) == 3  # one two-step joining path per corner pair
     for e in bridged:
-        kinds = {r.kind for r in classify_chords(g, e.walk)}
+        _, reports, _ = checked_facts(g, e)
+        kinds = {r.kind for r in reports}
         assert kinds == {"bridge"}
 
 
@@ -131,40 +158,39 @@ def test_cross_effectively(first, second, expected):
     assert cross_effectively(first, second) is expected
 
 
-def test_k4_square_has_two_F4_completions(graph_of):
+def test_k4_square_has_two_F4_completions(analysis_of, graph_of):
     k4 = graph_of("k4")
-    sq = [c for c in enumerate_cycles(k4) if len(c) == 4][0]
-    w = walk_from_cycle(k4, sq)
-    records = find_F4s(k4, w)
+    sq = element_on(analysis_of("k4"), (0, 1, 4, 5))
+    dec, reports, records = checked_facts(k4, sq)
     assert len(records) == 2
     assert {rec.walk_edge_positions for rec in records} == {(1, 3), (2, 4)}
     for rec in records:
         assert set(rec.chords) == {2, 3}
-    assert minimality_failures(k4, w) == ()
+    assert minimality_failures(k4, sq.walk, dec, reports, records) == ()
 
 
-def test_octagon_third_chord_crosses_an_F4(graph_of):
+def test_octagon_third_chord_crosses_an_F4(analysis_of, graph_of):
     g = graph_of("octagon_three_chords")
-    w = rim_walk(g, 8)
-    reports = classify_chords(g, w)
+    rim = element_on(analysis_of("octagon_three_chords"), range(8))
+    dec, reports, records = checked_facts(g, rim)
     assert [(r.chord, r.kind, r.span) for r in reports] == [
         (8, "odd", (1, 3)),
         (9, "odd", (2, 4)),
         (10, "odd", (2, 8)),
     ]
-    records = find_F4s(g, w)
     assert {rec.walk_edge_positions for rec in records} == {(1, 3), (2, 8)}
     first = [rec for rec in records if rec.walk_edge_positions == (1, 3)][0]
     crossing = [r for r in reports if r.chord == 10]
     assert chord_crosses_F4(g, crossing[0], first)
-    assert minimality_failures(g, w) == ("M3",)
+    assert minimality_failures(g, rim.walk, dec, reports, records) == ("M3",)
 
 
 def test_crossing_chords_without_F4_fail_M2():
     g = parse_graph(M2_GRAPH)
-    w = rim_walk(g, 8)
-    assert not find_F4s(g, w)
-    assert minimality_failures(g, w) == ("M2",)
+    rim = element_on(analyze_graph(g), range(8))
+    dec, reports, records = checked_facts(g, rim)
+    assert not records
+    assert minimality_failures(g, rim.walk, dec, reports, records) == ("M2",)
 
 
 def test_adjacent_attachment_walk_fails_M4(analysis_of, graph_of):
@@ -173,12 +199,13 @@ def test_adjacent_attachment_walk_fails_M4(analysis_of, graph_of):
     big = [e for e in a.elements if e.binomial.total_degree == 5]
     assert len(big) == 1
     walk = big[0].walk
-    report = sinks_and_strong_primitivity(g, walk)
+    dec, reports, records = checked_facts(g, big[0])
+    report = sinks_and_strong_primitivity(g, walk, dec)
     assert not report.strongly_primitive
     square_sinks = [s for s in report.sinks if len(s) == 2]
     assert square_sinks == [(0, 1)]  # the two attachment corners, adjacent
-    assert minimality_failures(g, walk) == ("M4",)
-    assert is_mixed(g, walk)
+    assert minimality_failures(g, walk, dec, reports, records) == ("M4",)
+    assert is_mixed(g, walk, dec)
 
 
 def test_opposite_attachment_walk_is_strongly_primitive(analysis_of, graph_of):
@@ -186,10 +213,11 @@ def test_opposite_attachment_walk_is_strongly_primitive(analysis_of, graph_of):
     a = analysis_of("tri_square_tri_opposite")
     big = [e for e in a.elements if len(e.subset) == 12]
     assert len(big) == 1
-    report = sinks_and_strong_primitivity(g, big[0].walk)
+    dec, reports, records = checked_facts(g, big[0])
+    report = sinks_and_strong_primitivity(g, big[0].walk, dec)
     assert report.strongly_primitive
     assert (0, 2) in report.sinks  # opposite corners of the square
-    assert minimality_failures(g, big[0].walk) == ()
+    assert minimality_failures(g, big[0].walk, dec, reports, records) == ()
 
 
 def test_pure_block_is_not_mixed(analysis_of, graph_of):
@@ -197,7 +225,8 @@ def test_pure_block_is_not_mixed(analysis_of, graph_of):
     a = analysis_of("triangle_per_corner")
     big = [e for e in a.elements if len(e.subset) == 12]
     assert len(big) == 1
-    assert not is_mixed(g, big[0].walk)
+    dec, _, _ = checked_facts(g, big[0])
+    assert not is_mixed(g, big[0].walk, dec)
     assert not big[0].mixed
     assert "M4" in big[0].minimality_failures
 
@@ -205,13 +234,19 @@ def test_pure_block_is_not_mixed(analysis_of, graph_of):
 def test_primitive_subgraph_shapes(graph_of):
     bowtie = graph_of("bowtie")
     assert is_primitive_subgraph(bowtie, range(6)).ok
-    assert not is_primitive_subgraph(bowtie, (0, 1, 2)).ok  # odd cycle
+    odd = is_primitive_subgraph(bowtie, (0, 1, 2))
+    assert (odd.ok, odd.reason) == (False, "odd cycle")
     assert not is_primitive_subgraph(bowtie, (0, 1, 2, 3, 4)).ok  # dangling path
+
+    c4 = graph_of("c4")
+    even = is_primitive_subgraph(c4, range(4))
+    assert (even.ok, even.reason) == (True, "even cycle")
+    assert even.decomposition == block_decomposition(c4, range(4))
 
     k4 = graph_of("k4")
     check = is_primitive_subgraph(k4, range(6))
     assert not check.ok
-    assert check.reason
+    assert check.reason == "biconnected but not a cycle"
     with pytest.raises(NotPrimitiveError):
         walk_from_primitive_subgraph(k4, range(6))
 
@@ -220,6 +255,34 @@ def test_primitive_subgraph_shapes(graph_of):
     # central triangle plus two corners: one side has an even cyclic edge count
     two_corners = (0, 1, 2, 3, 4, 5, 6, 7, 8)
     assert not is_primitive_subgraph(tpc, two_corners).ok
+
+
+# Each host graph is connected; the subset drops the edge joining its pieces.
+@pytest.mark.parametrize(
+    "text, subset",
+    [
+        ("1 2\n2 3\n1 3\n4 5\n5 6\n4 6\n3 4\n", range(6)),  # two triangles
+        ("1 2\n2 3\n3 4\n1 4\n5 6\n6 7\n7 8\n5 8\n4 5\n", range(8)),  # two squares
+    ],
+)
+def test_disconnected_subset_raises(text, subset):
+    g = parse_graph(text)
+    with pytest.raises(DisconnectedGraphError):
+        block_decomposition(g, subset)
+    with pytest.raises(DisconnectedGraphError):
+        is_primitive_subgraph(g, subset)
+
+
+def test_disconnected_subset_with_pendant_vertex_is_rejected():
+    # a triangle and a separate edge: the pendant vertex settles the verdict
+    # before the block search could see that the subset is disconnected
+    g = parse_graph("1 2\n2 3\n1 3\n3 4\n4 5\n")
+    subset = (0, 1, 2, 4)
+    with pytest.raises(DisconnectedGraphError):
+        block_decomposition(g, subset)
+    check = is_primitive_subgraph(g, subset)
+    assert not check.ok
+    assert check.reason.startswith("pendant vertex")
 
 
 def test_walk_reconstruction_is_orientation_free(graph_of):
