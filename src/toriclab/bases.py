@@ -94,7 +94,7 @@ def primitive_elements(graph: Graph) -> tuple[PrimitiveElement, ...]:
         check = is_primitive_subgraph(graph, subset)
         if not check.ok:
             continue
-        walk = walk_from_primitive_subgraph(graph, subset, _check=check)
+        walk = walk_from_primitive_subgraph(graph, subset, check)
         dec = check.decomposition
         chords = tuple(classify_chords(graph, walk, dec))
         f4s = tuple(find_F4s(graph, walk, chords))

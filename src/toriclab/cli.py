@@ -13,9 +13,11 @@ depth, 4 internal invariant or expectation breach, 5 negative matrix entries.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from .bases import (
@@ -52,6 +54,15 @@ EXIT_SCALE = 3
 EXIT_INVARIANT = 4
 EXIT_NEGATIVE = 5
 
+# the closing line of `suite` text output counts the instances under each key
+_SUITE_TALLIES = (
+    "generalized",
+    "robust",
+    "unique-gen",
+    "generalized-not-robust",
+    "unique-gen-not-robust",
+)
+
 _SET_ATTRS = {
     "circuits": "circuits",
     "graver": "graver",
@@ -66,17 +77,11 @@ class _Timings:
     def __init__(self) -> None:
         self.stages: list[tuple[str, float]] = []
 
+    @contextlib.contextmanager
     def stage(self, label: str):
-        timings = self
-
-        class _Stage:
-            def __enter__(self) -> None:
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc) -> None:
-                timings.stages.append((label, time.perf_counter() - self.t0))
-
-        return _Stage()
+        t0 = time.perf_counter()
+        yield
+        self.stages.append((label, time.perf_counter() - t0))
 
     def dump(self) -> None:
         for label, seconds in self.stages:
@@ -149,23 +154,26 @@ def _render_basis(obj: dict, indent: str = "  ") -> None:
         print(f"{indent}{el['text']}{suffix}")
 
 
-def _render_verdict(obj: dict) -> None:
-    print(f"generalized_robust: {'yes' if obj['generalized_robust'] else 'no'}")
-    print(f"robust: {'yes' if obj['robust'] else 'no'}")
-    for c in obj["criteria"]:
-        line = f"  {c['name']}: {'yes' if c['holds'] else 'no'}"
-        if c.get("witness"):
-            line += f"  witness={json.dumps(c['witness'], sort_keys=True)}"
-        print(line)
-
-
-def _render_implications(obj: dict) -> None:
-    print(f"implications: {'ok' if obj['ok'] else 'FAILED'}")
-    for c in obj["implications"]:
-        line = f"  {c['name']}: {'yes' if c['holds'] else 'no'}"
-        if c.get("witness"):
-            line += f"  witness={json.dumps(c['witness'], sort_keys=True)}"
-        print(line)
+def _render_robustness(verdict: dict, implications: dict) -> None:
+    """The verdict's and the implication suite's criteria, one line each."""
+    sections = (
+        (
+            f"generalized_robust: {'yes' if verdict['generalized_robust'] else 'no'}\n"
+            f"robust: {'yes' if verdict['robust'] else 'no'}",
+            verdict["criteria"],
+        ),
+        (
+            f"implications: {'ok' if implications['ok'] else 'FAILED'}",
+            implications["implications"],
+        ),
+    )
+    for header, criteria in sections:
+        print(header)
+        for c in criteria:
+            line = f"  {c['name']}: {'yes' if c['holds'] else 'no'}"
+            if c.get("witness"):
+                line += f"  witness={json.dumps(c['witness'], sort_keys=True)}"
+            print(line)
 
 
 def _render_input(obj: dict) -> None:
@@ -274,8 +282,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             _render_basis(rep["sets"][key])
         print(f"betti degrees: {len(rep['betti'])}")
         print(f"minimal markov size: {rep['minimal_markov_size']}")
-        _render_verdict(rep["verdict"])
-        _render_implications(rep["implications"])
+        _render_robustness(rep["verdict"], rep["implications"])
         if "oracle" in rep:
             oracle = rep["oracle"]
             print(
@@ -315,31 +322,44 @@ def _cmd_check(args: argparse.Namespace) -> int:
             "counts: "
             + " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         )
-        _render_verdict(rep["verdict"])
-        _render_implications(rep["implications"])
+        _render_robustness(rep["verdict"], rep["implications"])
 
     _emit(report, args, timings, render)
     return EXIT_OK
 
 
+def _named_json_error(path, exc: json.JSONDecodeError) -> json.JSONDecodeError:
+    """The decoder's error, with the file it read named in the message."""
+    return json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos)
+
+
 def _load_matrix(path: str):
+    """The file's configuration; a parse error names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if text.lstrip().startswith("{"):
-        obj = json.loads(text)
-        if not isinstance(obj, dict) or "matrix" not in obj:
-            raise ConfigError('matrix JSON needs a "matrix" key')
-        rows = obj["matrix"]
-    else:
-        rows = []
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            rows.append([int(tok) for tok in line.replace(",", " ").split()])
-        if not rows:
-            raise ConfigError("no matrix rows in input")
-    return config_from_rows(rows)
+    try:
+        if text.lstrip().startswith("{"):
+            obj = json.loads(text)
+            if not isinstance(obj, dict) or "matrix" not in obj:
+                raise ConfigError('matrix JSON needs a "matrix" key')
+            rows = obj["matrix"]
+        else:
+            rows = []
+            for lineno, raw in enumerate(text.splitlines(), 1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                try:
+                    rows.append([int(tok) for tok in line.replace(",", " ").split()])
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from exc
+            if not rows:
+                raise ConfigError("no matrix rows in input")
+        return config_from_rows(rows)
+    except json.JSONDecodeError as exc:
+        raise _named_json_error(path, exc) from exc
+    except ValueError as exc:  # ConfigError, NegativeEntryError, a bad token
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
@@ -421,7 +441,10 @@ def _load_expectation(path: Path) -> dict | None:
     if not sidecar.exists():
         return None
     with open(sidecar, "r", encoding="utf-8") as fh:
-        expect = json.load(fh)
+        try:
+            expect = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise _named_json_error(sidecar, exc) from exc
     if not isinstance(expect, dict) or not isinstance(expect.get("counts", {}), dict):
         raise ValueError(
             f"{sidecar}: expectation must be a JSON object whose 'counts', "
@@ -509,23 +532,38 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     }
 
     def render(rep: dict) -> None:
+        tally: Counter[str] = Counter()
         for r in rep["instances"]:
             counts = r["counts"]
-            flags = []
-            if r["generalized_robust"]:
-                flags.append("generalized")
-            if r["robust"]:
-                flags.append("robust")
+            # indispensable elements lie in every minimal generating set, so
+            # equal counts mean the ideal has a unique minimal generating set
+            unique = counts["indispensable"] == counts["universal_markov"]
+            flags = [
+                flag
+                for flag, on in (
+                    ("generalized", r["generalized_robust"]),
+                    ("robust", r["robust"]),
+                    ("unique-gen", unique),
+                )
+                if on
+            ]
+            tally.update(flags)
+            if not r["robust"]:
+                tally.update(f"{flag}-not-robust" for flag in flags)
             line = (
                 f"{r['name']:<28} v={r['vertices']} e={r['edges']} "
-                f"gr={counts['graver']} ugb={counts['universal_groebner']} "
-                f"mk={counts['universal_markov']} "
+                f"c={counts['circuits']} gr={counts['graver']} "
+                f"ugb={counts['universal_groebner']} "
+                f"mk={counts['universal_markov']} ind={counts['indispensable']} "
                 f"[{' '.join(flags) if flags else '-'}]"
             )
             if not r["ok"]:
                 line += "  MISMATCH" if "expect_mismatch" in r else "  FAILED"
             print(line)
-        print(f"suite: {len(rep['instances'])} instances, ok={rep['ok']}")
+        print(
+            f"suite: {len(rep['instances'])} instances, ok={rep['ok']}, "
+            + " ".join(f"{key}={tally[key]}" for key in _SUITE_TALLIES)
+        )
 
     _emit(report, args, timings, render)
     return EXIT_OK if ok else EXIT_INVARIANT

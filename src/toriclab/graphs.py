@@ -199,8 +199,13 @@ def graph_to_json(graph: Graph) -> dict:
 
 
 def load_graph(path: str) -> Graph:
+    """The graph in the file; a parse error names the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        text = fh.read()
+    try:
+        return parse_graph(text)
+    except GraphError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def degree_of(graph: Graph, exponents: Sequence[int]) -> tuple[int, ...]:

@@ -302,7 +302,8 @@ def fiber_graphs(
 
     ranked = sorted(set(tuple(int(x) for x in d) for d in degrees),
                     key=_degree_sort_key)
-    discovered: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    # each discovered generator, once in each orientation (from, to)
+    moves: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     minimal: list[Binomial] = []
     graphs: list[FiberGraph] = []
 
@@ -314,17 +315,9 @@ def fiber_graphs(
 
         def unions() -> Iterator[tuple[int, int]]:
             for i, u in enumerate(members):
-                for p, q in discovered:
+                for p, q in moves:
                     if all(x >= y for x, y in zip(u, p)):
                         v = tuple(x - y + z for x, y, z in zip(u, p, q))
-                        j = index.get(v)
-                        if j is None:
-                            raise InternalInvariantError(
-                                "generator move left the fiber"
-                            )
-                        yield i, j
-                    if all(x >= y for x, y in zip(u, q)):
-                        v = tuple(x - y + z for x, y, z in zip(u, q, p))
                         j = index.get(v)
                         if j is None:
                             raise InternalInvariantError(
@@ -342,7 +335,7 @@ def fiber_graphs(
                 rep = members[comp[0]]
                 b = make_binomial(rep, root_rep, config.degree)
                 minimal.append(b)
-                discovered.append((b.plus, b.minus))
+                moves += ((b.plus, b.minus), (b.minus, b.plus))
 
     return tuple(graphs), tuple(
         sorted(minimal, key=lambda b: b.sort_key())

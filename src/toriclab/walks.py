@@ -480,8 +480,8 @@ def _sides_at_cut_vertex(dec: BlockDecomposition, v: int) -> list[set[int]]:
 def walk_from_primitive_subgraph(
     graph: Graph,
     edge_subset: Sequence[int],
+    check: PrimitivityCheck,
     _reverse_ties: bool = False,
-    _check: PrimitivityCheck | None = None,
 ) -> ClosedEvenWalk:
     """Reconstruct the closed even walk whose subgraph is the given subset.
 
@@ -490,10 +490,9 @@ def walk_from_primitive_subgraph(
     at their cut vertices, cut edges are crossed on the way out and back.
     Each cycle edge appears once and each cut edge twice. The tie-break knob
     flips the traversal direction inside cycle blocks; the resulting binomial
-    must not depend on it. ``_check`` is the primitive test's verdict on this
-    same subset, when the caller has already run it.
+    must not depend on it. ``check`` is ``is_primitive_subgraph``'s verdict
+    on this same subset.
     """
-    check = _check or is_primitive_subgraph(graph, edge_subset)
     if not check.ok:
         raise NotPrimitiveError(check.reason)
     dec = check.decomposition

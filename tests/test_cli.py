@@ -293,6 +293,27 @@ def test_suite_rejects_bad_paths(capsys, tmp_path):
     assert code == 2 and "no graph files" in err
 
 
+@pytest.mark.parametrize(
+    "command,name,text,detail",
+    [
+        ("suite", "square.expect.json", "{", "Expecting property name"),
+        ("suite", "broken.txt", "1 1\n", "loop"),
+        ("check", "graph.json", "{", "invalid JSON graph"),
+        ("matrix", "m.json", "{", "Expecting property name"),
+        ("matrix", "m.txt", "1 0\n0 x\n", "line 2: invalid literal"),
+    ],
+)
+def test_loader_errors_name_the_file(capsys, tmp_path, command, name, text, detail):
+    shutil.copy(fixture_path("c4"), tmp_path / "square.txt")
+    (tmp_path / name).write_text(text)
+    target = tmp_path if command == "suite" else tmp_path / name
+    code, out, err = run(capsys, command, target)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"toriclab: error: {tmp_path / name}: ")
+    assert detail in err and err.count("\n") == 1
+
+
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
@@ -391,32 +412,62 @@ def test_deep_input_exits_three_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_scripts_run_to_completion():
-    scripts = PYPROJECT.parent / "scripts"
-    walk = subprocess.run(
-        [sys.executable, str(scripts / "walkthrough.py"), "-v"],
-        capture_output=True,
-        text=True,
-        env=subprocess_env(),
+def test_suite_text_tallies_match_json_records():
+    command = [sys.executable, "-m", "toriclab", "suite", "--count", "10",
+               "--max-edges", "8"]
+    text = subprocess.run(
+        command, capture_output=True, text=True, env=subprocess_env()
     )
-    assert walk.returncode == 0, walk.stderr
-    sweep = subprocess.run(
-        [
-            sys.executable,
-            str(scripts / "corpus_sweep.py"),
-            "--count",
-            "10",
-            "--max-edges",
-            "8",
-            "--oracle-every",
-            "5",
-        ],
-        capture_output=True,
-        text=True,
-        env=subprocess_env(),
+    assert text.returncode == 0, text.stderr
+    records = json.loads(
+        subprocess.run(
+            [*command, "--format", "json"],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+        ).stdout
+    )["instances"]
+    unique = [
+        r["counts"]["indispensable"] == r["counts"]["universal_markov"]
+        for r in records
+    ]
+    expected = {
+        "generalized": sum(r["generalized_robust"] for r in records),
+        "robust": sum(r["robust"] for r in records),
+        "unique-gen": sum(unique),
+        "generalized-not-robust": sum(
+            r["generalized_robust"] and not r["robust"] for r in records
+        ),
+        "unique-gen-not-robust": sum(
+            u and not r["robust"] for r, u in zip(records, unique)
+        ),
+    }
+    closing = text.stdout.splitlines()[-1]
+    assert closing.startswith("suite: 10 instances, ok=True, ")
+    tallies = dict(
+        field.split("=") for field in closing.split(", ")[-1].split()
     )
-    assert sweep.returncode == 0, sweep.stderr
-    assert "all matched" in sweep.stdout
+    assert {key: int(value) for key, value in tallies.items()} == expected
+
+
+def test_suite_text_columns_match_analyze_counts(capsys):
+    code, out, _ = run(capsys, "suite", FIXTURES)
+    assert code == 0
+    columns = {}
+    for line in out.splitlines()[:-1]:
+        name, *fields = line.split()
+        columns[name] = dict(f.split("=") for f in fields if "=" in f)
+    assert len(columns) == 10
+    for name, cols in columns.items():
+        code, out, _ = run(capsys, "analyze", "--format", "json", FIXTURES / name)
+        sets = json.loads(out)["sets"]
+        assert (int(cols["c"]), int(cols["ind"])) == (
+            sets["circuits"]["count"],
+            sets["indispensable"]["count"],
+        )
+    assert columns["triangle_per_corner.txt"]["c"] == "9"
+    assert columns["triangle_per_corner.txt"]["ind"] == "6"
+    assert (columns["k4.txt"]["c"], columns["k4.txt"]["ind"]) == ("3", "0")
 
 
 @pytest.mark.skipif(

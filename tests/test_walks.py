@@ -84,7 +84,7 @@ def test_walk_binomial_bowtie(graph_of):
 
 def test_walk_binomial_square(graph_of):
     c4 = graph_of("c4")
-    w = walk_from_primitive_subgraph(c4, range(4))
+    w = walk_from_primitive_subgraph(c4, range(4), is_primitive_subgraph(c4, range(4)))
     assert walk_binomial(c4, w).render() == "e1*e2 - e3*e4"
 
 
@@ -248,7 +248,7 @@ def test_primitive_subgraph_shapes(graph_of):
     assert not check.ok
     assert check.reason == "biconnected but not a cycle"
     with pytest.raises(NotPrimitiveError):
-        walk_from_primitive_subgraph(k4, range(6))
+        walk_from_primitive_subgraph(k4, range(6), check)
 
     tpc = graph_of("triangle_per_corner")
     assert is_primitive_subgraph(tpc, range(12)).ok
@@ -287,11 +287,13 @@ def test_disconnected_subset_with_pendant_vertex_is_rejected():
 
 def test_walk_reconstruction_is_orientation_free(graph_of):
     tpc = graph_of("triangle_per_corner")
-    forward = walk_from_primitive_subgraph(tpc, range(12))
-    backward = walk_from_primitive_subgraph(tpc, range(12), _reverse_ties=True)
+    check = is_primitive_subgraph(tpc, range(12))
+    forward = walk_from_primitive_subgraph(tpc, range(12), check)
+    backward = walk_from_primitive_subgraph(tpc, range(12), check, _reverse_ties=True)
     assert forward == backward
 
     opp = graph_of("tri_square_tri_opposite")
-    assert walk_from_primitive_subgraph(opp, range(12)) == walk_from_primitive_subgraph(
-        opp, range(12), _reverse_ties=True
+    check = is_primitive_subgraph(opp, range(12))
+    assert walk_from_primitive_subgraph(opp, range(12), check) == (
+        walk_from_primitive_subgraph(opp, range(12), check, _reverse_ties=True)
     )
