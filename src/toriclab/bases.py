@@ -6,14 +6,15 @@ characterization.  Circuits are read off those walks' block trees: the
 primitive walks with one cyclic block (an even cycle) or two (odd cycles
 meeting in a vertex or joined by a path).  The universal Groebner and
 universal Markov members are primitive walks passing the mixedness and
-minimality filters.  The fiber-graph route to the universal Markov basis
-doubles as an internal consistency check.
+minimality filters.  ``fiber_bundle`` hands the walk-derived Graver set to
+``oracle.markov_bundle``; the universal Markov basis read off its fiber
+graphs must match the walk one, an internal consistency check.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .binomials import BasisSet, Binomial, make_basis_set
 from .errors import InternalInvariantError, ScaleGuardError
@@ -23,14 +24,7 @@ from .graphs import (
     connected_edge_subsets,
     incidence_matrix,
 )
-from .oracle import (
-    FiberGraph,
-    ToricConfig,
-    candidate_degrees,
-    fiber_graphs,
-    indispensability_report,
-    universal_markov_fibers,
-)
+from .oracle import FiberBundle, ToricConfig, markov_bundle
 from .walks import (
     ChordReport,
     ClosedEvenWalk,
@@ -154,12 +148,6 @@ class GraphAnalysis:
     universal_groebner: BasisSet
     universal_markov: BasisSet
 
-    def element_for(self, binomial: Binomial) -> PrimitiveElement:
-        for e in self.elements:
-            if e.binomial == binomial:
-                return e
-        raise KeyError(binomial.render())
-
 
 def _tags(element: PrimitiveElement, circuit: bool) -> dict:
     return {
@@ -218,32 +206,18 @@ def analyze_graph(graph: Graph, force: bool = False) -> GraphAnalysis:
     )
 
 
-@dataclass(frozen=True)
-class FiberBundle:
-    """Fiber-graph data for the graph's configuration.
-
-    Built from the walk-derived degrees; the universal Markov basis it
-    produces must match the walk characterization or an invariant error is
-    raised.
-    """
-
-    config: ToricConfig
-    graphs: tuple[FiberGraph, ...]
-    minimal_markov: tuple[Binomial, ...]
-    universal_markov: BasisSet
-    indispensable: BasisSet
-
-
 def fiber_bundle(graph: Graph, analysis: GraphAnalysis) -> FiberBundle:
-    config = graph_config(graph)
-    degrees = candidate_degrees([e.binomial for e in analysis.elements])
-    graphs, minimal = fiber_graphs(config, degrees)
-    universal = universal_markov_fibers(config, graphs)
-    if universal.element_set() != analysis.universal_markov.element_set():
+    """Fiber-graph Markov data at the walk-derived Graver degrees.
+
+    The universal Markov basis read off the fibers must match the walk
+    characterization or an invariant error is raised; the indispensable
+    elements carry their walk tags.
+    """
+    bundle = markov_bundle(graph_config(graph), analysis.graver.elements)
+    if bundle.universal_markov.element_set() != analysis.universal_markov.element_set():
         raise InternalInvariantError(
             "universal Markov bases from fibers and from walks disagree"
         )
-    report = indispensability_report(config, graphs)
     walk_tags = {
         (b.plus, b.minus): ann
         for b, ann in zip(
@@ -252,7 +226,7 @@ def fiber_bundle(graph: Graph, analysis: GraphAnalysis) -> FiberBundle:
         )
     }
     items = []
-    for b in report.indispensable:
+    for b in bundle.indispensable.elements:
         ann = walk_tags.get((b.plus, b.minus))
         if ann is None:
             raise InternalInvariantError(
@@ -260,5 +234,5 @@ def fiber_bundle(graph: Graph, analysis: GraphAnalysis) -> FiberBundle:
                 "Markov basis"
             )
         items.append((b, dict(ann)))
-    indispensable = make_basis_set("indispensable", config.ncols, items)
-    return FiberBundle(config, graphs, minimal, universal, indispensable)
+    indispensable = make_basis_set("indispensable", bundle.config.ncols, items)
+    return replace(bundle, indispensable=indispensable)

@@ -36,6 +36,7 @@ from .oracle import (
     NegativeEntryError,
     ToricConfig,
     analyze_config,
+    candidate_degrees,
     config_from_rows,
     graver_bounded,
     sample_groebner,
@@ -334,10 +335,10 @@ def _named_json_error(path, exc: json.JSONDecodeError) -> json.JSONDecodeError:
 
 
 def _load_matrix(path: str):
-    """The file's configuration; a parse error names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """The file's configuration; a decode or parse error names the file."""
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
         if text.lstrip().startswith("{"):
             obj = json.loads(text)
             if not isinstance(obj, dict) or "matrix" not in obj:
@@ -358,6 +359,8 @@ def _load_matrix(path: str):
         return config_from_rows(rows)
     except json.JSONDecodeError as exc:
         raise _named_json_error(path, exc) from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     except ValueError as exc:  # ConfigError, NegativeEntryError, a bad token
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -367,17 +370,27 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     config = _load_matrix(args.path)
     with timings.stage("bounded graver"):
         oracle = analyze_config(config, args.box)
+    indispensable = oracle.indispensable.elements
     report = {
         "schema": 1,
         "command": "matrix",
         "input": config.to_json(),
-        "analysis": oracle.to_json(prefix="x"),
+        "analysis": {
+            "box": args.box,
+            "graver": [b.to_json("x") for b in oracle.graver],
+            "fibers": [g.to_json() for g in oracle.graphs if g.is_betti],
+            "minimal_markov": [b.to_json("x") for b in oracle.minimal_markov],
+            "universal_markov": oracle.universal_markov.to_json("x"),
+            # each indispensable degree holds exactly one element
+            "indispensable": {
+                "degrees": [list(d) for d in candidate_degrees(indispensable)],
+                "elements": [b.to_json("x") for b in indispensable],
+            },
+        },
         "observations": {
             "markov_equals_graver": oracle.universal_markov.element_set()
             == {(b.plus, b.minus) for b in oracle.graver},
-            "indispensable_equals_markov": set(
-                (b.plus, b.minus) for b in oracle.indispensable.indispensable
-            )
+            "indispensable_equals_markov": oracle.indispensable.element_set()
             == oracle.universal_markov.element_set(),
             "minimal_markov_size": len(oracle.minimal_markov),
         },
@@ -440,11 +453,13 @@ def _load_expectation(path: Path) -> dict | None:
     sidecar = path.with_name(path.stem + ".expect.json")
     if not sidecar.exists():
         return None
-    with open(sidecar, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(sidecar, "r", encoding="utf-8") as fh:
             expect = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise _named_json_error(sidecar, exc) from exc
+    except json.JSONDecodeError as exc:
+        raise _named_json_error(sidecar, exc) from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{sidecar}: {exc}") from exc
     if not isinstance(expect, dict) or not isinstance(expect.get("counts", {}), dict):
         raise ValueError(
             f"{sidecar}: expectation must be a JSON object whose 'counts', "

@@ -53,6 +53,13 @@ class Graph:
             raise EmptyGraphError("graph needs at least one vertex")
         if not self.edges:
             raise EmptyGraphError("graph has no edges")
+        # Checked before anything is built per vertex, so the cost of a
+        # rejected graph does not grow with its claimed vertex count.
+        if self.vertex_count > len(self.edges) + 1:
+            raise DisconnectedGraphError(
+                f"graph is disconnected; {len(self.edges)} edges cannot "
+                f"connect {self.vertex_count} vertices"
+            )
         if not self.labels:
             object.__setattr__(
                 self, "labels", tuple(str(v + 1) for v in range(self.vertex_count))
@@ -188,7 +195,7 @@ def graph_from_json(obj: object) -> Graph:
         edges.append((u - 1, v - 1))
     if n <= 0 or not edges:
         raise EmptyGraphError("JSON graph has no vertices or no edges")
-    return Graph(n, tuple(edges), tuple(str(v + 1) for v in range(n)))
+    return Graph(n, tuple(edges))
 
 
 def graph_to_json(graph: Graph) -> dict:
@@ -199,11 +206,12 @@ def graph_to_json(graph: Graph) -> dict:
 
 
 def load_graph(path: str) -> Graph:
-    """The graph in the file; a parse error names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """The graph in the file; a decode or parse error names the file."""
     try:
-        return parse_graph(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_graph(fh.read())
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: {exc}") from exc
     except GraphError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 

@@ -3,9 +3,12 @@
 Everything here works from the matrix alone and knows nothing about graphs.
 It exists so the combinatorial computations elsewhere in the package can be
 checked against an independent implementation: bounded-box Graver
-enumeration, fiber graphs with their connected components, minimal and
-universal Markov bases, indispensability, and random-order reduced Groebner
-bases via a binomial Buchberger loop.
+enumeration, fiber graphs with their connected components, and random-order
+reduced Groebner bases via a binomial Buchberger loop.  ``markov_bundle``
+reads the minimal and universal Markov bases and the indispensable elements
+off the fiber graphs at a Graver set's degrees; the graph pipeline
+(``bases.fiber_bundle``, on the walk-derived Graver set) and the matrix
+oracle (``analyze_config``, on the bounded Graver set) both go through it.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from .errors import InternalInvariantError, ScaleGuardError
 
 # Hard cap on the number of exponent vectors graver_bounded will materialize.
 _MAX_BOX_ROWS = 5_000_000
+
+# Inclusive range of the random weights sample_groebner draws.
+_WEIGHT_RANGE = (1, 100)
 
 
 class ConfigError(ValueError):
@@ -348,105 +354,51 @@ def candidate_degrees(graver: Sequence[Binomial]) -> tuple[tuple[int, ...], ...]
     )
 
 
-def universal_markov_fibers(
-    config: ToricConfig, graphs: Sequence[FiberGraph]
-) -> BasisSet:
-    """Every difference joining two distinct components of a Betti fiber."""
+@dataclass(frozen=True)
+class FiberBundle:
+    """Markov data read off the fiber graphs at a Graver set's degrees."""
 
-    items: list[tuple[Binomial, dict]] = []
+    config: ToricConfig
+    graver: tuple[Binomial, ...]
+    graphs: tuple[FiberGraph, ...]
+    minimal_markov: tuple[Binomial, ...]
+    universal_markov: BasisSet
+    indispensable: BasisSet
+
+
+def markov_bundle(config: ToricConfig, graver: Sequence[Binomial]) -> FiberBundle:
+    """Fiber graphs at the Graver degrees and the Markov data they give.
+
+    The universal Markov basis is every difference joining two distinct
+    components of a Betti fiber.  A degree whose fiber has precisely two
+    components, both singletons, forces its one such difference into every
+    minimal Markov basis: that element is indispensable.
+    """
+
+    graphs, minimal = fiber_graphs(config, candidate_degrees(graver))
+    universal: list[tuple[Binomial, dict]] = []
+    indispensable: list[tuple[Binomial, dict]] = []
     for fg in graphs:
         if not fg.is_betti:
             continue
-        for ci in range(len(fg.components)):
-            for cj in range(ci + 1, len(fg.components)):
-                for iu in fg.components[ci]:
-                    for iv in fg.components[cj]:
-                        b = make_binomial(
-                            fg.fiber[iu], fg.fiber[iv], config.degree
-                        )
-                        items.append((b, {}))
-    return make_basis_set("markov", config.ncols, items)
-
-
-@dataclass(frozen=True)
-class IndispensabilityReport:
-    degrees: tuple[tuple[int, ...], ...]
-    indispensable: tuple[Binomial, ...]
-
-    def to_json(self, prefix: str = "e") -> dict:
-        return {
-            "degrees": [list(d) for d in self.degrees],
-            "elements": [b.to_json(prefix) for b in self.indispensable],
-        }
-
-
-def indispensability_report(
-    config: ToricConfig, graphs: Sequence[FiberGraph]
-) -> IndispensabilityReport:
-    """Binomials present in every minimal Markov basis.
-
-    A degree contributes exactly when its fiber has precisely two
-    components, both singletons; the element is then forced.
-    """
-
-    degrees: list[tuple[int, ...]] = []
-    elements: list[Binomial] = []
-    for fg in graphs:
+        joins = [
+            (make_binomial(fg.fiber[iu], fg.fiber[iv], config.degree), {})
+            for ci in range(len(fg.components))
+            for cj in range(ci + 1, len(fg.components))
+            for iu in fg.components[ci]
+            for iv in fg.components[cj]
+        ]
+        universal += joins
         if fg.indispensable_degree:
-            degrees.append(fg.degree)
-            u = fg.fiber[fg.components[0][0]]
-            v = fg.fiber[fg.components[1][0]]
-            elements.append(make_binomial(u, v, config.degree))
-    return IndispensabilityReport(
-        tuple(degrees), tuple(sorted(elements, key=lambda b: b.sort_key()))
+            indispensable += joins
+    return FiberBundle(
+        config,
+        tuple(graver),
+        graphs,
+        minimal,
+        make_basis_set("markov", config.ncols, universal),
+        make_basis_set("indispensable", config.ncols, indispensable),
     )
-
-
-def _subvectors_below(bound: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All vectors 0 <= w <= bound except the zero vector."""
-
-    positions = [i for i, x in enumerate(bound) if x > 0]
-    current = [0] * len(bound)
-
-    def rec(k: int) -> Iterator[tuple[int, ...]]:
-        if k == len(positions):
-            if any(current):
-                yield tuple(current)
-            return
-        i = positions[k]
-        for val in range(bound[i] + 1):
-            current[i] = val
-            yield from rec(k + 1)
-        current[i] = 0
-
-    yield from rec(0)
-
-
-def _fiber_within(
-    config: ToricConfig, degree: tuple[int, ...], bound: tuple[int, ...]
-) -> Iterator[tuple[int, ...]]:
-    """Fiber members z with z <= bound componentwise."""
-
-    for z in fiber(config, degree):
-        if all(x <= y for x, y in zip(z, bound)):
-            yield z
-
-
-def primitivity_check(config: ToricConfig, binomial: Binomial) -> bool:
-    """True when no other binomial in the ideal divides term by term.
-
-    Searches for nonzero w <= plus and z <= minus with equal degrees,
-    other than (plus, minus) itself.
-    """
-
-    u, v = binomial.plus, binomial.minus
-    for w in _subvectors_below(u):
-        d = config.degree(w)
-        for z in _fiber_within(config, d, v):
-            if z == v and w == u:
-                continue
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -593,12 +545,11 @@ def sample_groebner(
     generators: Sequence[Binomial],
     samples: int,
     seed: int,
-    weight_range: tuple[int, int] = (1, 100),
 ) -> tuple[GroebnerSample, ...]:
     """Reduced Groebner bases for seeded random positive weight orders."""
 
     rng = random.Random(seed)
-    low, high = weight_range
+    low, high = _WEIGHT_RANGE
     out = []
     for _ in range(samples):
         weights = tuple(rng.randint(low, high) for _ in range(config.ncols))
@@ -614,34 +565,5 @@ def sample_groebner(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class OracleAnalysis:
-    """Everything the brute-force side computes for one configuration."""
-
-    config: ToricConfig
-    box: int
-    graver: tuple[Binomial, ...]
-    graphs: tuple[FiberGraph, ...]
-    minimal_markov: tuple[Binomial, ...]
-    universal_markov: BasisSet
-    indispensable: IndispensabilityReport
-
-    def to_json(self, prefix: str = "e") -> dict:
-        return {
-            "box": self.box,
-            "graver": [b.to_json(prefix) for b in self.graver],
-            "fibers": [g.to_json() for g in self.graphs if g.is_betti],
-            "minimal_markov": [b.to_json(prefix) for b in self.minimal_markov],
-            "universal_markov": self.universal_markov.to_json(prefix),
-            "indispensable": self.indispensable.to_json(prefix),
-        }
-
-
-def analyze_config(config: ToricConfig, box: int = 2) -> OracleAnalysis:
-    graver = graver_bounded(config, box)
-    graphs, minimal = fiber_graphs(config, candidate_degrees(graver))
-    universal = universal_markov_fibers(config, graphs)
-    report = indispensability_report(config, graphs)
-    return OracleAnalysis(
-        config, box, graver, graphs, minimal, universal, report
-    )
+def analyze_config(config: ToricConfig, box: int = 2) -> FiberBundle:
+    return markov_bundle(config, graver_bounded(config, box))

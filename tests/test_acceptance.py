@@ -13,15 +13,13 @@ import pytest
 from toriclab.bases import analyze_graph, fiber_bundle, graph_config
 from toriclab.corpus import random_connected_graphs
 from toriclab.graphs import load_graph
+from toriclab.binomials import make_basis_set
 from toriclab.oracle import (
     analyze_config,
-    candidate_degrees,
     config_from_rows,
-    fiber_graphs,
     graver_bounded,
-    indispensability_report,
+    markov_bundle,
     sample_groebner,
-    universal_markov_fibers,
 )
 from toriclab.robustness import (
     check_generalized_robust_circuits,
@@ -142,7 +140,7 @@ def test_criterion_3_five_dim_example():
         and [b.render("x") for b in oracle.universal_markov.elements] == quadrics
         and len(oracle.minimal_markov) == 3
         and keys(oracle.minimal_markov) <= keys(oracle.graver)
-        and oracle.indispensable.indispensable == ()
+        and oracle.indispensable == make_basis_set("indispensable", config.ncols, [])
         and keys(union) <= keys(oracle.graver)
     )
     elapsed = time.perf_counter() - t0
@@ -185,15 +183,14 @@ def test_criterion_5_oracle_equivalence():
         if analysis.circuits.element_set() != support_minimal(keys(bounded)):
             mismatches.append((g.digest(), "circuits"))
             continue
-        graphs, _ = fiber_graphs(config, candidate_degrees(bounded))
+        oracle = markov_bundle(config, bounded)
         if (
-            universal_markov_fibers(config, graphs).element_set()
+            oracle.universal_markov.element_set()
             != analysis.universal_markov.element_set()
         ):
             mismatches.append((g.digest(), "universal markov"))
             continue
-        report = indispensability_report(config, graphs)
-        if keys(report.indispensable) != bundle.indispensable.element_set():
+        if oracle.indispensable.element_set() != bundle.indispensable.element_set():
             mismatches.append((g.digest(), "indispensable"))
     elapsed = time.perf_counter() - t0
     ok = not mismatches and elapsed < 900.0

@@ -77,8 +77,9 @@ def test_circuit_shapes(analysis_of):
 
 def test_annotations_record_minimality(analysis_of):
     a = analysis_of("triangle_per_corner")
-    for b, ann in zip(a.graver.elements, a.graver.annotations):
-        e = a.element_for(b)
+    assert len(a.elements) == len(a.graver)
+    for e, b, ann in zip(a.elements, a.graver.elements, a.graver.annotations):
+        assert e.binomial == b
         assert ann["minimal"] == (e.minimality_failures == ())
         assert ann["mixed"] == e.mixed
     failures = {tuple(ann["minimality_failures"]) for ann in a.graver.annotations}

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import toriclab
+from toriclab.bases import graph_config
 from toriclab.cli import main
 
 from conftest import FIXTURES, fixture_path
@@ -85,6 +86,29 @@ def test_json_report_matches_pinned_digest(capsys, name, command):
     code, out, _ = run(capsys, command, "--format", "json", fixture_path(name))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_JSON_SHA256[name, command]
+
+
+# sha256 of `matrix --format json --box <box>` on the n5 matrix and on three
+# fixtures' incidence matrices (1, 4 and 6 indispensable degrees at box 2).
+PINNED_MATRIX_SHA256 = {
+    ("n5", 1): "a6786de2b5beac489c579ddf555bdf21e51b7ba73de275bd4e28f9c278aa5961",
+    ("n5", 2): "43e011ccd218e634d9110d011a67992bfb9bc77de20961e92e821d124474e709",
+    ("c4", 2): "e178452cdf841bc971f9fb2a15e02a769761b03ab94c13633b3d4f99325f9fe3",
+    ("tri_square_tri_opposite", 2): "94d5e5378064d1223bdbe26ce217fd6218a5202f07e04f6a9da68902243a09e5",
+    ("triangle_per_corner", 2): "8c45201e2c931eb56f9ae5ce04cf4512c7780c95af035ea3795d3d35867bffb6",
+}
+
+
+@pytest.mark.parametrize("name,box", sorted(PINNED_MATRIX_SHA256))
+def test_matrix_json_matches_pinned_digest(capsys, tmp_path, graph_of, name, box):
+    if name == "n5":
+        path = FIXTURES / "matrix" / "n5.json"
+    else:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(graph_config(graph_of(name)).to_json()))
+    code, out, _ = run(capsys, "matrix", "--format", "json", "--box", box, path)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_MATRIX_SHA256[name, box]
 
 
 def test_analyze_text_report(capsys):
@@ -296,22 +320,35 @@ def test_suite_rejects_bad_paths(capsys, tmp_path):
 @pytest.mark.parametrize(
     "command,name,text,detail",
     [
-        ("suite", "square.expect.json", "{", "Expecting property name"),
-        ("suite", "broken.txt", "1 1\n", "loop"),
-        ("check", "graph.json", "{", "invalid JSON graph"),
-        ("matrix", "m.json", "{", "Expecting property name"),
-        ("matrix", "m.txt", "1 0\n0 x\n", "line 2: invalid literal"),
+        ("suite", "square.expect.json", b"{", "Expecting property name"),
+        ("suite", "broken.txt", b"1 1\n", "loop"),
+        ("check", "graph.json", b"{", "invalid JSON graph"),
+        ("matrix", "m.json", b"{", "Expecting property name"),
+        ("matrix", "m.txt", b"1 0\n0 x\n", "line 2: invalid literal"),
+        ("check", "graph.txt", b"\xff1 2\n", "can't decode byte 0xff"),
+        ("matrix", "m.txt", b"\xff1 0\n", "can't decode byte 0xff"),
+        ("suite", "square.expect.json", b"\xff{}", "can't decode byte 0xff"),
     ],
 )
 def test_loader_errors_name_the_file(capsys, tmp_path, command, name, text, detail):
     shutil.copy(fixture_path("c4"), tmp_path / "square.txt")
-    (tmp_path / name).write_text(text)
+    (tmp_path / name).write_bytes(text)
     target = tmp_path if command == "suite" else tmp_path / name
     code, out, err = run(capsys, command, target)
     assert code == 2
     assert out == ""
     assert err.startswith(f"toriclab: error: {tmp_path / name}: ")
     assert detail in err and err.count("\n") == 1
+
+
+def test_graph_with_more_vertices_than_its_edges_connect_exits_two(capsys, tmp_path):
+    # Rejected before any per-vertex work: the error does not list labels.
+    path = tmp_path / "sparse.json"
+    path.write_text('{"vertices": 200000, "edges": [[1, 2]]}')
+    code, out, err = run(capsys, "check", path)
+    assert code == 2
+    assert out == ""
+    assert "disconnected" in err and len(err) < 500
 
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"

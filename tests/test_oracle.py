@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toriclab.bases import analyze_graph, fiber_bundle, graph_config
-from toriclab.binomials import binomial_from_vector, make_binomial
+from toriclab.binomials import binomial_from_vector, make_basis_set, make_binomial
 from toriclab.errors import ScaleGuardError
 from toriclab.graphs import Graph, GraphError
 from toriclab.oracle import (
@@ -23,12 +23,9 @@ from toriclab.oracle import (
     candidate_degrees,
     config_from_rows,
     fiber,
-    fiber_graphs,
     graver_bounded,
-    indispensability_report,
-    primitivity_check,
+    markov_bundle,
     sample_groebner,
-    universal_markov_fibers,
 )
 
 from conftest import FIXTURES, support_minimal
@@ -245,15 +242,12 @@ def test_walk_sets_match_oracle_past_corpus_edge_cap(graph):
     bounded = graver_bounded(cfg, 2)
     assert _keys(bounded) == analysis.graver.element_set()
     assert support_minimal(_keys(bounded)) == analysis.circuits.element_set()
-    graphs, _ = fiber_graphs(cfg, candidate_degrees(bounded))
+    oracle = markov_bundle(cfg, bounded)
     assert (
-        universal_markov_fibers(cfg, graphs).element_set()
+        oracle.universal_markov.element_set()
         == analysis.universal_markov.element_set()
     )
-    assert (
-        _keys(indispensability_report(cfg, graphs).indispensable)
-        == bundle.indispensable.element_set()
-    )
+    assert oracle.indispensable.element_set() == bundle.indispensable.element_set()
 
 
 def test_graver_bounded_guards_scale():
@@ -264,29 +258,27 @@ def test_graver_bounded_guards_scale():
 
 def test_k4_fiber_graph_betti(graph_of):
     cfg = graph_config(graph_of("k4"))
-    graver = graver_bounded(cfg, box=2)
-    graphs, minimal = fiber_graphs(cfg, candidate_degrees(graver))
-    betti = [fg for fg in graphs if fg.is_betti]
+    bundle = markov_bundle(cfg, graver_bounded(cfg, box=2))
+    betti = [fg for fg in bundle.graphs if fg.is_betti]
     assert len(betti) == 1
     fg = betti[0]
     assert fg.degree == (1, 1, 1, 1)
     assert len(fg.components) == 3
     assert fg.beta0 == 2
     assert not fg.indispensable_degree
-    assert len(minimal) == 2
-    markov = universal_markov_fibers(cfg, graphs)
-    assert len(markov) == 3
-    report = indispensability_report(cfg, graphs)
-    assert report.indispensable == ()
+    assert len(bundle.minimal_markov) == 2
+    assert len(bundle.universal_markov) == 3
+    assert bundle.indispensable == make_basis_set("indispensable", cfg.ncols, [])
 
 
 def test_c4_fiber_graph_indispensable(graph_of):
     cfg = graph_config(graph_of("c4"))
-    graphs, minimal = fiber_graphs(cfg, candidate_degrees(graver_bounded(cfg, 2)))
-    (fg,) = [g for g in graphs if g.is_betti]
+    bundle = markov_bundle(cfg, graver_bounded(cfg, 2))
+    (fg,) = [g for g in bundle.graphs if g.is_betti]
     assert fg.indispensable_degree
     assert [len(c) for c in fg.components] == [1, 1]
-    assert len(minimal) == 1
+    assert len(bundle.minimal_markov) == 1
+    assert len(bundle.indispensable) == 1
 
 
 def test_n5_analysis_matches_known_structure():
@@ -297,21 +289,13 @@ def test_n5_analysis_matches_known_structure():
     assert len(ana.minimal_markov) == 3
     betti = [fg for fg in ana.graphs if fg.is_betti]
     assert [(fg.degree, fg.beta0) for fg in betti] == [((1, 1, 1, 1, 2), 3)]
-    assert ana.indispensable.indispensable == ()
+    assert ana.indispensable == make_basis_set("indispensable", cfg.ncols, [])
     # the minimal basis is one spanning tree over the four quadric monomials
     monomials = set()
     for b in ana.minimal_markov:
         monomials.add(b.plus)
         monomials.add(b.minus)
     assert len(monomials) == 4
-
-
-def test_primitivity_check(graph_of):
-    cfg = graph_config(graph_of("c4"))
-    square = make_binomial((1, 1, 0, 0), (0, 0, 1, 1), cfg.degree)
-    assert primitivity_check(cfg, square)
-    doubled = make_binomial((2, 2, 0, 0), (0, 0, 2, 2), cfg.degree)
-    assert not primitivity_check(cfg, doubled)
 
 
 def test_weight_order_validation_and_orientation():
