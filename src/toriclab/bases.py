@@ -1,12 +1,14 @@
 """The four distinguished binomial families of a graph's toric ideal.
 
-Everything is driven by closed even walks.  Primitive walks are found by
-enumerating connected edge subsets and testing the block-structure
-characterization.  Circuits are read off those walks' block trees: the
-primitive walks with one cyclic block (an even cycle) or two (odd cycles
-meeting in a vertex or joined by a path).  The universal Groebner and
-universal Markov members are primitive walks passing the mixedness and
-minimality filters.  ``fiber_bundle`` hands the walk-derived Graver set to
+Everything is driven by closed even walks.  Primitive walks are built from
+their block trees: ``graphs.block_tree_candidates`` grows trees of cycles
+and cut-edge paths out of each cycle, and ``walks.is_primitive_subgraph``
+keeps the even cycles and the trees with odd sides at every cut vertex.
+Circuits are read off those walks' block trees: the primitive walks with
+one cyclic block (an even cycle) or two (odd cycles meeting in a vertex or
+joined by a path).  The universal Groebner and universal Markov members are
+primitive walks passing the mixedness and minimality filters.
+``fiber_bundle`` hands the walk-derived Graver set to
 ``oracle.markov_bundle``; the universal Markov basis read off its fiber
 graphs must match the walk one, an internal consistency check.
 """
@@ -21,7 +23,7 @@ from .errors import InternalInvariantError, ScaleGuardError
 from .graphs import (
     BlockDecomposition,
     Graph,
-    connected_edge_subsets,
+    block_tree_candidates,
     incidence_matrix,
 )
 from .oracle import FiberBundle, ToricConfig, markov_bundle
@@ -82,7 +84,7 @@ def primitive_elements(graph: Graph) -> tuple[PrimitiveElement, ...]:
     """Every primitive walk of the graph, sorted by binomial."""
 
     out = []
-    for subset in connected_edge_subsets(graph):
+    for subset in block_tree_candidates(graph):
         if len(subset) < 4:
             continue
         check = is_primitive_subgraph(graph, subset)

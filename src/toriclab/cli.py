@@ -214,12 +214,22 @@ def _oracle_section(
 ) -> dict:
     config = graph_config(graph)
     bounded = graver_bounded(config, box)
-    matches = {(b.plus, b.minus) for b in bounded} == analysis.graver.element_set()
+    bounded_keys = {(b.plus, b.minus) for b in bounded}
+    walk_keys = analysis.graver.element_set()
+    matches = bounded_keys == walk_keys
     section: dict = {
         "box": box,
         "bounded_graver_count": len(bounded),
         "graver_matches": matches,
     }
+    if not matches and box < 2 and bounded_keys < walk_keys:
+        # a cut edge enters a walk binomial squared, so a box below 2
+        # misses those walks by the caller's choice; nothing broke
+        raise ValueError(
+            f"--box {box} leaves out {len(walk_keys - bounded_keys)} of "
+            f"{len(walk_keys)} Graver elements, which have an exponent above "
+            f"{box}; box 2 is exact for graphs"
+        )
     if not matches:
         raise InternalInvariantError(
             f"bounded Graver enumeration (box={box}) disagrees with the walk "

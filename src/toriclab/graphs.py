@@ -404,12 +404,124 @@ def has_four_cycle(graph: Graph) -> bool:
     return False
 
 
+def simple_cycles(graph: Graph) -> list[tuple[tuple[int, ...], int, int]]:
+    """Every simple cycle once, as (vertex tuple, edge mask, vertex mask).
+
+    A cycle is listed from its least vertex, in the one direction whose
+    second vertex is smaller than its last.  An explicit stack of neighbour
+    iterators walks the simple paths out of that least vertex through larger
+    vertices only; a path closes into a cycle when its end is adjacent to
+    its start.  Trees hanging off the graph are peeled away first (what is
+    left is the 2-core), so a long pendant path costs linear time.
+    """
+    adj = graph.adjacency
+    degree = [len(a) for a in adj]
+    peel = [v for v, d in enumerate(degree) if d == 1]
+    core = (1 << graph.vertex_count) - 1
+    while peel:
+        v = peel.pop()
+        core &= ~(1 << v)
+        for w, _ in adj[v]:
+            degree[w] -= 1
+            if degree[w] == 1 and core >> w & 1:
+                peel.append(w)
+    out = []
+    for s in range(graph.vertex_count):
+        if not core >> s & 1:
+            continue
+        path = [s]
+        path_edges = [0]  # edge mask of each path prefix
+        on_path = 1 << s
+        stack = [iter(adj[s])]
+        while stack:
+            for w, e in stack[-1]:
+                if w == s:
+                    if len(path) >= 3 and path[1] < path[-1]:
+                        out.append((tuple(path), path_edges[-1] | 1 << e, on_path))
+                elif w > s and core >> w & 1 and not on_path >> w & 1:
+                    path.append(w)
+                    path_edges.append(path_edges[-1] | 1 << e)
+                    on_path |= 1 << w
+                    stack.append(iter(adj[w]))
+                    break
+            else:
+                stack.pop()
+                on_path &= ~(1 << path.pop())
+                path_edges.pop()
+    return out
+
+
+def block_tree_candidates(graph: Graph) -> Iterator[tuple[int, ...]]:
+    """Yield every edge set that is a tree of cycles, once, as a sorted tuple.
+
+    These are the candidate primitive walks: a cycle, or cycles joined at
+    shared vertices or by paths of cut edges, with every cut vertex in
+    exactly two blocks.  A state is (edge mask, vertex mask, free mask); the
+    free mask holds the cycle vertices that host no attachment yet.  Each
+    cycle seeds a state, and a state grows at a free vertex ``v`` by a cycle
+    meeting it only at ``v``, or by a simple path out of ``v`` that avoids
+    it followed by a cycle meeting state and path only at the path's far
+    end.  An edge set fixes its block tree, so a seen-set of edge masks
+    expands each candidate once.  Whether a candidate is primitive (even
+    cycle, odd sides at every cut vertex) is left to
+    ``walks.is_primitive_subgraph``.
+    """
+    m = len(graph.edges)
+    adj = graph.adjacency
+    cycles_at: list[list[tuple[int, int]]] = [[] for _ in range(graph.vertex_count)]
+    states = []
+    for verts, edge_mask, vertex_mask in simple_cycles(graph):
+        for v in verts:
+            cycles_at[v].append((edge_mask, vertex_mask))
+        states.append((edge_mask, vertex_mask, vertex_mask))
+    seen = {edge_mask for edge_mask, _, _ in states}
+    everything = (1 << graph.vertex_count) - 1
+
+    while states:
+        edge_mask, vertex_mask, free = states.pop()
+        yield tuple(i for i in range(m) if edge_mask >> i & 1)
+        rest = free
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            still_free = free ^ bit
+            # Simple paths out of v that avoid the state, as (far end, edge
+            # mask, vertex mask); the empty path attaches a cycle at v itself.
+            paths = [(v, 0, 0)]
+            while paths:
+                end, path_edges, path_verts = paths.pop()
+                taken = vertex_mask | path_verts
+                end_bit = 1 << end
+                for cycle_edges, cycle_verts in cycles_at[end]:
+                    if cycle_verts & taken == end_bit:
+                        grown = edge_mask | path_edges | cycle_edges
+                        if grown not in seen:
+                            seen.add(grown)
+                            # every vertex of the new cycle but its joint is free
+                            states.append((
+                                grown,
+                                taken | cycle_verts,
+                                still_free | (cycle_verts ^ end_bit),
+                            ))
+                # a step to w pays only if w and two more vertices are untaken
+                if (everything & ~taken).bit_count() < 3:
+                    continue
+                for w, e in adj[end]:
+                    if not taken >> w & 1:
+                        paths.append(
+                            (w, path_edges | 1 << e, path_verts | 1 << w)
+                        )
+
+
 def connected_edge_subsets(graph: Graph, max_vertex_degree: int = 4) -> Iterator[tuple[int, ...]]:
     """Yield every connected edge subset, each exactly once, sorted internally.
 
     Subsets are grown from their smallest edge so each appears once. Growth is
     pruned when some vertex already exceeds ``max_vertex_degree`` inside the
-    subset, since adding edges never lowers a degree.
+    subset, since adding edges never lowers a degree.  Filtered by
+    ``walks.is_primitive_subgraph`` it is the test oracle for
+    ``block_tree_candidates``; nothing in the package enumerates with it.
     """
     m = len(graph.edges)
     edge_neighbors: list[set[int]] = [set() for _ in range(m)]

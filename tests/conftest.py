@@ -1,11 +1,13 @@
 """Shared fixtures: fixture graphs plus cached per-session analyses."""
 
+import itertools
+import random
 from pathlib import Path
 
 import pytest
 
 from toriclab.bases import analyze_graph, fiber_bundle
-from toriclab.graphs import load_graph
+from toriclab.graphs import Graph, GraphError, load_graph
 from toriclab.robustness import robustness_verdict
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -46,6 +48,21 @@ def support_minimal(elements) -> set:
         for key, support in supports.items()
         if not any(other < support for other in supports.values())
     }
+
+
+def wide_graphs(count, seed, edges=12):
+    """Seeded connected graphs with ``edges`` edges on 7 or 8 vertices."""
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice((7, 8))
+        pairs = list(itertools.combinations(range(n), 2))
+        try:
+            out.append(Graph(n, tuple(sorted(rng.sample(pairs, edges)))))
+        except GraphError:
+            continue
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -433,11 +433,22 @@ def test_suite_edge_budget_below_two_stops(max_edges):
     assert "Traceback" not in proc.stderr
 
 
+def long_path_lines(first, edges):
+    return [f"{i} {i + 1}\n" for i in range(first, first + edges)]
+
+
 def test_deep_input_exits_three_without_traceback(tmp_path):
-    # a long path drives the recursive subset enumeration past Python's
-    # recursion limit; that must end in a documented exit code
-    path = tmp_path / "path1500.txt"
-    path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 1501)))
+    # two triangles joined by a 1,500-edge path make one primitive walk
+    # whose block tree is deeper than Python's recursion limit; that must
+    # end in a documented exit code
+    path = tmp_path / "tri_path1500_tri.txt"
+    path.write_text(
+        "".join(
+            ["1 2\n2 3\n1 3\n"]
+            + long_path_lines(3, 1500)
+            + ["1503 1504\n1504 1505\n1503 1505\n"]
+        )
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "toriclab", "check", "--force", str(path)],
         capture_output=True,
@@ -447,6 +458,59 @@ def test_deep_input_exits_three_without_traceback(tmp_path):
     assert proc.returncode == 3
     assert "recursion depth" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_long_path_is_answered(tmp_path):
+    # a path has no cycle, so no candidate walk is built and nothing recurses
+    path = tmp_path / "path1500.txt"
+    path.write_text("".join(long_path_lines(1, 1500)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "toriclab", "check", "--force", "--format",
+         "json", str(path)],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    counts = json.loads(proc.stdout)["counts"]
+    assert set(counts) == {
+        "circuits", "graver", "universal_groebner", "universal_markov",
+        "indispensable",
+    }
+    assert set(counts.values()) == {0}
+
+
+def test_box_below_two_that_misses_walks_is_a_usage_error(capsys):
+    # the walk of tri_edge_tri squares its cut edge, so box 1 cannot hold it
+    code, out, err = run(
+        capsys, "analyze", "--oracle", "--box", "1", "--samples", "0",
+        fixture_path("tri_edge_tri"),
+    )
+    assert code == 2
+    assert "--box 1" in err and "box 2 is exact" in err
+    assert "invariant" not in err
+    # k4's walks are even cycles, all inside box 1
+    code, out, _ = run(
+        capsys, "analyze", "--format", "json", "--oracle", "--box", "1",
+        "--samples", "0", fixture_path("k4"),
+    )
+    assert code == 0
+    assert json.loads(out)["oracle"]["graver_matches"] is True
+
+
+def test_box_mismatch_at_box_two_is_an_invariant_breach(capsys, monkeypatch):
+    # a bounded set that loses an element at box 2 is no choice of the
+    # caller: the box is exact there, so the mismatch exits 4
+    real = toriclab.cli.graver_bounded
+    monkeypatch.setattr(
+        toriclab.cli, "graver_bounded", lambda c, box: real(c, box)[1:]
+    )
+    code, _, err = run(
+        capsys, "analyze", "--oracle", "--samples", "0", fixture_path("k4")
+    )
+    assert code == 4
+    assert "invariant breach" in err
 
 
 def test_suite_text_tallies_match_json_records():

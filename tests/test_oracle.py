@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import random
 from pathlib import Path
 
 import pytest
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 from toriclab.bases import analyze_graph, fiber_bundle, graph_config
 from toriclab.binomials import binomial_from_vector, make_basis_set, make_binomial
 from toriclab.errors import ScaleGuardError
-from toriclab.graphs import Graph, GraphError
+from toriclab.graphs import Graph
 from toriclab.oracle import (
     ConfigError,
     NegativeEntryError,
@@ -28,7 +27,7 @@ from toriclab.oracle import (
     sample_groebner,
 )
 
-from conftest import FIXTURES, support_minimal
+from conftest import FIXTURES, support_minimal, wide_graphs
 
 N5_ROWS = json.loads(
     (Path(__file__).parent / "fixtures" / "matrix" / "n5.json").read_text()
@@ -212,27 +211,12 @@ def test_graver_bounded_matches_reference_on_random_configs(cfg, box):
     assert graver_bounded(cfg, box) == _graver_bounded_reference(cfg, box)
 
 
-def _wide_graphs(count, seed, edges=12):
-    """Seeded connected graphs with ``edges`` edges on 7 or 8 vertices."""
-
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        n = rng.choice((7, 8))
-        pairs = list(itertools.combinations(range(n), 2))
-        try:
-            out.append(Graph(n, tuple(sorted(rng.sample(pairs, edges)))))
-        except GraphError:
-            continue
-    return out
-
-
 def _keys(binomials):
     return {(b.plus, b.minus) for b in binomials}
 
 
 @pytest.mark.parametrize(
-    "graph", _wide_graphs(8, seed=1212), ids=lambda g: g.digest()[:12]
+    "graph", wide_graphs(8, seed=1212), ids=lambda g: g.digest()[:12]
 )
 def test_walk_sets_match_oracle_past_corpus_edge_cap(graph):
     # The acceptance corpus stops at 11 edges; these have 12.

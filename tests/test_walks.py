@@ -1,14 +1,23 @@
-"""Walk layer: canonical walks, chords, F4s, sinks, minimality codes."""
+"""Walk layer: candidate generation, canonical walks, chords, F4s, sinks,
+minimality codes."""
+
+import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toriclab.bases import analyze_graph
 from toriclab.binomials import BinomialError
 from toriclab.graphs import (
     DisconnectedGraphError,
+    Graph,
     block_decomposition,
+    block_tree_candidates,
+    connected_edge_subsets,
     load_graph,
     parse_graph,
+    subset_degrees,
 )
 from toriclab.walks import (
     NotPrimitiveError,
@@ -25,6 +34,8 @@ from toriclab.walks import (
     walk_binomial,
     walk_from_primitive_subgraph,
 )
+
+from conftest import FIXTURES, wide_graphs
 
 # octagon rim plus the chords {1,5} and {2,8}: the chords are odd and cross
 # effectively but no 4-cycle completes them, so the rim walk fails exactly M2
@@ -297,3 +308,63 @@ def test_walk_reconstruction_is_orientation_free(graph_of):
     assert walk_from_primitive_subgraph(opp, range(12), check) == (
         walk_from_primitive_subgraph(opp, range(12), check, _reverse_ties=True)
     )
+
+
+def is_cycle_tree(graph, subset):
+    """Whether the subset is what the generator builds: no pendant vertex,
+    every block a cycle or a cut edge, every cut vertex in two blocks."""
+    if 1 in subset_degrees(graph, subset).values():
+        return False
+    dec = block_decomposition(graph, subset)
+    return all(
+        dec.is_cyclic(b) or dec.is_cut_edge(b) for b in range(len(dec.blocks))
+    ) and all(len(dec.blocks_of_vertex[v]) == 2 for v in dec.cut_vertices)
+
+
+def assert_candidates_match_subset_oracle(graph):
+    candidates = list(block_tree_candidates(graph))
+    assert len(candidates) == len(set(candidates)), "an edge set came twice"
+    subsets = list(connected_edge_subsets(graph))
+    # the generator builds exactly the cycle trees among the connected
+    # edge subsets ...
+    assert set(candidates) == {s for s in subsets if is_cycle_tree(graph, s)}
+
+    # ... so both keep the same primitive walks
+    def primitive(sets):
+        return {s for s in sets if is_primitive_subgraph(graph, s).ok}
+
+    assert primitive(candidates) == primitive(subsets)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(FIXTURES.glob("*.txt")), ids=lambda p: p.stem
+)
+def test_candidates_match_subset_oracle_on_fixtures(path):
+    assert_candidates_match_subset_oracle(load_graph(str(path)))
+
+
+@pytest.mark.parametrize(
+    "graph", wide_graphs(8, seed=1212), ids=lambda g: g.digest()[:12]
+)
+def test_candidates_match_subset_oracle_on_12_edge_graphs(graph):
+    assert_candidates_match_subset_oracle(graph)
+
+
+@st.composite
+def connected_graphs(draw, max_vertices=8, max_edges=14):
+    """A random spanning tree plus extra edges, at most ``max_edges`` in all."""
+    n = draw(st.integers(3, max_vertices))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    others = [p for p in itertools.combinations(range(n), 2) if p not in tree]
+    extra = draw(
+        st.lists(
+            st.sampled_from(others), unique=True, max_size=max_edges - len(tree)
+        )
+    )
+    return Graph(n, tuple(tree + extra))
+
+
+@given(connected_graphs())
+@settings(max_examples=40, deadline=None)
+def test_candidates_match_subset_oracle_on_random_graphs(graph):
+    assert_candidates_match_subset_oracle(graph)
