@@ -218,7 +218,8 @@ def fiber_bundle(graph: Graph, analysis: GraphAnalysis) -> FiberBundle:
     bundle = markov_bundle(graph_config(graph), analysis.graver.elements)
     if bundle.universal_markov.element_set() != analysis.universal_markov.element_set():
         raise InternalInvariantError(
-            "universal Markov bases from fibers and from walks disagree"
+            f"fiber bundle of graph {graph.digest()}: universal Markov bases "
+            "from fibers and from walks disagree"
         )
     walk_tags = {
         (b.plus, b.minus): ann
@@ -232,8 +233,8 @@ def fiber_bundle(graph: Graph, analysis: GraphAnalysis) -> FiberBundle:
         ann = walk_tags.get((b.plus, b.minus))
         if ann is None:
             raise InternalInvariantError(
-                f"indispensable element {b.render()} outside the universal "
-                "Markov basis"
+                f"fiber bundle of graph {graph.digest()}: indispensable "
+                f"element {b.render()} outside the universal Markov basis"
             )
         items.append((b, dict(ann)))
     indispensable = make_basis_set("indispensable", bundle.config.ncols, items)

@@ -7,7 +7,6 @@ were produced.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -104,27 +103,6 @@ def binomial_from_vector(
     return make_binomial(plus, minus, degree_fn)
 
 
-def binomial_from_json(obj: dict, length: int) -> Binomial:
-    """Inverse of Binomial.to_json; variable keys look like 'e3' or 'x3'."""
-
-    def side(mapping: dict) -> tuple[int, ...]:
-        out = [0] * length
-        for key, val in mapping.items():
-            match = re.fullmatch(r"[a-zA-Z]*([0-9]+)", key)
-            if not match:
-                raise BinomialError(f"bad variable key {key!r}")
-            idx = int(match.group(1)) - 1
-            if not 0 <= idx < length:
-                raise BinomialError(f"variable {key!r} outside 1..{length}")
-            out[idx] = int(val)
-        return tuple(out)
-
-    plus = side(obj.get("plus", {}))
-    minus = side(obj.get("minus", {}))
-    degree = tuple(int(x) for x in obj.get("degree", ()))
-    return Binomial(plus, minus, degree)
-
-
 BASIS_KINDS = ("circuits", "graver", "ugb", "markov", "indispensable")
 
 
@@ -188,25 +166,4 @@ def make_basis_set(
         variables,
         tuple(b for b, _ in ordered),
         tuple(a for _, a in ordered),
-    )
-
-
-def basis_set_from_json(obj: dict) -> BasisSet:
-    variables = int(obj["variables"])
-    items = []
-    for entry in obj.get("elements", []):
-        b = binomial_from_json(entry, variables)
-        items.append((b, dict(entry.get("tags", {}))))
-    return make_basis_set(str(obj["kind"]), variables, items)
-
-
-def conformal_leq(inner: Binomial, outer: Binomial) -> bool:
-    """Whether inner fits inside outer up to orientation: both monomials divide."""
-    fwd = all(a <= b for a, b in zip(inner.plus, outer.plus)) and all(
-        a <= b for a, b in zip(inner.minus, outer.minus)
-    )
-    if fwd:
-        return True
-    return all(a <= b for a, b in zip(inner.minus, outer.plus)) and all(
-        a <= b for a, b in zip(inner.plus, outer.minus)
     )

@@ -27,7 +27,7 @@ from .bases import (
     fiber_bundle,
     graph_config,
 )
-from .binomials import BinomialError
+from .binomials import BasisSet, BinomialError
 from .corpus import random_connected_graphs
 from .errors import InternalInvariantError, ScaleGuardError
 from .graphs import Graph, GraphError, graph_to_json, load_graph
@@ -110,14 +110,19 @@ def _pipeline(
     return analysis, bundle, verdict, suite
 
 
-def _counts(analysis: GraphAnalysis, bundle: FiberBundle) -> dict:
+def _sets(analysis: GraphAnalysis, bundle: FiberBundle) -> dict[str, BasisSet]:
+    """The five reported sets, in report order."""
     return {
-        "circuits": len(analysis.circuits),
-        "graver": len(analysis.graver),
-        "universal_groebner": len(analysis.universal_groebner),
-        "universal_markov": len(analysis.universal_markov),
-        "indispensable": len(bundle.indispensable),
+        "circuits": analysis.circuits,
+        "graver": analysis.graver,
+        "universal_groebner": analysis.universal_groebner,
+        "universal_markov": analysis.universal_markov,
+        "indispensable": bundle.indispensable,
     }
+
+
+def _counts(analysis: GraphAnalysis, bundle: FiberBundle) -> dict:
+    return {key: len(s) for key, s in _sets(analysis, bundle).items()}
 
 
 def _groebner_union(config: ToricConfig, generators, samples: int, seed: int) -> list:
@@ -264,11 +269,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "command": "analyze",
         "input": _input_json(graph),
         "sets": {
-            "circuits": analysis.circuits.to_json(),
-            "graver": analysis.graver.to_json(),
-            "universal_groebner": analysis.universal_groebner.to_json(),
-            "universal_markov": analysis.universal_markov.to_json(),
-            "indispensable": bundle.indispensable.to_json(),
+            key: s.to_json() for key, s in _sets(analysis, bundle).items()
         },
         "betti": [fg.to_json() for fg in bundle.graphs if fg.is_betti],
         "minimal_markov_size": len(bundle.minimal_markov),
@@ -283,14 +284,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     def render(rep: dict) -> None:
         _render_input(rep["input"])
-        for key in (
-            "circuits",
-            "graver",
-            "universal_groebner",
-            "universal_markov",
-            "indispensable",
-        ):
-            _render_basis(rep["sets"][key])
+        for obj in rep["sets"].values():
+            _render_basis(obj)
         print(f"betti degrees: {len(rep['betti'])}")
         print(f"minimal markov size: {rep['minimal_markov_size']}")
         _render_robustness(rep["verdict"], rep["implications"])

@@ -9,6 +9,9 @@ reads the minimal and universal Markov bases and the indispensable elements
 off the fiber graphs at a Graver set's degrees; the graph pipeline
 (``bases.fiber_bundle``, on the walk-derived Graver set) and the matrix
 oracle (``analyze_config``, on the bounded Graver set) both go through it.
+A fiber is enumerated by one sweep over the columns and split into
+components by a flood fill through the moves found at smaller degrees;
+neither recurses.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from operator import add, ge, sub
+from typing import Sequence
 
 import numpy as np
 
@@ -120,42 +124,38 @@ def config_from_rows(rows: Sequence[Sequence[int]]) -> ToricConfig:
 
 
 def fiber(config: ToricConfig, degree: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """All exponent vectors with the given grading degree, lex ascending."""
+    """All exponent vectors with the given grading degree, lex ascending.
+
+    A sweep over the columns keeps (prefix, residual) pairs, the residual
+    being the degree still to be made up, and extends each by every
+    multiplicity its residual allows, ascending, so the prefixes stay lex
+    ascending.  A pair is dropped once a row left nonzero has no column
+    after the one just placed.
+    """
 
     target = tuple(int(x) for x in degree)
     if len(target) != config.nrows:
         raise ConfigError(f"degree must have {config.nrows} entries")
     if any(x < 0 for x in target):
         return ()
-    m = config.ncols
     cols = config.columns
-    # coverable[i][r] says some column j >= i has a nonzero entry in row r.
-    coverable = [[False] * config.nrows for _ in range(m + 1)]
-    for i in range(m - 1, -1, -1):
-        for r in range(config.nrows):
-            coverable[i][r] = coverable[i + 1][r] or cols[i][r] > 0
+    # closes[j]: the rows whose last nonzero column is j; zero rows close at 0
+    closes: list[list[int]] = [[] for _ in cols]
+    for r in range(config.nrows):
+        closes[max((j for j, col in enumerate(cols) if col[r]), default=0)].append(r)
 
-    out: list[tuple[int, ...]] = []
-    current = [0] * m
-
-    def rec(i: int, residual: list[int]) -> None:
-        if i == m:
-            if all(r == 0 for r in residual):
-                out.append(tuple(current))
-            return
-        if any(r > 0 and not coverable[i][rr] for rr, r in enumerate(residual)):
-            return
-        col = cols[i]
-        cap = min(
-            residual[r] // col[r] for r in range(config.nrows) if col[r] > 0
-        )
-        for k in range(cap + 1):
-            current[i] = k
-            rec(i + 1, [residual[r] - k * col[r] for r in range(config.nrows)])
-        current[i] = 0
-
-    rec(0, list(target))
-    return tuple(out)
+    pairs = [((), target)]
+    for col, shut in zip(cols, closes):
+        reached = [r for r, c in enumerate(col) if c]
+        extended = []
+        for prefix, residual in pairs:
+            rest = residual
+            for k in range(min(residual[r] // col[r] for r in reached) + 1):
+                if not any(rest[r] for r in shut):
+                    extended.append((prefix + (k,), rest))
+                rest = tuple(map(sub, rest, col))
+        pairs = extended
+    return tuple(prefix for prefix, _ in pairs)
 
 
 def graver_bounded(config: ToricConfig, box: int) -> tuple[Binomial, ...]:
@@ -271,27 +271,6 @@ class FiberGraph:
         }
 
 
-def _union_find_components(
-    size: int, unions: Iterator[tuple[int, int]]
-) -> list[list[int]]:
-    parent = list(range(size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in unions:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for i in range(size):
-        groups.setdefault(find(i), []).append(i)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-
-
 def fiber_graphs(
     config: ToricConfig,
     degrees: Sequence[tuple[int, ...]],
@@ -318,20 +297,29 @@ def fiber_graphs(
         if not members:
             continue
         index = {u: i for i, u in enumerate(members)}
-
-        def unions() -> Iterator[tuple[int, int]]:
-            for i, u in enumerate(members):
+        # flood each unseen member through the moves; the moves come in both
+        # orientations, so each component starts at its least member
+        seen = [False] * len(members)
+        components = []
+        for start in range(len(members)):
+            if seen[start]:
+                continue
+            seen[start] = True
+            component, stack = [start], [start]
+            while stack:
+                u = members[stack.pop()]
                 for p, q in moves:
-                    if all(x >= y for x, y in zip(u, p)):
-                        v = tuple(x - y + z for x, y, z in zip(u, p, q))
-                        j = index.get(v)
+                    if all(map(ge, u, p)):
+                        j = index.get(tuple(map(add, map(sub, u, p), q)))
                         if j is None:
                             raise InternalInvariantError(
-                                "generator move left the fiber"
+                                f"generator move left the fiber of degree {list(deg)}"
                             )
-                        yield i, j
-
-        components = _union_find_components(len(members), unions())
+                        if not seen[j]:
+                            seen[j] = True
+                            component.append(j)
+                            stack.append(j)
+            components.append(sorted(component))
         graphs.append(
             FiberGraph(deg, members, tuple(tuple(c) for c in components))
         )
@@ -375,7 +363,7 @@ def markov_bundle(config: ToricConfig, graver: Sequence[Binomial]) -> FiberBundl
     minimal Markov basis: that element is indispensable.
     """
 
-    graphs, minimal = fiber_graphs(config, candidate_degrees(graver))
+    graphs, minimal = fiber_graphs(config, [b.degree for b in graver])
     universal: list[tuple[Binomial, dict]] = []
     indispensable: list[tuple[Binomial, dict]] = []
     for fg in graphs:

@@ -7,7 +7,6 @@ from toriclab.bases import (
     ensure_tractable,
     fiber_bundle,
 )
-from toriclab.binomials import basis_set_from_json
 from toriclab.corpus import random_connected_graphs
 from toriclab.errors import ScaleGuardError
 from toriclab.graphs import parse_graph
@@ -85,14 +84,6 @@ def test_annotations_record_minimality(analysis_of):
     failures = {tuple(ann["minimality_failures"]) for ann in a.graver.annotations}
     assert ("M1",) in failures
     assert any("M4" in f for f in failures)
-
-
-def test_basis_sets_round_trip_through_json(analysis_of):
-    a = analysis_of("tri_square_tri_adjacent")
-    for s in (a.circuits, a.graver, a.universal_groebner, a.universal_markov):
-        again = basis_set_from_json(s.to_json())
-        assert again.elements == s.elements
-        assert again.annotations == s.annotations
 
 
 def test_analysis_is_deterministic(graph_of):

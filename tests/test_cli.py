@@ -6,13 +6,16 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import toriclab
 from toriclab.bases import graph_config
+from toriclab.binomials import make_basis_set
 from toriclab.cli import main
+from toriclab.graphs import load_graph
 
 from conftest import FIXTURES, fixture_path
 
@@ -511,6 +514,28 @@ def test_box_mismatch_at_box_two_is_an_invariant_breach(capsys, monkeypatch):
     )
     assert code == 4
     assert "invariant breach" in err
+
+
+def test_fiber_bundle_breach_names_the_graph(capsys, monkeypatch):
+    # a fiber side one universal Markov element short disagrees with the
+    # walks; the breach names the stage and the graph's digest
+    real = toriclab.bases.markov_bundle
+
+    def short(config, graver):
+        bundle = real(config, graver)
+        markov = bundle.universal_markov
+        kept = list(zip(markov.elements, markov.annotations))[1:]
+        return replace(
+            bundle,
+            universal_markov=make_basis_set("markov", markov.variables, kept),
+        )
+
+    monkeypatch.setattr(toriclab.bases, "markov_bundle", short)
+    path = fixture_path("k4")
+    code, _, err = run(capsys, "check", path)
+    assert code == 4
+    assert "invariant breach: fiber bundle" in err
+    assert load_graph(path).digest() in err
 
 
 def test_suite_text_tallies_match_json_records():

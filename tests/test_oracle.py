@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from toriclab.bases import analyze_graph, fiber_bundle, graph_config
 from toriclab.binomials import binomial_from_vector, make_basis_set, make_binomial
 from toriclab.errors import ScaleGuardError
-from toriclab.graphs import Graph
+from toriclab.graphs import Graph, load_graph
 from toriclab.oracle import (
     ConfigError,
     NegativeEntryError,
@@ -27,7 +27,7 @@ from toriclab.oracle import (
     sample_groebner,
 )
 
-from conftest import FIXTURES, support_minimal, wide_graphs
+from conftest import FIXTURES, fixture_path, support_minimal, wide_graphs
 
 N5_ROWS = json.loads(
     (Path(__file__).parent / "fixtures" / "matrix" / "n5.json").read_text()
@@ -211,6 +211,48 @@ def test_graver_bounded_matches_reference_on_random_configs(cfg, box):
     assert graver_bounded(cfg, box) == _graver_bounded_reference(cfg, box)
 
 
+@st.composite
+def _fiber_cases(draw):
+    """A small configuration, perhaps with a zero row put in, and a degree."""
+    rows = [list(row) for row in draw(_small_configs()).rows]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * len(rows[0]))
+    degree = draw(
+        st.lists(st.integers(-1, 4), min_size=len(rows), max_size=len(rows))
+    )
+    return config_from_rows(rows), tuple(degree)
+
+
+def _fiber_reference(cfg, degree):
+    """Every vector under the per-column caps, in lex order, kept if A x = d."""
+    caps = [
+        min(max(d, 0) // c for d, c in zip(degree, col) if c)
+        for col in cfg.columns
+    ]
+    return tuple(
+        x
+        for x in itertools.product(*(range(cap + 1) for cap in caps))
+        if cfg.degree(x) == degree
+    )
+
+
+@given(_fiber_cases())
+@settings(max_examples=200, deadline=None)
+def test_fiber_matches_reference_on_random_configs(case):
+    cfg, degree = case
+    assert fiber(cfg, degree) == _fiber_reference(cfg, degree)
+
+
+def test_fiber_of_a_zero_row():
+    cfg = config_from_rows([[1, 1], [0, 0]])
+    assert fiber(cfg, (1, 0)) == ((0, 1), (1, 0))
+    assert fiber(cfg, (1, 1)) == ()
+
+
+def test_fiber_of_many_columns_does_not_recurse():
+    assert fiber(config_from_rows([[1] * 2000]), (0,)) == ((0,) * 2000,)
+
+
 def _keys(binomials):
     return {(b.plus, b.minus) for b in binomials}
 
@@ -263,6 +305,41 @@ def test_c4_fiber_graph_indispensable(graph_of):
     assert [len(c) for c in fg.components] == [1, 1]
     assert len(bundle.minimal_markov) == 1
     assert len(bundle.indispensable) == 1
+
+
+def _components_reference(members, moves):
+    """Components under the moves, by relabelling one whole class per move."""
+    label = list(range(len(members)))
+    for i, u in enumerate(members):
+        for p, q in moves:
+            if all(x >= y for x, y in zip(u, p)):
+                j = members.index(tuple(x - y + z for x, y, z in zip(u, p, q)))
+                label = [label[i] if k == label[j] else k for k in label]
+    groups = {}
+    for i, k in enumerate(label):
+        groups.setdefault(k, []).append(i)
+    return tuple(sorted(tuple(g) for g in groups.values()))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [*(load_graph(fixture_path(name)) for name in FIXTURE_NAMES),
+     *wide_graphs(8, seed=1212)],
+    ids=lambda g: g.digest()[:12],
+)
+def test_fiber_components_match_reference(graph):
+    # each fiber is split by the minimal Markov moves of the degrees before it
+    bundle = markov_bundle(
+        graph_config(graph), analyze_graph(graph).graver.elements
+    )
+    for fg in bundle.graphs:
+        moves = [
+            pair
+            for b in bundle.minimal_markov
+            if (sum(b.degree), b.degree) < (sum(fg.degree), fg.degree)
+            for pair in ((b.plus, b.minus), (b.minus, b.plus))
+        ]
+        assert fg.components == _components_reference(fg.fiber, moves)
 
 
 def test_n5_analysis_matches_known_structure():
