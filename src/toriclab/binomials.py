@@ -94,15 +94,6 @@ def make_binomial(
     return Binomial(p, q, dp)
 
 
-def binomial_from_vector(
-    vector: Sequence[int],
-    degree_fn: Callable[[Sequence[int]], tuple[int, ...]],
-) -> Binomial:
-    plus = tuple(x if x > 0 else 0 for x in vector)
-    minus = tuple(-x if x < 0 else 0 for x in vector)
-    return make_binomial(plus, minus, degree_fn)
-
-
 BASIS_KINDS = ("circuits", "graver", "ugb", "markov", "indispensable")
 
 

@@ -237,8 +237,9 @@ def _oracle_section(
         )
     if not matches:
         raise InternalInvariantError(
-            f"bounded Graver enumeration (box={box}) disagrees with the walk "
-            "enumeration; box >= 2 is exact for graphs"
+            f"oracle cross-check of graph {graph.digest()}: bounded Graver "
+            f"enumeration (box={box}) disagrees with the walk enumeration; "
+            "box >= 2 is exact for graphs"
         )
     if samples > 0:
         union = _groebner_union(
@@ -254,8 +255,8 @@ def _oracle_section(
         }
         if not inside:
             raise InternalInvariantError(
-                "a sampled reduced Groebner basis left the universal "
-                "Groebner basis"
+                f"oracle cross-check of graph {graph.digest()}: a sampled "
+                "reduced Groebner basis left the universal Groebner basis"
             )
     return section
 
@@ -366,6 +367,8 @@ def _load_matrix(path: str):
         raise _named_json_error(path, exc) from exc
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    except RecursionError as exc:  # JSON nested past the interpreter's stack
+        raise ConfigError(f"{path}: JSON nests too deeply to read") from exc
     except ValueError as exc:  # ConfigError, NegativeEntryError, a bad token
         raise type(exc)(f"{path}: {exc}") from exc
 

@@ -36,6 +36,17 @@ class DisconnectedGraphError(GraphError):
     pass
 
 
+# Longest excerpt of an input line or entry that an error message echoes.
+_ECHO_CHARS = 80
+
+
+def _excerpt(text: str) -> str:
+    """``text`` cut to ``_ECHO_CHARS`` characters, ending in an ellipsis if cut."""
+    if len(text) <= _ECHO_CHARS:
+        return text
+    return text[:_ECHO_CHARS - 1] + "…"
+
+
 @dataclass(frozen=True)
 class Graph:
     """Finite simple undirected connected graph.
@@ -155,7 +166,9 @@ def parse_graph(text: str) -> Graph:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise GraphError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
+            raise GraphError(
+                f"line {lineno}: expected 'u v', got {_excerpt(repr(raw.strip()))}"
+            )
         pairs.append((parts[0], parts[1]))
     if not pairs:
         raise EmptyGraphError("no edges in input")
@@ -186,10 +199,12 @@ def graph_from_json(obj: object) -> Graph:
     edges = []
     for item in raw_edges:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
-            raise GraphError(f"bad edge entry {item!r}")
+            raise GraphError(f"bad edge entry {_excerpt(repr(item))}")
         u, v = item
         if not (_is_integer(u) and _is_integer(v)):
-            raise GraphError(f"edge labels must be integers, got {item!r}")
+            raise GraphError(
+                f"edge labels must be integers, got {_excerpt(repr(item))}"
+            )
         if not (1 <= u <= n and 1 <= v <= n):
             raise GraphError(f"edge {item!r} outside 1..{n}")
         edges.append((u - 1, v - 1))
@@ -212,6 +227,8 @@ def load_graph(path: str) -> Graph:
             return parse_graph(fh.read())
     except UnicodeDecodeError as exc:
         raise GraphError(f"{path}: {exc}") from exc
+    except RecursionError as exc:  # JSON nested past the interpreter's stack
+        raise GraphError(f"{path}: JSON nests too deeply to read") from exc
     except GraphError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -257,28 +274,6 @@ def subset_degrees(graph: Graph, edge_subset: Sequence[int]) -> dict[int, int]:
         deg[u] = deg.get(u, 0) + 1
         deg[v] = deg.get(v, 0) + 1
     return deg
-
-
-def is_connected_subset(graph: Graph, edge_subset: Sequence[int]) -> bool:
-    """Whether the subgraph spanned by these edges is connected (ignoring the rest)."""
-    edge_subset = list(edge_subset)
-    if not edge_subset:
-        return False
-    adj: dict[int, list[int]] = {}
-    for i in edge_subset:
-        u, v = graph.edges[i]
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    start = graph.edges[edge_subset[0]][0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(adj)
 
 
 @dataclass(frozen=True)
@@ -468,18 +463,27 @@ def block_tree_candidates(graph: Graph) -> Iterator[tuple[int, ...]]:
     """
     m = len(graph.edges)
     adj = graph.adjacency
-    cycles_at: list[list[tuple[int, int]]] = [[] for _ in range(graph.vertex_count)]
-    states = []
-    for verts, edge_mask, vertex_mask in simple_cycles(graph):
+    cycles = simple_cycles(graph)
+    # through[v]: bitmask over the indices of the cycles through v
+    through = [0] * graph.vertex_count
+    for i, (verts, _, _) in enumerate(cycles):
         for v in verts:
-            cycles_at[v].append((edge_mask, vertex_mask))
-        states.append((edge_mask, vertex_mask, vertex_mask))
+            through[v] |= 1 << i
+    states = [(edges, verts, verts) for _, edges, verts in cycles]
     seen = {edge_mask for edge_mask, _, _ in states}
     everything = (1 << graph.vertex_count) - 1
 
     while states:
         edge_mask, vertex_mask, free = states.pop()
         yield tuple(i for i in range(m) if edge_mask >> i & 1)
+        # the cycles through one or more, and through two or more, state vertices
+        once = twice = 0
+        state_rest = vertex_mask
+        while state_rest:
+            low = state_rest & -state_rest
+            state_rest ^= low
+            twice |= once & through[low.bit_length() - 1]
+            once |= through[low.bit_length() - 1]
         rest = free
         while rest:
             bit = rest & -rest
@@ -487,30 +491,37 @@ def block_tree_candidates(graph: Graph) -> Iterator[tuple[int, ...]]:
             v = bit.bit_length() - 1
             still_free = free ^ bit
             # Simple paths out of v that avoid the state, as (far end, edge
-            # mask, vertex mask); the empty path attaches a cycle at v itself.
-            paths = [(v, 0, 0)]
+            # mask, vertex mask, cycles through a taken vertex other than the
+            # far end); the empty path attaches a cycle at v itself, and a
+            # cycle through v meets another state vertex if it meets two.
+            paths = [(v, 0, 0, twice)]
             while paths:
-                end, path_edges, path_verts = paths.pop()
+                end, path_edges, path_verts, blocked = paths.pop()
                 taken = vertex_mask | path_verts
                 end_bit = 1 << end
-                for cycle_edges, cycle_verts in cycles_at[end]:
-                    if cycle_verts & taken == end_bit:
-                        grown = edge_mask | path_edges | cycle_edges
-                        if grown not in seen:
-                            seen.add(grown)
-                            # every vertex of the new cycle but its joint is free
-                            states.append((
-                                grown,
-                                taken | cycle_verts,
-                                still_free | (cycle_verts ^ end_bit),
-                            ))
+                # the cycles meeting state and path only at the far end
+                attach = through[end] & ~blocked
+                while attach:
+                    low = attach & -attach
+                    attach ^= low
+                    _, cycle_edges, cycle_verts = cycles[low.bit_length() - 1]
+                    grown = edge_mask | path_edges | cycle_edges
+                    if grown not in seen:
+                        seen.add(grown)
+                        # every vertex of the new cycle but its joint is free
+                        states.append((
+                            grown,
+                            taken | cycle_verts,
+                            still_free | (cycle_verts ^ end_bit),
+                        ))
                 # a step to w pays only if w and two more vertices are untaken
                 if (everything & ~taken).bit_count() < 3:
                     continue
+                blocked = (blocked if path_verts else once) | through[end]
                 for w, e in adj[end]:
                     if not taken >> w & 1:
                         paths.append(
-                            (w, path_edges | 1 << e, path_verts | 1 << w)
+                            (w, path_edges | 1 << e, path_verts | 1 << w, blocked)
                         )
 
 

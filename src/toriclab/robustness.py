@@ -46,7 +46,10 @@ def check_generalized_robust_sets(analysis: GraphAnalysis) -> CriterionReport:
                     "minimality_failures": list(ann["minimality_failures"]),
                 },
             )
-    raise InternalInvariantError("set difference lost its witness")
+    raise InternalInvariantError(
+        f"markov-equals-graver criterion of graph {analysis.graph.digest()}: "
+        "set difference lost its witness"
+    )
 
 
 def check_generalized_robust_conditions(analysis: GraphAnalysis) -> CriterionReport:
@@ -147,7 +150,10 @@ def check_unique_generation(
     for b in analysis.universal_markov.elements:
         if (b.plus, b.minus) in dispensable:
             return CriterionReport(name, False, {"binomial": b.to_json()})
-    raise InternalInvariantError("set difference lost its witness")
+    raise InternalInvariantError(
+        f"{name} criterion of graph {analysis.graph.digest()}: set difference "
+        "lost its witness"
+    )
 
 
 @dataclass(frozen=True)

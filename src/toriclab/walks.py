@@ -202,7 +202,8 @@ def classify_chords(
         parities = {(t - s) % 2 for s, t in pairs}
         if len(parities) != 1:
             raise ChordClassificationError(
-                f"chord {graph.edge_label(f)} has occurrence pairs of mixed parity"
+                f"chord classification of graph {graph.digest()}: chord "
+                f"{graph.edge_label(f)} has occurrence pairs of mixed parity"
             )
         kind = "odd" if parities.pop() == 0 else "even"
         reports.append(ChordReport(f, kind, pairs))
@@ -237,11 +238,14 @@ class F4Record:
     sides: tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _single_position(walk: ClosedEvenWalk, edge: int) -> int:
+def _single_position(
+    graph: Graph, walk: ClosedEvenWalk, edge: int, stage: str
+) -> int:
     occ = walk.edge_occurrences[edge]
     if len(occ) != 1:
         raise InternalInvariantError(
-            f"walk edge index {edge} expected once in a cyclic block, found {len(occ)}"
+            f"{stage} of graph {graph.digest()}: walk edge index {edge} "
+            f"expected once in a cyclic block, found {len(occ)}"
         )
     return occ[0]
 
@@ -269,11 +273,12 @@ def find_F4s(
             e2 = graph.edge_between(x2, y2)
             if e1 is None or e2 is None or e1 not in on_walk or e2 not in on_walk:
                 continue
-            p1 = _single_position(walk, e1)
-            p2 = _single_position(walk, e2)
+            p1 = _single_position(graph, walk, e1, "F4 search")
+            p2 = _single_position(graph, walk, e2, "F4 search")
             if (p1 - p2) % 2 != 0:
                 raise InternalInvariantError(
-                    "F4 walk edges landed on positions of different parity"
+                    f"F4 search of graph {graph.digest()}: F4 walk edges "
+                    "landed on positions of different parity"
                 )
             lo, hi = min(p1, p2), max(p1, p2)
             L = walk.length
@@ -331,9 +336,12 @@ def sinks_and_strong_primitivity(
             ]
             if len(incident) != 2:
                 raise InternalInvariantError(
-                    f"vertex {graph.labels[v]} has {len(incident)} edges in a cyclic block"
+                    f"sink search of graph {graph.digest()}: vertex "
+                    f"{graph.labels[v]} has {len(incident)} edges in a cyclic block"
                 )
-            parities = [_single_position(walk, ei) % 2 for ei in incident]
+            parities = [
+                _single_position(graph, walk, ei, "sink search") % 2 for ei in incident
+            ]
             if parities[0] == parities[1]:
                 block_sinks.append(v)
         for u, w in combinations(block_sinks, 2):
@@ -351,7 +359,7 @@ def is_mixed(
     """Whether no cyclic block is pure, i.e. none sits entirely in one class."""
     for bi in dec.cyclic_blocks():
         classes = {
-            _single_position(walk, e) % 2 for e in dec.blocks[bi]
+            _single_position(graph, walk, e, "mixed test") % 2 for e in dec.blocks[bi]
         }
         if len(classes) == 1:
             return False
@@ -528,7 +536,10 @@ def walk_from_primitive_subgraph(
                 if ei in edge_set and w != prev
             ]
             if len(nxt) != 1:
-                raise InternalInvariantError("cyclic block is not a simple cycle")
+                raise InternalInvariantError(
+                    f"walk reconstruction of graph {graph.digest()}: cyclic "
+                    "block is not a simple cycle"
+                )
             if nxt[0] == entry:
                 break
             order.append(nxt[0])
@@ -553,5 +564,8 @@ def walk_from_primitive_subgraph(
         vseq.append(w if vseq[-1] == u else u)
     u, w = graph.edges[seq[-1]]
     if vseq[0] not in (u, w):
-        raise InternalInvariantError("block tour did not close up")
+        raise InternalInvariantError(
+            f"walk reconstruction of graph {graph.digest()}: block tour did "
+            "not close up"
+        )
     return make_walk(graph, seq, vseq)

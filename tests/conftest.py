@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from toriclab.bases import analyze_graph, fiber_bundle
+from toriclab.binomials import make_binomial
 from toriclab.graphs import Graph, GraphError, load_graph
 from toriclab.robustness import robustness_verdict
 
@@ -48,6 +49,35 @@ def support_minimal(elements) -> set:
         for key, support in supports.items()
         if not any(other < support for other in supports.values())
     }
+
+
+def is_connected_subset(graph, edge_subset):
+    """Whether the subgraph spanned by these edges is connected (ignoring the rest)."""
+    edge_subset = list(edge_subset)
+    if not edge_subset:
+        return False
+    adj = {}
+    for i in edge_subset:
+        u, v = graph.edges[i]
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    start = graph.edges[edge_subset[0]][0]
+    seen = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for w in adj[u]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj)
+
+
+def binomial_from_vector(vector, degree_fn):
+    """The binomial of a kernel vector: its positive part minus its negative part."""
+    plus = tuple(x if x > 0 else 0 for x in vector)
+    minus = tuple(-x if x < 0 else 0 for x in vector)
+    return make_binomial(plus, minus, degree_fn)
 
 
 def wide_graphs(count, seed, edges=12):

@@ -8,12 +8,13 @@ from toriclab.binomials import (
     BinomialError,
     DegreeMismatchError,
     NonCoprimeError,
-    binomial_from_vector,
     make_basis_set,
     make_binomial,
     render_monomial,
 )
 from toriclab.graphs import degree_of
+
+from conftest import binomial_from_vector
 
 
 def total(exponents):

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import toriclab
+import toriclab.walks
 from toriclab.bases import graph_config
 from toriclab.binomials import make_basis_set
 from toriclab.cli import main
@@ -245,6 +246,31 @@ def test_malformed_matrix_json_exits_two(capsys, tmp_path, matrix):
     assert code == 2
     assert out == ""
     assert err.startswith("toriclab: error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command,key", [("check", "edges"), ("matrix", "matrix")]
+)
+def test_deep_json_exits_two_naming_the_file(capsys, tmp_path, command, key):
+    # nested past the interpreter's stack, the JSON cannot be read at all
+    depth = 200_000
+    path = tmp_path / "deep.json"
+    path.write_text(f'{{"vertices": 3, "{key}": ' + "[" * depth + "]" * depth + "}")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("toriclab: error:") and str(path) in err
+    assert "recursion depth" not in err
+
+
+def test_unparsable_line_is_echoed_short(capsys, tmp_path):
+    path = tmp_path / "long.txt"
+    path.write_text("1 2\n" + "3 " * 200_000 + "\n")
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert "line 2: expected 'u v'" in err
+    echo = err.split("got ", 1)[1].rstrip("\n")
+    assert len(echo) == 80 and echo.endswith("…")
 
 
 def test_scale_guard_exit_code_and_force(capsys, tmp_path):
@@ -535,6 +561,21 @@ def test_fiber_bundle_breach_names_the_graph(capsys, monkeypatch):
     code, _, err = run(capsys, "check", path)
     assert code == 4
     assert "invariant breach: fiber bundle" in err
+    assert load_graph(path).digest() in err
+
+
+def test_walk_side_breach_names_the_graph(capsys, monkeypatch):
+    # a walk whose every edge occurs twice breaks the position lookup of the
+    # chord calculus; the breach names the stage and the graph's digest
+    monkeypatch.setattr(
+        toriclab.walks.ClosedEvenWalk,
+        "edge_occurrences",
+        property(lambda walk: {e: (1, 2) for e in walk.edges}),
+    )
+    path = fixture_path("k4")
+    code, _, err = run(capsys, "check", path)
+    assert code == 4
+    assert "invariant breach: F4 search of graph" in err
     assert load_graph(path).digest() in err
 
 

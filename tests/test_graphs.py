@@ -21,9 +21,10 @@ from toriclab.graphs import (
     graph_to_json,
     has_four_cycle,
     incidence_matrix,
-    is_connected_subset,
     parse_graph,
 )
+
+from conftest import is_connected_subset
 
 
 def test_parse_edge_list_with_comments():

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toriclab.oracle
 from toriclab.bases import analyze_graph, fiber_bundle, graph_config
-from toriclab.binomials import binomial_from_vector, make_basis_set, make_binomial
+from toriclab.binomials import make_basis_set, make_binomial
 from toriclab.errors import ScaleGuardError
 from toriclab.graphs import Graph, load_graph
 from toriclab.oracle import (
@@ -22,12 +23,20 @@ from toriclab.oracle import (
     candidate_degrees,
     config_from_rows,
     fiber,
+    fiber_graphs,
+    fibers,
     graver_bounded,
     markov_bundle,
     sample_groebner,
 )
 
-from conftest import FIXTURES, fixture_path, support_minimal, wide_graphs
+from conftest import (
+    FIXTURES,
+    binomial_from_vector,
+    fixture_path,
+    support_minimal,
+    wide_graphs,
+)
 
 N5_ROWS = json.loads(
     (Path(__file__).parent / "fixtures" / "matrix" / "n5.json").read_text()
@@ -251,6 +260,64 @@ def test_fiber_of_a_zero_row():
 
 def test_fiber_of_many_columns_does_not_recurse():
     assert fiber(config_from_rows([[1] * 2000]), (0,)) == ((0,) * 2000,)
+
+
+@st.composite
+def _batch_cases(draw):
+    """A ``_fiber_cases`` configuration and enough distinct degrees to make
+    ``fibers`` sweep them as one batch, some of them repeated."""
+    cfg, _ = draw(_fiber_cases())
+    degree = st.tuples(*[st.integers(-1, 4)] * cfg.nrows)
+    distinct = draw(
+        st.lists(degree, min_size=toriclab.oracle._BATCH_MIN_DEGREES,
+                 max_size=12, unique=True)
+    )
+    repeated = draw(st.lists(st.sampled_from(distinct), max_size=3))
+    return cfg, draw(st.permutations(distinct + repeated))
+
+
+@given(_batch_cases())
+@settings(max_examples=200, deadline=None)
+def test_batched_fibers_match_reference_on_random_configs(case):
+    cfg, degrees = case
+    assert fibers(cfg, degrees) == {d: _fiber_reference(cfg, d) for d in degrees}
+
+
+def test_fibers_reject_a_degree_of_the_wrong_length():
+    cfg = config_from_rows([[1, 1, 0], [0, 1, 1]])
+    degrees = [(1, 1), (2, 1), (0, 0), (1, 2), (1, 1, 1)]
+    with pytest.raises(ConfigError):
+        fibers(cfg, degrees)
+
+
+@pytest.mark.parametrize("big", [200, 2**40, 2**63 - 1, 2**63, 2**70])
+def test_batched_fibers_take_wide_entries(big):
+    # entries past int8, past int32, at and past the end of int64
+    cfg = config_from_rows([[1, big, 1], [1, 0, 2]])
+    degrees = [(big, 0), (big + 1, 1), (2, 2), (3, 3), (1, 1), (0, 0)]
+    assert fibers(cfg, degrees) == {d: fiber(cfg, d) for d in degrees}
+    assert fibers(cfg, degrees)[(big + 1, 1)] == ((1, 1, 0),)
+    # every column reaches both rows, so the big degree's fiber is cut short
+    small = config_from_rows([[1, 1], [1, 2]])
+    degrees = [(big, 1), (1, 1), (2, 3), (0, 0)]
+    assert fibers(small, degrees) == {d: fiber(small, d) for d in degrees}
+
+
+@pytest.mark.parametrize(
+    "graph", wide_graphs(8, seed=1212), ids=lambda g: g.digest()[:12]
+)
+def test_fiber_graphs_do_not_depend_on_the_sweep(graph, monkeypatch):
+    # the 12-edge graphs have dozens of Graver degrees, so ``fibers`` sweeps
+    # them in one batch; sweeps of 5 degrees, and one ``fiber`` call per
+    # degree, must give the same
+    cfg = graph_config(graph)
+    degrees = candidate_degrees(analyze_graph(graph).graver.elements)
+    assert len(degrees) > 5
+    batched = fiber_graphs(cfg, degrees)
+    monkeypatch.setattr(toriclab.oracle, "_BATCH_MAX_DEGREES", 5)
+    assert fiber_graphs(cfg, degrees) == batched
+    monkeypatch.setattr(toriclab.oracle, "_BATCH_MIN_DEGREES", len(degrees) + 1)
+    assert fiber_graphs(cfg, degrees) == batched
 
 
 def _keys(binomials):
