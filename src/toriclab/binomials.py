@@ -8,6 +8,7 @@ were produced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 
@@ -49,13 +50,30 @@ class Binomial:
     def render(self, prefix: str = "e") -> str:
         return f"{render_monomial(self.plus, prefix)} - {render_monomial(self.minus, prefix)}"
 
+    @cached_property
+    def _json_bodies(self) -> dict[str, dict]:
+        return {}
+
     def to_json(self, prefix: str = "e") -> dict:
-        return {
-            "plus": {f"{prefix}{i + 1}": k for i, k in enumerate(self.plus) if k},
-            "minus": {f"{prefix}{i + 1}": k for i, k in enumerate(self.minus) if k},
-            "degree": list(self.degree),
-            "text": self.render(prefix),
-        }
+        """Exponents, degree and text, with variables named ``prefix1``, ...
+
+        The dict is built on the first call for each prefix and every later
+        call returns that same dict, so the sets that share an element share
+        its body.  It is read-only: copy it before changing it.
+        """
+        body = self._json_bodies.get(prefix)
+        if body is None:
+            body = self._json_bodies[prefix] = {
+                "plus": {
+                    f"{prefix}{i + 1}": k for i, k in enumerate(self.plus) if k
+                },
+                "minus": {
+                    f"{prefix}{i + 1}": k for i, k in enumerate(self.minus) if k
+                },
+                "degree": list(self.degree),
+                "text": self.render(prefix),
+            }
+        return body
 
 
 def render_monomial(exponents: Sequence[int], prefix: str = "e") -> str:

@@ -3,11 +3,15 @@
 Subcommands map onto the public API: the four set computations, a full
 analysis with optional brute-force cross-check, robustness checks, the
 generic matrix oracle, and corpus sweeps.  JSON output is canonical and
-byte-identical across reruns of the same command; wall-clock timings are
-printed to stderr in text mode only, so they never perturb the reports.
+byte-identical across reruns of the same command: ``_canonical_json`` writes
+exactly what ``json.dumps(report, sort_keys=True, indent=2)`` would.
+Wall-clock timings are printed to stderr in text mode only, so they never
+perturb the reports.
 
-Exit codes: 0 success, 2 unreadable input, 3 scale guard or recursion
-depth, 4 internal invariant or expectation breach, 5 negative matrix entries.
+Exit codes: 0 success, 2 unreadable input (a graph, matrix or sidecar file
+that does not decode or parse, nests too deeply, or holds an integer past
+4,300 digits), 3 scale guard or recursion depth, 4 internal invariant or
+expectation breach, 5 negative matrix entries.
 """
 
 from __future__ import annotations
@@ -15,9 +19,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 import time
 from collections import Counter
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .bases import (
@@ -134,9 +140,71 @@ def _groebner_union(config: ToricConfig, generators, samples: int, seed: int) ->
     )
 
 
+def _float_json(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# formatters of the JSON scalars, by exact type
+_SCALAR_JSON = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_json,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _canonical_json(obj, newline: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    Takes dicts with ``str`` keys, lists, tuples, ``str``, ``int``, ``float``,
+    ``bool`` and ``None``, by exact type; anything else raises ``TypeError``.
+    ``newline`` is a line break followed by the indentation of ``obj``.
+    CPython's ``json`` encodes with ``indent`` in pure Python; this builds each
+    container with one join and formats scalar children without recursing.
+    A nesting level costs one interpreter frame (plain loops, no
+    comprehensions), so a sidecar value as deep as the JSON reader accepts
+    still prints.
+    """
+    fmt = _SCALAR_JSON.get(type(obj))
+    if fmt is not None:
+        return fmt(obj)
+    inner = newline + "  "
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        parts = []
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            value = obj[key]
+            fmt = _SCALAR_JSON.get(type(value))
+            parts.append(
+                encode_basestring_ascii(key)
+                + ": "
+                + (fmt(value) if fmt else _canonical_json(value, inner))
+            )
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if type(obj) in (list, tuple):
+        if not obj:
+            return "[]"
+        parts = []
+        for value in obj:
+            fmt = _SCALAR_JSON.get(type(value))
+            parts.append(fmt(value) if fmt else _canonical_json(value, inner))
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, args: argparse.Namespace, timings: _Timings, renderer) -> None:
     if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_canonical_json(report))
     else:
         renderer(report)
         timings.dump()
@@ -466,7 +534,9 @@ def _load_expectation(path: Path) -> dict | None:
             expect = json.load(fh)
     except json.JSONDecodeError as exc:
         raise _named_json_error(sidecar, exc) from exc
-    except UnicodeDecodeError as exc:
+    except RecursionError as exc:  # JSON nested past the interpreter's stack
+        raise ValueError(f"{sidecar}: JSON nests too deeply to read") from exc
+    except ValueError as exc:  # undecodable bytes, an integer past 4,300 digits
         raise ValueError(f"{sidecar}: {exc}") from exc
     if not isinstance(expect, dict) or not isinstance(expect.get("counts", {}), dict):
         raise ValueError(

@@ -225,12 +225,12 @@ def load_graph(path: str) -> Graph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_graph(fh.read())
-    except UnicodeDecodeError as exc:
-        raise GraphError(f"{path}: {exc}") from exc
     except RecursionError as exc:  # JSON nested past the interpreter's stack
         raise GraphError(f"{path}: JSON nests too deeply to read") from exc
     except GraphError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
+    except ValueError as exc:  # undecodable bytes, a label past 4,300 digits
+        raise GraphError(f"{path}: {exc}") from exc
 
 
 def degree_of(graph: Graph, exponents: Sequence[int]) -> tuple[int, ...]:

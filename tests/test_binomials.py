@@ -65,6 +65,18 @@ def test_json_round_trip():
     assert obj["text"] == b.render("x")
 
 
+def test_json_body_is_built_once_per_prefix():
+    b = make_binomial((0, 2, 0, 1), (1, 0, 2, 0), total)
+    e, x = b.to_json("e"), b.to_json("x")
+    assert b.to_json("e") is e and b.to_json("x") is x
+    assert e is not x
+    assert e["plus"] == {"e1": 1, "e3": 2} and x["plus"] == {"x1": 1, "x3": 2}
+    assert e["text"] == b.render("e") and x["text"] == b.render("x")
+    # the cache is not a field: equal binomials still compare and hash equal
+    again = make_binomial((0, 2, 0, 1), (1, 0, 2, 0), total)
+    assert again == b and hash(again) == hash(b)
+
+
 def test_basis_set_sorted_and_deduplicated():
     b1 = make_binomial((1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1), total)
     b2 = make_binomial((0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1), total)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -9,9 +10,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import toriclab
+import toriclab.cli as cli
 import toriclab.walks
 from toriclab.bases import graph_config
 from toriclab.binomials import make_basis_set
@@ -357,6 +362,37 @@ def test_suite_rejects_bad_paths(capsys, tmp_path):
         ("check", "graph.txt", b"\xff1 2\n", "can't decode byte 0xff"),
         ("matrix", "m.txt", b"\xff1 0\n", "can't decode byte 0xff"),
         ("suite", "square.expect.json", b"\xff{}", "can't decode byte 0xff"),
+        pytest.param(
+            "suite",
+            "square.expect.json",
+            b'{"counts": {"graver": ' + b"[" * 200_000 + b"]" * 200_000 + b"}}",
+            "nests too deeply",
+            id="suite-deep-sidecar",
+        ),
+        pytest.param(
+            "suite",
+            "square.expect.json",
+            b'{"counts": {"graver": ' + b"9" * 5000 + b"}}",
+            "4300 digits",
+            id="suite-long-integer-in-sidecar",
+        ),
+        pytest.param(
+            "check",
+            "graph.json",
+            b'{"vertices": 3, "edges": [[1, ' + b"9" * 5000 + b"]]}",
+            "4300 digits",
+            id="check-long-json-label",
+        ),
+        pytest.param(
+            "check",
+            "graph.txt",
+            b"".join(
+                b"%d%s %d%s\n" % (a, b"9" * 5000, b, b"9" * 5000)
+                for a, b in ((1, 2), (2, 3), (3, 1))
+            ),
+            "4300 digits",
+            id="check-long-edge-list-label",
+        ),
     ],
 )
 def test_loader_errors_name_the_file(capsys, tmp_path, command, name, text, detail):
@@ -653,8 +689,6 @@ def test_installed_console_script_round_trip():
 def test_parser_is_built_once_and_still_rejects_bad_arguments(
     capsys, monkeypatch
 ):
-    import toriclab.cli as cli
-
     built = []
     real = cli.build_parser
     monkeypatch.setattr(cli, "_PARSER", None)
@@ -671,3 +705,115 @@ def test_parser_is_built_once_and_still_rejects_bad_arguments(
     code, out, _ = run(capsys, "check", "--format", "json", fixture_path("c4"))
     assert code == 0 and json.loads(out)["verdict"]["robust"]
     assert built == [1]
+
+
+# --- the canonical JSON encoder ---------------------------------------------
+# `json.dumps(..., sort_keys=True, indent=2)` is the reference: every report
+# must come out byte for byte as it would write it.
+
+
+def _reference_json(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**64, 2**200).flatmap(lambda n: st.sampled_from((n, -n)))
+    | st.floats()
+    | st.text()
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=40,
+)
+
+
+@given(_json_values)
+@settings(max_examples=400, deadline=None)
+@example(
+    {
+        "": [],
+        "é\x00\x1f ": {},
+        "z": [[], {}, (), [[{}]], -0.0, math.nan, math.inf, -math.inf],
+        "big": [2**100, -(2**100), True, False, None, "\\\"퟿"],
+    }
+)
+def test_canonical_json_matches_json_dumps(value):
+    assert cli._canonical_json(value) == _reference_json(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {1, 2},
+        np.int64(3),
+        [np.int64(3)],
+        {"a": frozenset()},
+        # json.dumps would write the key as "1"; reports have str keys only
+        {1: "x"},
+    ],
+)
+def test_canonical_json_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        cli._canonical_json(value)
+
+
+def _assert_canonical(out: str) -> None:
+    assert out == _reference_json(json.loads(out)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("circuits", fixture_path("domino")),
+        ("graver", fixture_path("domino")),
+        ("ugb", fixture_path("domino")),
+        ("markov", fixture_path("domino")),
+        ("analyze", "--oracle", "--samples", "2", fixture_path("bowtie")),
+        ("check", fixture_path("triangle_per_corner")),
+        ("matrix", "--samples", "2", FIXTURES / "matrix" / "n5.json"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_output_of_every_command_is_canonical(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0 and err == ""
+    _assert_canonical(out)
+
+
+def test_suite_echoes_sidecar_values_canonically(capsys, tmp_path):
+    # The encoder takes one interpreter frame per nesting level, so a value
+    # nested about as deep as the JSON reader goes still prints.
+    deep = "[" * 800 + "]" * 800
+    shutil.copy(fixture_path("c4"), tmp_path / "square.txt")
+    (tmp_path / "square.expect.json").write_text(
+        '{"robust": "é", "generalized_robust": [[], {}, {"k": [[]]}],'
+        ' "counts": {"graver": NaN, "circuits": -Infinity,'
+        f' "universal_markov": 1.5, "nope": {{"a": []}}, "deep": {deep}}}}}',
+        encoding="utf-8",
+    )
+    code, out, _ = run(capsys, "suite", "--format", "json", tmp_path)
+    assert code == 4
+    _assert_canonical(out)
+    assert '"expected": NaN' in out and '"expected": -Infinity' in out
+    assert '"expected": "\\u00e9"' in out and '"counts.deep"' in out
+
+
+def test_reports_from_one_analysis_are_identical(capsys, monkeypatch):
+    # the sets share each element's JSON body; emitting must not change it
+    path = fixture_path("domino")
+    analysis = toriclab.analyze_graph(load_graph(path))
+    monkeypatch.setattr(cli, "analyze_graph", lambda graph, force=False: analysis)
+    argv = ("analyze", "--oracle", "--samples", "2", "--format", "json", path)
+    first = run(capsys, *argv)
+    run(capsys, "analyze", path)
+    second = run(capsys, *argv)
+    assert first == second and first[0] == 0
+    _assert_canonical(first[1])
+    body = analysis.graver.elements[0].to_json()
+    assert analysis.graver.to_json()["elements"][0]["plus"] is body["plus"]
