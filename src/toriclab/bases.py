@@ -1,9 +1,10 @@
 """The four distinguished binomial families of a graph's toric ideal.
 
 Everything is driven by closed even walks.  Primitive walks are built from
-their block trees: ``graphs.block_tree_candidates`` grows trees of cycles
-and cut-edge paths out of each cycle, and ``walks.is_primitive_subgraph``
-keeps the even cycles and the trees with odd sides at every cut vertex.
+their block trees: ``graphs.primitive_block_trees`` grows trees of cycles
+and cut-edge paths out of each cycle and yields the even cycles and the
+trees with odd sides at every cut vertex, each with the block tree it
+grew, so no walk's primitivity or blocks are worked out a second time.
 Circuits are read off those walks' block trees: the primitive walks with
 one cyclic block (an even cycle) or two (odd cycles meeting in a vertex or
 joined by a path).  The universal Groebner and universal Markov members are
@@ -23,18 +24,18 @@ from .errors import InternalInvariantError, ScaleGuardError
 from .graphs import (
     BlockDecomposition,
     Graph,
-    block_tree_candidates,
     incidence_matrix,
+    primitive_block_trees,
 )
 from .oracle import FiberBundle, ToricConfig, markov_bundle
 from .walks import (
     ChordReport,
     ClosedEvenWalk,
     F4Record,
+    PrimitivityCheck,
     classify_chords,
     find_F4s,
     is_mixed,
-    is_primitive_subgraph,
     minimality_failures,
     walk_binomial,
     walk_from_primitive_subgraph,
@@ -84,14 +85,10 @@ def primitive_elements(graph: Graph) -> tuple[PrimitiveElement, ...]:
     """Every primitive walk of the graph, sorted by binomial."""
 
     out = []
-    for subset in block_tree_candidates(graph):
-        if len(subset) < 4:
-            continue
-        check = is_primitive_subgraph(graph, subset)
-        if not check.ok:
-            continue
-        walk = walk_from_primitive_subgraph(graph, subset, check)
-        dec = check.decomposition
+    for subset, dec in primitive_block_trees(graph):
+        walk = walk_from_primitive_subgraph(
+            graph, subset, PrimitivityCheck.accepted(dec)
+        )
         chords = tuple(classify_chords(graph, walk, dec))
         f4s = tuple(find_F4s(graph, walk, chords))
         out.append(

@@ -337,46 +337,49 @@ def block_decomposition(
         adj.setdefault(u, []).append((v, i))
         adj.setdefault(v, []).append((u, i))
 
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    parent_edge: dict[int, int | None] = {}
+    # An explicit stack of (vertex, neighbour iterator) frames, so a long
+    # path of blocks costs no interpreter depth.
+    root = min(adj)
+    disc = {root: 0}
+    low = {root: 0}
+    parent_edge: dict[int, int | None] = {root: None}
     stack: list[int] = []
     blocks: list[list[int]] = []
     cut: set[int] = set()
-    counter = 0
-    root = min(adj)
-
-    def dfs(u: int) -> None:
-        nonlocal counter
-        disc[u] = low[u] = counter
-        counter += 1
-        children = 0
-        for w, ei in adj[u]:
-            if ei == parent_edge.get(u):
+    root_children = 0
+    frames = [(root, iter(adj[root]))]
+    while frames:
+        u, neighbours = frames[-1]
+        for w, ei in neighbours:
+            if ei == parent_edge[u]:
                 continue
             if w not in disc:
                 parent_edge[w] = ei
                 stack.append(ei)
-                children += 1
-                dfs(w)
-                low[u] = min(low[u], low[w])
-                if low[w] >= disc[u]:
-                    # u closes off a block; pop edges discovered since ei
-                    block = []
-                    while True:
-                        e = stack.pop()
-                        block.append(e)
-                        if e == ei:
-                            break
-                    blocks.append(block)
-                    if parent_edge.get(u) is not None or children > 1:
-                        cut.add(u)
-            elif disc[w] < disc[u]:
+                disc[w] = low[w] = len(disc)  # discovery order
+                root_children += u == root
+                frames.append((w, iter(adj[w])))
+                break
+            if disc[w] < disc[u]:
                 stack.append(ei)
                 low[u] = min(low[u], disc[w])
-
-    parent_edge[root] = None
-    dfs(root)
+        else:
+            frames.pop()
+            if not frames:
+                break
+            p = frames[-1][0]
+            low[p] = min(low[p], low[u])
+            if low[u] >= disc[p]:
+                # p closes off a block; pop edges discovered since u's edge
+                block = []
+                while True:
+                    e = stack.pop()
+                    block.append(e)
+                    if e == parent_edge[u]:
+                        break
+                blocks.append(block)
+                if p != root or root_children > 1:
+                    cut.add(p)
     if len(disc) != len(adj):
         raise DisconnectedGraphError("edge subset spans a disconnected subgraph")
     if stack:  # pragma: no cover - DFS on a connected subgraph drains the stack
@@ -446,22 +449,53 @@ def simple_cycles(graph: Graph) -> list[tuple[tuple[int, ...], int, int]]:
     return out
 
 
-def block_tree_candidates(graph: Graph) -> Iterator[tuple[int, ...]]:
-    """Yield every edge set that is a tree of cycles, once, as a sorted tuple.
+def _bits(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return tuple(out)
 
-    These are the candidate primitive walks: a cycle, or cycles joined at
-    shared vertices or by paths of cut edges, with every cut vertex in
-    exactly two blocks.  A state is (edge mask, vertex mask, free mask); the
-    free mask holds the cycle vertices that host no attachment yet.  Each
-    cycle seeds a state, and a state grows at a free vertex ``v`` by a cycle
+
+def _odd_sides(attachments: tuple, cycle_lengths: list[int]) -> bool:
+    """Whether a tree of cycles has an odd side at every cut vertex.
+
+    Every cut vertex splits the tree into one attachment's subtree and the
+    rest, so that holds exactly when the cycle edges are even in number and
+    every non-root attachment's subtree holds an odd number of them.  A
+    parent precedes its children, so one backward pass sums the subtrees.
+    """
+    sizes = [cycle_lengths[cycle] for cycle, _, _, _ in attachments]
+    for a in range(len(attachments) - 1, 0, -1):
+        if sizes[a] % 2 == 0:
+            return False
+        sizes[attachments[a][1]] += sizes[a]
+    return sizes[0] % 2 == 0
+
+
+def primitive_block_trees(
+    graph: Graph,
+) -> Iterator[tuple[tuple[int, ...], BlockDecomposition]]:
+    """Yield every primitive walk's edge set, once, with its block tree.
+
+    The subgraph of a primitive walk is an even cycle, or a tree of cycles
+    joined at shared vertices or by paths of cut edges, with every cut
+    vertex in exactly two blocks and an odd number of cycle edges on both
+    sides of it.  Such trees are grown, not searched for.  A state is (edge
+    mask, vertex mask, free mask, attachments); the free mask holds the
+    cycle vertices that host no attachment yet.  Each cycle seeds a state as
+    its root attachment, and a state grows at a free vertex ``v`` by a cycle
     meeting it only at ``v``, or by a simple path out of ``v`` that avoids
     it followed by a cycle meeting state and path only at the path's far
-    end.  An edge set fixes its block tree, so a seen-set of edge masks
-    expands each candidate once.  Whether a candidate is primitive (even
-    cycle, odd sides at every cut vertex) is left to
-    ``walks.is_primitive_subgraph``.
+    end.  That growth is one attachment: (cycle index, parent attachment,
+    path edge mask, cut-vertex mask), whose cut vertices are ``v`` and the
+    path's vertices.  An edge set fixes its block tree, so a seen-set of
+    edge masks expands each tree once.  Only a tree passing ``_odd_sides``
+    gets its sorted edge tuple and its ``BlockDecomposition``, assembled
+    from its cycles and path edges: the one ``block_decomposition`` finds.
     """
-    m = len(graph.edges)
     adj = graph.adjacency
     cycles = simple_cycles(graph)
     # through[v]: bitmask over the indices of the cycles through v
@@ -469,13 +503,30 @@ def block_tree_candidates(graph: Graph) -> Iterator[tuple[int, ...]]:
     for i, (verts, _, _) in enumerate(cycles):
         for v in verts:
             through[v] |= 1 << i
-    states = [(edges, verts, verts) for _, edges, verts in cycles]
-    seen = {edge_mask for edge_mask, _, _ in states}
+    # each cycle as a block: (sorted edge tuple, sorted vertex tuple)
+    cycle_blocks = [(_bits(edges), _bits(verts)) for _, edges, verts in cycles]
+    cycle_lengths = [len(verts) for verts, _, _ in cycles]
+    states = [
+        (edges, verts, verts, ((i, -1, 0, 0),))
+        for i, (_, edges, verts) in enumerate(cycles)
+    ]
+    seen = {edge_mask for edge_mask, _, _, _ in states}
     everything = (1 << graph.vertex_count) - 1
 
     while states:
-        edge_mask, vertex_mask, free = states.pop()
-        yield tuple(i for i in range(m) if edge_mask >> i & 1)
+        edge_mask, vertex_mask, free, attachments = states.pop()
+        if _odd_sides(attachments, cycle_lengths):
+            blocks = [cycle_blocks[cycle] for cycle, _, _, _ in attachments]
+            cut = 0
+            for _, _, path_edges, joints in attachments:
+                cut |= joints
+                blocks.extend(((e,), graph.edges[e]) for e in _bits(path_edges))
+            blocks.sort()
+            yield _bits(edge_mask), BlockDecomposition(
+                tuple(edges for edges, _ in blocks),
+                tuple(verts for _, verts in blocks),
+                _bits(cut),
+            )
         # the cycles through one or more, and through two or more, state vertices
         once = twice = 0
         state_rest = vertex_mask
@@ -484,45 +535,51 @@ def block_tree_candidates(graph: Graph) -> Iterator[tuple[int, ...]]:
             state_rest ^= low
             twice |= once & through[low.bit_length() - 1]
             once |= through[low.bit_length() - 1]
-        rest = free
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            v = bit.bit_length() - 1
-            still_free = free ^ bit
-            # Simple paths out of v that avoid the state, as (far end, edge
-            # mask, vertex mask, cycles through a taken vertex other than the
-            # far end); the empty path attaches a cycle at v itself, and a
-            # cycle through v meets another state vertex if it meets two.
-            paths = [(v, 0, 0, twice)]
-            while paths:
-                end, path_edges, path_verts, blocked = paths.pop()
-                taken = vertex_mask | path_verts
-                end_bit = 1 << end
-                # the cycles meeting state and path only at the far end
-                attach = through[end] & ~blocked
-                while attach:
-                    low = attach & -attach
-                    attach ^= low
-                    _, cycle_edges, cycle_verts = cycles[low.bit_length() - 1]
-                    grown = edge_mask | path_edges | cycle_edges
-                    if grown not in seen:
-                        seen.add(grown)
-                        # every vertex of the new cycle but its joint is free
-                        states.append((
-                            grown,
-                            taken | cycle_verts,
-                            still_free | (cycle_verts ^ end_bit),
-                        ))
-                # a step to w pays only if w and two more vertices are untaken
-                if (everything & ~taken).bit_count() < 3:
-                    continue
-                blocked = (blocked if path_verts else once) | through[end]
-                for w, e in adj[end]:
-                    if not taken >> w & 1:
-                        paths.append(
-                            (w, path_edges | 1 << e, path_verts | 1 << w, blocked)
-                        )
+        # a free vertex lies on exactly one attachment's cycle, its parent
+        for parent, (cycle, _, _, _) in enumerate(attachments):
+            rest = free & cycles[cycle][2]
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                v = bit.bit_length() - 1
+                still_free = free ^ bit
+                # Simple paths out of v that avoid the state, as (far end,
+                # edge mask, vertex mask, cycles through a taken vertex other
+                # than the far end); the empty path attaches a cycle at v
+                # itself, and a cycle through v meets another state vertex if
+                # it meets two.
+                paths = [(v, 0, 0, twice)]
+                while paths:
+                    end, path_edges, path_verts, blocked = paths.pop()
+                    taken = vertex_mask | path_verts
+                    end_bit = 1 << end
+                    # the cycles meeting state and path only at the far end
+                    attach = through[end] & ~blocked
+                    while attach:
+                        low = attach & -attach
+                        attach ^= low
+                        new = low.bit_length() - 1
+                        _, cycle_edges, cycle_verts = cycles[new]
+                        grown = edge_mask | path_edges | cycle_edges
+                        if grown not in seen:
+                            seen.add(grown)
+                            # every vertex of the new cycle but its joint is free
+                            states.append((
+                                grown,
+                                taken | cycle_verts,
+                                still_free | (cycle_verts ^ end_bit),
+                                attachments
+                                + ((new, parent, path_edges, bit | path_verts),),
+                            ))
+                    # a step to w pays only if w and two more vertices are untaken
+                    if (everything & ~taken).bit_count() < 3:
+                        continue
+                    blocked = (blocked if path_verts else once) | through[end]
+                    for w, e in adj[end]:
+                        if not taken >> w & 1:
+                            paths.append(
+                                (w, path_edges | 1 << e, path_verts | 1 << w, blocked)
+                            )
 
 
 def connected_edge_subsets(graph: Graph, max_vertex_degree: int = 4) -> Iterator[tuple[int, ...]]:
@@ -532,7 +589,7 @@ def connected_edge_subsets(graph: Graph, max_vertex_degree: int = 4) -> Iterator
     pruned when some vertex already exceeds ``max_vertex_degree`` inside the
     subset, since adding edges never lowers a degree.  Filtered by
     ``walks.is_primitive_subgraph`` it is the test oracle for
-    ``block_tree_candidates``; nothing in the package enumerates with it.
+    ``primitive_block_trees``; nothing in the package enumerates with it.
     """
     m = len(graph.edges)
     edge_neighbors: list[set[int]] = [set() for _ in range(m)]

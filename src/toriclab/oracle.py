@@ -110,15 +110,26 @@ class ToricConfig:
             tuple(row[j] for row in self.rows) for j in range(self.ncols)
         )
 
+    @cached_property
+    def column_support(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """For each column, its nonzero entries as (row, entry) pairs."""
+        return tuple(
+            tuple((i, a) for i, a in enumerate(column) if a)
+            for column in self.columns
+        )
+
     def degree(self, exponents: Sequence[int]) -> tuple[int, ...]:
+        """The degree A·u, summed over the nonzero exponents only."""
         if len(exponents) != self.ncols:
             raise ConfigError(
                 f"expected {self.ncols} exponents, got {len(exponents)}"
             )
-        return tuple(
-            sum(row[j] * exponents[j] for j in range(self.ncols))
-            for row in self.rows
-        )
+        deg = [0] * self.nrows
+        for k, support in zip(exponents, self.column_support):
+            if k:
+                for i, a in support:
+                    deg[i] += a * k
+        return tuple(deg)
 
     def to_json(self) -> dict:
         return {"matrix": [list(row) for row in self.rows]}

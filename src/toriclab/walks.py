@@ -417,6 +417,13 @@ class PrimitivityCheck:
     reason: str
     decomposition: BlockDecomposition | None = None
 
+    @classmethod
+    def accepted(cls, dec: BlockDecomposition) -> PrimitivityCheck:
+        """The passing verdict on a primitive walk's block tree."""
+        if len(dec.blocks) == 1:
+            return cls(True, "even cycle", dec)
+        return cls(True, "cycle/cut-edge block tree with odd sides", dec)
+
 
 def is_primitive_subgraph(graph: Graph, edge_subset: Sequence[int]) -> PrimitivityCheck:
     """Decide whether the connected subgraph is the graph of a primitive walk.
@@ -427,6 +434,10 @@ def is_primitive_subgraph(graph: Graph, edge_subset: Sequence[int]) -> Primitivi
     cycle-block edges. Connectivity is left to the block search, which
     raises DisconnectedGraphError on a disconnected subset; a subset with a
     pendant vertex is rejected before that search, connected or not.
+
+    This is the test for an arbitrary edge subset.  The enumeration does
+    not call it: ``graphs.primitive_block_trees`` decides the same rule on
+    the trees it grows and hands over their block trees.
     """
     edges = sorted(set(edge_subset))
     degrees = subset_degrees(graph, edges)
@@ -439,7 +450,7 @@ def is_primitive_subgraph(graph: Graph, edge_subset: Sequence[int]) -> Primitivi
             return PrimitivityCheck(False, "biconnected but not a cycle")
         if len(edges) % 2:
             return PrimitivityCheck(False, "odd cycle")
-        return PrimitivityCheck(True, "even cycle", dec)
+        return PrimitivityCheck.accepted(dec)
     for bi in range(len(dec.blocks)):
         if not (dec.is_cut_edge(bi) or dec.is_cyclic(bi)):
             return PrimitivityCheck(
@@ -463,7 +474,7 @@ def is_primitive_subgraph(graph: Graph, edge_subset: Sequence[int]) -> Primitivi
                     f"cut vertex {graph.labels[v]} has a side with an even "
                     f"cycle-edge total ({cyclic_total})",
                 )
-    return PrimitivityCheck(True, "cycle/cut-edge block tree with odd sides", dec)
+    return PrimitivityCheck.accepted(dec)
 
 
 def _sides_at_cut_vertex(dec: BlockDecomposition, v: int) -> list[set[int]]:
@@ -498,8 +509,11 @@ def walk_from_primitive_subgraph(
     at their cut vertices, cut edges are crossed on the way out and back.
     Each cycle edge appears once and each cut edge twice. The tie-break knob
     flips the traversal direction inside cycle blocks; the resulting binomial
-    must not depend on it. ``check`` is ``is_primitive_subgraph``'s verdict
-    on this same subset.
+    must not depend on it. ``check`` is a passing verdict on this same
+    subset, carrying its block tree: ``is_primitive_subgraph``'s, or
+    ``PrimitivityCheck.accepted`` on a tree from the generator.  The tour
+    keeps an explicit stack of blocks, so a deep block tree costs no
+    interpreter depth.
     """
     if not check.ok:
         raise NotPrimitiveError(check.reason)
@@ -507,22 +521,13 @@ def walk_from_primitive_subgraph(
     cut = set(dec.cut_vertices)
     pick = max if _reverse_ties else min
 
-    def other_block_at(v: int, current: int) -> int:
-        bs = dec.blocks_of_vertex[v]
-        return bs[0] if bs[1] == current else bs[1]
-
-    def tour_hanging(v: int, current: int) -> list[int]:
-        if v in cut:
-            return tour_block(other_block_at(v, current), v)
-        return []
-
-    def tour_block(bi: int, entry: int) -> list[int]:
+    def steps(bi: int, entry: int) -> list[tuple[int, int]]:
+        """One tour of block bi from entry, as (edge, vertex reached) steps."""
         block = dec.blocks[bi]
         if dec.is_cut_edge(bi):
             e = block[0]
             u, w = graph.edges[e]
-            far = w if u == entry else u
-            return [e] + tour_hanging(far, bi) + [e]
+            return [(e, w if u == entry else u), (e, entry)]
         edge_set = set(block)
         neighbors = sorted(
             w for w, ei in graph.adjacency[entry] if ei in edge_set
@@ -543,20 +548,33 @@ def walk_from_primitive_subgraph(
             if nxt[0] == entry:
                 break
             order.append(nxt[0])
-        seq: list[int] = []
-        L = len(order)
-        for k in range(L):
-            a, b = order[k], order[(k + 1) % L]
+        order.append(entry)
+        out = []
+        for a, b in zip(order, order[1:]):
             e = graph.edge_between(a, b)
             assert e is not None
-            seq.append(e)
-            if b != entry:
-                seq.extend(tour_hanging(b, bi))
-        return seq
+            out.append((e, b))
+        return out
 
+    # Each step's edge is followed by the tour of whatever hangs at the
+    # vertex it reaches: the other block there, if that vertex is a cut
+    # vertex and the step does not lead back to its own block's entry.  The
+    # root block has no parent, so what hangs at its entry comes last.
     root = 0  # blocks are sorted by smallest edge, so block 0 holds it
     entry = min(dec.block_vertices[root])
-    seq = tour_block(root, entry) + tour_hanging(entry, root)
+    seq: list[int] = []
+    frames = [(root, entry, iter(steps(root, entry)))]
+    while frames:
+        bi, block_entry, tour = frames[-1]
+        for e, v in tour:
+            seq.append(e)
+            if v in cut and (v != block_entry or bi == root):
+                bs = dec.blocks_of_vertex[v]
+                nb = bs[0] if bs[1] == bi else bs[1]
+                frames.append((nb, v, iter(steps(nb, v))))
+                break
+        else:
+            frames.pop()
 
     vseq = [entry]
     for e in seq[:-1]:

@@ -1,17 +1,20 @@
 """Distinguished sets from walks, cross-checked against the fiber machinery."""
 
+import sys
+
 import pytest
 
 from toriclab.bases import (
     analyze_graph,
     ensure_tractable,
     fiber_bundle,
+    primitive_elements,
 )
 from toriclab.corpus import random_connected_graphs
 from toriclab.errors import ScaleGuardError
 from toriclab.graphs import parse_graph
 
-from conftest import support_minimal
+from conftest import STRUCTURAL, support_minimal
 
 # circuits, graver, universal Groebner, universal Markov, indispensable
 EXPECTED_COUNTS = {
@@ -126,3 +129,26 @@ def test_random_graphs_keep_inclusions_and_cross_checks():
         # raises internally if the fiber side disagrees with the walk side
         bundle = fiber_bundle(g, a)
         assert bundle.indispensable.element_set() <= a.universal_markov.element_set()
+
+
+def test_primitive_elements_take_their_block_trees_from_the_generator(
+    graph_of, monkeypatch
+):
+    # The generator decides primitivity and hands over each block tree, so
+    # the general-subset test and the block search stay off the hot path.
+    expected = {name: primitive_elements(graph_of(name)) for name in STRUCTURAL}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a primitive walk's block tree was derived again")
+
+    for name, module in list(sys.modules.items()):
+        if name == "toriclab" or name.startswith("toriclab."):
+            for fn in ("is_primitive_subgraph", "block_decomposition"):
+                if hasattr(module, fn):
+                    monkeypatch.setattr(module, fn, refuse)
+    for name, elements in expected.items():
+        got = primitive_elements(graph_of(name))
+        assert got == elements
+        assert [e.decomposition for e in got] == [
+            e.decomposition for e in elements
+        ]

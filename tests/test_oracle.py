@@ -252,6 +252,19 @@ def test_fiber_matches_reference_on_random_configs(case):
     assert fiber(cfg, degree) == _fiber_reference(cfg, degree)
 
 
+@given(_small_configs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_degree_is_the_matrix_product(cfg, data):
+    exponents = data.draw(
+        st.lists(st.integers(0, 5), min_size=cfg.ncols, max_size=cfg.ncols)
+    )
+    assert cfg.degree(exponents) == tuple(
+        sum(a * k for a, k in zip(row, exponents)) for row in cfg.rows
+    )
+    with pytest.raises(ConfigError, match="exponents"):
+        cfg.degree(exponents + [0])
+
+
 def test_fiber_of_a_zero_row():
     cfg = config_from_rows([[1, 1], [0, 0]])
     assert fiber(cfg, (1, 0)) == ((0, 1), (1, 0))

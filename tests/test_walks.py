@@ -13,14 +13,14 @@ from toriclab.graphs import (
     DisconnectedGraphError,
     Graph,
     block_decomposition,
-    block_tree_candidates,
     connected_edge_subsets,
     load_graph,
     parse_graph,
-    subset_degrees,
+    primitive_block_trees,
 )
 from toriclab.walks import (
     NotPrimitiveError,
+    PrimitivityCheck,
     WalkError,
     chord_crosses_F4,
     classify_chords,
@@ -310,44 +310,53 @@ def test_walk_reconstruction_is_orientation_free(graph_of):
     )
 
 
-def is_cycle_tree(graph, subset):
-    """Whether the subset is what the generator builds: no pendant vertex,
-    every block a cycle or a cut edge, every cut vertex in two blocks."""
-    if 1 in subset_degrees(graph, subset).values():
-        return False
-    dec = block_decomposition(graph, subset)
-    return all(
-        dec.is_cyclic(b) or dec.is_cut_edge(b) for b in range(len(dec.blocks))
-    ) and all(len(dec.blocks_of_vertex[v]) == 2 for v in dec.cut_vertices)
+def test_deep_block_tree_without_recursion():
+    # two triangles joined by a 1,500-edge path: 1,502 blocks in a chain,
+    # far deeper than the interpreter's recursion limit
+    length = 1500
+    edges = [(0, 1), (1, 2), (0, 2)]
+    edges += [(v, v + 1) for v in range(2, 2 + length)]
+    far = 2 + length
+    edges += [(far, far + 1), (far + 1, far + 2), (far, far + 2)]
+    g = Graph(far + 3, tuple(edges))
+    ((subset, dec),) = primitive_block_trees(g)
+    assert subset == tuple(range(len(edges)))
+    assert dec == block_decomposition(g, subset)
+    assert len(dec.blocks) == length + 2
+    assert dec.cut_vertices == tuple(range(2, far + 1))
+    walk = walk_from_primitive_subgraph(g, subset, PrimitivityCheck.accepted(dec))
+    assert walk.length == 2 * length + 6
+    assert walk_binomial(g, walk).total_degree == length + 3
 
 
-def assert_candidates_match_subset_oracle(graph):
-    candidates = list(block_tree_candidates(graph))
-    assert len(candidates) == len(set(candidates)), "an edge set came twice"
-    subsets = list(connected_edge_subsets(graph))
-    # the generator builds exactly the cycle trees among the connected
-    # edge subsets ...
-    assert set(candidates) == {s for s in subsets if is_cycle_tree(graph, s)}
-
-    # ... so both keep the same primitive walks
-    def primitive(sets):
-        return {s for s in sets if is_primitive_subgraph(graph, s).ok}
-
-    assert primitive(candidates) == primitive(subsets)
+def assert_trees_match_subset_oracle(graph):
+    """The generator yields exactly the primitive connected edge subsets,
+    each once, each with the block tree the block search finds."""
+    trees = list(primitive_block_trees(graph))
+    subsets = [s for s, _ in trees]
+    assert len(subsets) == len(set(subsets)), "an edge set came twice"
+    assert set(subsets) == {
+        s
+        for s in connected_edge_subsets(graph)
+        if is_primitive_subgraph(graph, s).ok
+    }
+    for subset, dec in trees:
+        assert dec == block_decomposition(graph, subset)
+        assert dec == is_primitive_subgraph(graph, subset).decomposition
 
 
 @pytest.mark.parametrize(
     "path", sorted(FIXTURES.glob("*.txt")), ids=lambda p: p.stem
 )
 def test_candidates_match_subset_oracle_on_fixtures(path):
-    assert_candidates_match_subset_oracle(load_graph(str(path)))
+    assert_trees_match_subset_oracle(load_graph(str(path)))
 
 
 @pytest.mark.parametrize(
     "graph", wide_graphs(8, seed=1212), ids=lambda g: g.digest()[:12]
 )
 def test_candidates_match_subset_oracle_on_12_edge_graphs(graph):
-    assert_candidates_match_subset_oracle(graph)
+    assert_trees_match_subset_oracle(graph)
 
 
 @st.composite
@@ -367,4 +376,4 @@ def connected_graphs(draw, max_vertices=8, max_edges=14):
 @given(connected_graphs())
 @settings(max_examples=40, deadline=None)
 def test_candidates_match_subset_oracle_on_random_graphs(graph):
-    assert_candidates_match_subset_oracle(graph)
+    assert_trees_match_subset_oracle(graph)
