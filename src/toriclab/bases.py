@@ -210,9 +210,15 @@ def fiber_bundle(graph: Graph, analysis: GraphAnalysis) -> FiberBundle:
 
     The universal Markov basis read off the fibers must match the walk
     characterization or an invariant error is raised; the indispensable
-    elements carry their walk tags.
+    elements carry their walk tags.  A breach inside the fiber graphs is
+    raised again naming the graph and this stage.
     """
-    bundle = markov_bundle(graph_config(graph), analysis.graver.elements)
+    try:
+        bundle = markov_bundle(graph_config(graph), analysis.graver.elements)
+    except InternalInvariantError as exc:
+        raise InternalInvariantError(
+            f"fiber bundle of graph {graph.digest()}: {exc}"
+        ) from exc
     if bundle.universal_markov.element_set() != analysis.universal_markov.element_set():
         raise InternalInvariantError(
             f"fiber bundle of graph {graph.digest()}: universal Markov bases "

@@ -336,10 +336,23 @@ def block_decomposition(
         u, v = graph.edges[i]
         adj.setdefault(u, []).append((v, i))
         adj.setdefault(v, []).append((u, i))
+    blocks, cut, reached = _biconnected(adj, min(adj))
+    if reached != len(adj):
+        raise DisconnectedGraphError("edge subset spans a disconnected subgraph")
 
-    # An explicit stack of (vertex, neighbour iterator) frames, so a long
-    # path of blocks costs no interpreter depth.
-    root = min(adj)
+    ordered = sorted(tuple(sorted(b)) for b in blocks)
+    verts = tuple(subset_vertices(graph, b) for b in ordered)
+    return BlockDecomposition(tuple(ordered), verts, tuple(sorted(cut)))
+
+
+def _biconnected(adj, root: int) -> tuple[list[list[int]], set[int], int]:
+    """Hopcroft-Tarjan from ``root`` over ``adj`` (vertex -> (neighbour,
+    edge) pairs): the blocks as edge lists, the cut vertices, and the
+    number of vertices reached.
+
+    An explicit stack of (vertex, neighbour iterator) frames, so a long path
+    of blocks costs no interpreter depth.
+    """
     disc = {root: 0}
     low = {root: 0}
     parent_edge: dict[int, int | None] = {root: None}
@@ -380,14 +393,9 @@ def block_decomposition(
                 blocks.append(block)
                 if p != root or root_children > 1:
                     cut.add(p)
-    if len(disc) != len(adj):
-        raise DisconnectedGraphError("edge subset spans a disconnected subgraph")
     if stack:  # pragma: no cover - DFS on a connected subgraph drains the stack
         raise AssertionError("unpopped edges after block search")
-
-    ordered = sorted(tuple(sorted(b)) for b in blocks)
-    verts = tuple(subset_vertices(graph, b) for b in ordered)
-    return BlockDecomposition(tuple(ordered), verts, tuple(sorted(cut)))
+    return blocks, cut, len(disc)
 
 
 def has_four_cycle(graph: Graph) -> bool:
@@ -409,39 +417,42 @@ def simple_cycles(graph: Graph) -> list[tuple[tuple[int, ...], int, int]]:
     second vertex is smaller than its last.  An explicit stack of neighbour
     iterators walks the simple paths out of that least vertex through larger
     vertices only; a path closes into a cycle when its end is adjacent to
-    its start.  Trees hanging off the graph are peeled away first (what is
-    left is the 2-core), so a long pendant path costs linear time.
+    its start.  A cycle lies inside one block of the graph, so a path keeps
+    to the block of its first edge, and a first edge that is a bridge starts
+    none: a long path between cycles, or a pendant tree, costs linear time.
+    The cycles come in the order of the search over the whole graph, since
+    a path that left its first edge's block could not come back to close.
     """
     adj = graph.adjacency
-    degree = [len(a) for a in adj]
-    peel = [v for v, d in enumerate(degree) if d == 1]
-    core = (1 << graph.vertex_count) - 1
-    while peel:
-        v = peel.pop()
-        core &= ~(1 << v)
-        for w, _ in adj[v]:
-            degree[w] -= 1
-            if degree[w] == 1 and core >> w & 1:
-                peel.append(w)
+    # block[e]: the edge mask of e's block, or 0 when e is a bridge
+    block = [0] * len(graph.edges)
+    blocks, _, _ = _biconnected(adj, 0)
+    for edges in blocks:
+        if len(edges) > 1:
+            mask = sum(1 << e for e in edges)
+            for e in edges:
+                block[e] = mask
     out = []
     for s in range(graph.vertex_count):
-        if not core >> s & 1:
-            continue
         path = [s]
         path_edges = [0]  # edge mask of each path prefix
         on_path = 1 << s
         stack = [iter(adj[s])]
+        within = 0  # the block of the path's first edge
         while stack:
             for w, e in stack[-1]:
                 if w == s:
                     if len(path) >= 3 and path[1] < path[-1]:
                         out.append((tuple(path), path_edges[-1] | 1 << e, on_path))
-                elif w > s and core >> w & 1 and not on_path >> w & 1:
-                    path.append(w)
-                    path_edges.append(path_edges[-1] | 1 << e)
-                    on_path |= 1 << w
-                    stack.append(iter(adj[w]))
-                    break
+                elif w > s and not on_path >> w & 1:
+                    if len(path) == 1:
+                        within = block[e]
+                    if within >> e & 1:
+                        path.append(w)
+                        path_edges.append(path_edges[-1] | 1 << e)
+                        on_path |= 1 << w
+                        stack.append(iter(adj[w]))
+                        break
             else:
                 stack.pop()
                 on_path &= ~(1 << path.pop())

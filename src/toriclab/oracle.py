@@ -9,9 +9,14 @@ reads the minimal and universal Markov bases and the indispensable elements
 off the fiber graphs at a Graver set's degrees; the graph pipeline
 (``bases.fiber_bundle``, on the walk-derived Graver set) and the matrix
 oracle (``analyze_config``, on the bounded Graver set) both go through it.
-A fiber is enumerated by a sweep over the columns, the fibers at many
-degrees by one batched numpy sweep, and each is split into components by a
-flood fill through the moves found at smaller degrees; none of it recurses.
+A fiber is enumerated by a sweep over the columns, the fibers at 11 or
+more degrees (the measured crossover, see ``_BATCH_MIN_DEGREES``) by one
+batched numpy sweep, and each is split into components by a flood fill
+through the moves found at smaller degrees; none of it recurses.  The
+sweep's residuals and the flood fill's members and moves are packed into
+one Python integer each, a guarded field per entry (``_packing``), so an
+entrywise comparison is one subtraction and a mask and a move is one
+addition.  ``graver_bounded`` groups the box by one integer degree key.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, ge, sub
+from operator import lshift
 from typing import Sequence
 
 import numpy as np
@@ -40,10 +45,13 @@ _MAX_BOX_ROWS = 5_000_000
 _WEIGHT_RANGE = (1, 100)
 
 # Distinct degrees from which ``fibers`` sweeps them in one numpy batch.  On
-# the benchmark's graphs (median per call over the graphs with that many
-# Graver degrees), the batch takes 1.6x the time of one ``fiber`` call per
-# degree at 3 degrees, about the same at 4, 0.8x at 5 and 0.25x at 12-49.
-_BATCH_MIN_DEGREES = 4
+# the benchmark's graphs (median over the graphs with that many Graver
+# degrees of the best of five calls), the batch takes this multiple of the
+# time of one packed ``fiber`` call per degree:
+#
+#   degrees   3    5    8    9-10  11   12-16    20-26  41-119
+#   batch     2.9  1.9  1.2  1.04  0.98 0.9-0.7  0.55   0.45-0.28
+_BATCH_MIN_DEGREES = 11
 # The batch stores rows in the narrowest of these that holds every entry;
 # past int64 ``fibers`` falls back to ``fiber``, on Python integers.
 _BATCH_DTYPES = tuple(
@@ -156,7 +164,9 @@ def fiber(config: ToricConfig, degree: Sequence[int]) -> tuple[tuple[int, ...], 
     being the degree still to be made up, and extends each by every
     multiplicity its residual allows, ascending, so the prefixes stay lex
     ascending.  A pair is dropped once a row left nonzero has no column
-    after the one just placed.
+    after the one just placed.  Residuals and columns are packed as by
+    ``_packing``, one field per row, so taking a column off a residual is
+    one subtraction and the guard bits tell whether it fit.
     """
 
     target = tuple(int(x) for x in degree)
@@ -165,23 +175,47 @@ def fiber(config: ToricConfig, degree: Sequence[int]) -> tuple[tuple[int, ...], 
     if any(x < 0 for x in target):
         return ()
     cols = config.columns
-    # closes[j]: the rows whose last nonzero column is j; zero rows close at 0
-    closes: list[list[int]] = [[] for _ in cols]
+    top = max(*target, *map(max, config.rows))
+    shifts, guard = _packing(config.nrows, top)
+    # closed[j]: the value bits of the rows whose last nonzero column is j;
+    # zero rows close at 0
+    closed = [0] * len(cols)
     for r in range(config.nrows):
-        closes[max((j for j, col in enumerate(cols) if col[r]), default=0)].append(r)
+        last = max((j for j, col in enumerate(cols) if col[r]), default=0)
+        closed[last] |= (1 << top.bit_length()) - 1 << shifts[r]
 
-    pairs = [((), target)]
-    for col, shut in zip(cols, closes):
-        reached = [r for r, c in enumerate(col) if c]
+    pairs = [((), _pack(target, shifts))]
+    for col, shut in zip((_pack(c, shifts) for c in cols), closed):
         extended = []
-        for prefix, residual in pairs:
-            rest = residual
-            for k in range(min(residual[r] // col[r] for r in reached) + 1):
-                if not any(rest[r] for r in shut):
+        for prefix, rest in pairs:
+            k = 0
+            while True:
+                if not rest & shut:
                     extended.append((prefix + (k,), rest))
-                rest = tuple(map(sub, rest, col))
+                rest = (rest | guard) - col
+                if rest & guard != guard:
+                    break
+                rest ^= guard
+                k += 1
         pairs = extended
     return tuple(prefix for prefix, _ in pairs)
+
+
+def _packing(fields: int, top: int) -> tuple[list[int], int]:
+    """Field offsets and guard mask packing vectors of ``fields`` entries in
+    0..top into one integer.  Each field is ``top.bit_length() + 1`` bits
+    wide and its top bit, the guard, is clear in every packed vector.  For
+    packed u and p, ``((u | guard) - p) & guard == guard`` exactly when
+    u >= p in every entry: setting the guards lends each field its own
+    borrow, and a field keeps its guard exactly when it did not need it.
+    """
+    width = top.bit_length() + 1
+    shifts = [width * i for i in range(fields)]
+    return shifts, sum(1 << s + width - 1 for s in shifts)
+
+
+def _pack(vector: Sequence[int], shifts: list[int]) -> int:
+    return sum(map(lshift, vector, shifts))
 
 
 def fibers(
@@ -196,8 +230,8 @@ def fibers(
     ascending, and drops the rows that leave a row it closes nonzero.  Rows
     stay grouped by degree and lex ascending within it, so each degree's
     members come out in ``fiber``'s order.  Fewer degrees go through
-    ``fiber`` one by one, which skips the sweep's fixed numpy cost of
-    100-200 us.
+    ``fiber`` one by one, whose packed sweep is faster than the batch's
+    fixed numpy cost there.
     """
     targets = {tuple(int(x) for x in d): None for d in degrees}
     if any(len(t) != config.nrows for t in targets):
@@ -266,9 +300,9 @@ def _fiber_batch(
 def graver_bounded(config: ToricConfig, box: int) -> tuple[Binomial, ...]:
     """Primitive kernel elements whose exponents are bounded by ``box``.
 
-    Enumerates every exponent vector in {0..box}^m, sorts them by degree so
-    each degree is a run of rows, pairs rows of a run whose supports (as
-    bitmasks) are disjoint, and keeps the conformally minimal pairs.
+    Enumerates every exponent vector in {0..box}^m, sorts them by a degree
+    key so each degree is a run of rows, pairs rows of a run whose supports
+    (as bitmasks) are disjoint, and keeps the conformally minimal pairs.
     Minimality inside the box equals global minimality because a proper
     conformal divisor of an in-box vector is itself in the box.
     """
@@ -282,24 +316,30 @@ def graver_bounded(config: ToricConfig, box: int) -> tuple[Binomial, ...]:
             f"box enumeration would need {total} exponent vectors "
             f"(limit {_MAX_BOX_ROWS}); reduce the box or the variable count"
         )
-    exps = np.indices((box + 1,) * m, dtype=np.min_scalar_type(box))
-    exps = exps.reshape(m, -1).T
-    # Entries are nonnegative, so no partial sum exceeds the largest degree
-    # entry and the narrowest type holding it is safe for the product.
-    matrix = np.array(
-        config.rows,
-        dtype=np.min_scalar_type(box * max(sum(row) for row in config.rows)),
-    )
-    degs = exps @ matrix.T
-    order = np.lexsort(degs.T)
-    ranked_degs = degs[order]
-    del degs
-    starts = np.any(ranked_degs[1:] != ranked_degs[:-1], axis=1)
-    del ranked_degs
-    group = np.concatenate(([0], np.cumsum(starts)))
-    bits = np.zeros(total, dtype=np.int64)
-    for j in range(m):
-        bits |= (exps[:, j] > 0).astype(np.int64) << j
+    # Row i is the exponent vector np.unravel_index(i, (box + 1,) * m).  Its
+    # degree becomes one mixed-radix key, the last matrix row the most
+    # significant digit, and its support a bitmask; both are built a column
+    # at a time, the first column varying slowest.  Matrix row r's degree
+    # entries lie in 0..box * sum(row r).  Past int64 the keys are Python
+    # integers in an object array.
+    radix = 1
+    weights = [0] * m
+    for row in config.rows:
+        for j, a in enumerate(row):
+            weights[j] += a * radix
+        radix *= box * sum(row) + 1
+    dtype = np.int64 if radix - 1 <= np.iinfo(np.int64).max else object
+    steps = np.arange(box + 1)
+    keys = np.zeros(1, dtype=dtype)
+    bits = np.zeros(1, dtype=np.int64)
+    for j, weight in enumerate(weights):
+        keys = (keys[:, None] + steps.astype(dtype) * weight).ravel()
+        bits = (bits[:, None] | (steps > 0).astype(np.int64) << j).ravel()
+    order = np.argsort(keys, kind="stable")
+    ranked_keys = keys[order]
+    del keys
+    group = np.concatenate(([0], np.cumsum(ranked_keys[1:] != ranked_keys[:-1])))
+    del ranked_keys
     bits = bits[order]
 
     # Sorted row k pairs with row k + d while both lie in one degree run.
@@ -312,8 +352,13 @@ def graver_bounded(config: ToricConfig, box: int) -> tuple[Binomial, ...]:
         kept = np.flatnonzero(same & ((bits[:-d] & bits[d:]) == 0))
         firsts.append(kept)
         seconds.append(kept + d)
-    firsts_rows = exps[order[np.concatenate(firsts)]].tolist()
-    seconds_rows = exps[order[np.concatenate(seconds)]].tolist()
+    shape = (box + 1,) * m
+    firsts_rows = np.column_stack(
+        np.unravel_index(order[np.concatenate(firsts)], shape)
+    ).tolist()
+    seconds_rows = np.column_stack(
+        np.unravel_index(order[np.concatenate(seconds)], shape)
+    ).tolist()
 
     candidates: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     for u, v in zip(firsts_rows, seconds_rows):
@@ -392,8 +437,14 @@ def fiber_graphs(
 
     ranked = sorted(set(tuple(int(x) for x in d) for d in degrees),
                     key=_degree_sort_key)
-    # each discovered generator, once in each orientation (from, to)
-    moves: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    # Members and moves are packed as by ``_packing``, one field per column.
+    # A member's entry is at most its degree's largest entry, since every
+    # column is nonzero, and a move's two sides are members of lower fibers.
+    shifts, guard = _packing(
+        config.ncols, max((max(d) for d in ranked), default=0)
+    )
+    # each discovered generator, once in each orientation, as (from, to - from)
+    moves: list[tuple[int, int]] = []
     minimal: list[Binomial] = []
     graphs: list[FiberGraph] = []
 
@@ -402,9 +453,11 @@ def fiber_graphs(
         members = found[deg]
         if not members:
             continue
-        index = {u: i for i, u in enumerate(members)}
+        packed = [_pack(u, shifts) for u in members]
+        index = {u: i for i, u in enumerate(packed)}
         # flood each unseen member through the moves; the moves come in both
-        # orientations, so each component starts at its least member
+        # orientations, so each component starts at its least member.  A
+        # target with a guard bit set is no member, so it leaves the fiber.
         seen = [False] * len(members)
         components = []
         for start in range(len(members)):
@@ -413,10 +466,11 @@ def fiber_graphs(
             seen[start] = True
             component, stack = [start], [start]
             while stack:
-                u = members[stack.pop()]
-                for p, q in moves:
-                    if all(map(ge, u, p)):
-                        j = index.get(tuple(map(add, map(sub, u, p), q)))
+                u = packed[stack.pop()]
+                raised = u | guard
+                for p, step in moves:
+                    if (raised - p) & guard == guard:
+                        j = index.get(u + step)
                         if j is None:
                             raise InternalInvariantError(
                                 f"generator move left the fiber of degree {list(deg)}"
@@ -430,12 +484,14 @@ def fiber_graphs(
             FiberGraph(deg, members, tuple(tuple(c) for c in components))
         )
         if len(components) > 1:
-            root_rep = members[components[0][0]]
+            first = components[0][0]
+            root = packed[first]
             for comp in components[1:]:
-                rep = members[comp[0]]
-                b = make_binomial(rep, root_rep, config.degree)
-                minimal.append(b)
-                moves += ((b.plus, b.minus), (b.minus, b.plus))
+                rep = packed[comp[0]]
+                minimal.append(
+                    make_binomial(members[comp[0]], members[first], config.degree)
+                )
+                moves += ((rep, root - rep), (root, rep - root))
 
     return tuple(graphs), tuple(
         sorted(minimal, key=lambda b: b.sort_key())

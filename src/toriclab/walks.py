@@ -463,8 +463,9 @@ def is_primitive_subgraph(graph: Graph, edge_subset: Sequence[int]) -> Primitivi
                 f"cut vertex {graph.labels[v]} lies in "
                 f"{len(dec.blocks_of_vertex[v])} blocks",
             )
+    cut = set(dec.cut_vertices)
     for v in dec.cut_vertices:
-        for side in _sides_at_cut_vertex(dec, v):
+        for side in _sides_at_cut_vertex(dec, v, cut):
             cyclic_total = sum(
                 len(dec.blocks[bi]) for bi in side if dec.is_cyclic(bi)
             )
@@ -477,8 +478,11 @@ def is_primitive_subgraph(graph: Graph, edge_subset: Sequence[int]) -> Primitivi
     return PrimitivityCheck.accepted(dec)
 
 
-def _sides_at_cut_vertex(dec: BlockDecomposition, v: int) -> list[set[int]]:
-    """Split the block tree at cut vertex v into the block sets on each side."""
+def _sides_at_cut_vertex(
+    dec: BlockDecomposition, v: int, cut: set[int]
+) -> list[set[int]]:
+    """Split the block tree at cut vertex v into the block sets on each side;
+    ``cut`` is the set of ``dec``'s cut vertices."""
     sides = []
     for seed in dec.blocks_of_vertex[v]:
         seen = {seed}
@@ -486,7 +490,7 @@ def _sides_at_cut_vertex(dec: BlockDecomposition, v: int) -> list[set[int]]:
         while stack:
             bi = stack.pop()
             for w in dec.block_vertices[bi]:
-                if w == v or w not in dec.cut_vertices:
+                if w == v or w not in cut:
                     continue
                 for nb in dec.blocks_of_vertex[w]:
                     if nb not in seen:

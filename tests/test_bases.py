@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import toriclab.oracle
 from toriclab.bases import (
     analyze_graph,
     ensure_tractable,
@@ -11,7 +12,7 @@ from toriclab.bases import (
     primitive_elements,
 )
 from toriclab.corpus import random_connected_graphs
-from toriclab.errors import ScaleGuardError
+from toriclab.errors import InternalInvariantError, ScaleGuardError
 from toriclab.graphs import parse_graph
 
 from conftest import STRUCTURAL, support_minimal
@@ -152,3 +153,24 @@ def test_primitive_elements_take_their_block_trees_from_the_generator(
         assert [e.decomposition for e in got] == [
             e.decomposition for e in elements
         ]
+
+
+def test_fiber_side_breach_names_the_graph(graph_of, monkeypatch):
+    # Drop the last member of the largest fiber.  The square moves connect
+    # the domino's perfect matchings, so one of them leads to the dropped
+    # member, and the flood fill must see that move leave the fiber.
+    graph = graph_of("domino")
+    analysis = analyze_graph(graph)
+    complete = toriclab.oracle.fibers
+
+    def one_short(config, degrees):
+        found = complete(config, degrees)
+        top = max(found, key=lambda d: (sum(d), d))
+        assert len(found[top]) > 1
+        found[top] = found[top][:-1]
+        return found
+
+    monkeypatch.setattr(toriclab.oracle, "fibers", one_short)
+    with pytest.raises(InternalInvariantError, match="left the fiber") as err:
+        fiber_bundle(graph, analysis)
+    assert f"fiber bundle of graph {graph.digest()}" in str(err.value)

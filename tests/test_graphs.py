@@ -22,9 +22,11 @@ from toriclab.graphs import (
     has_four_cycle,
     incidence_matrix,
     parse_graph,
+    simple_cycles,
+    subset_degrees,
 )
 
-from conftest import is_connected_subset
+from conftest import FIXTURES, is_connected_subset
 
 
 def test_parse_edge_list_with_comments():
@@ -155,6 +157,41 @@ def test_cut_vertices_on_random_graphs():
     for g in random_connected_graphs(30, seed=11):
         dec = block_decomposition(g)
         assert set(dec.cut_vertices) == brute_force_cut_vertices(g)
+
+
+def _beads() -> Graph:
+    """A triangle, a bridge, a square sharing a vertex with a pentagon, a
+    two-edge path, a triangle and a pendant edge: cycles in four blocks,
+    with bridges and cut vertices between them."""
+    edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 6)]
+    edges += [(6, 7), (7, 8), (8, 9), (9, 10), (6, 10)]
+    edges += [(10, 11), (11, 12), (12, 13), (13, 14), (12, 14), (14, 15)]
+    return Graph(16, tuple(edges))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        *(parse_graph(path.read_text()) for path in sorted(FIXTURES.glob("*.txt"))),
+        *random_connected_graphs(40, seed=5),
+        _beads(),
+    ],
+    ids=lambda g: g.digest()[:12],
+)
+def test_simple_cycles_are_the_connected_two_regular_subsets(graph):
+    cycles = simple_cycles(graph)
+    masks = [edges for _, edges, _ in cycles]
+    assert len(masks) == len(set(masks))
+    assert {tuple(e for e in range(len(graph.edges)) if m >> e & 1) for m in masks} == {
+        s
+        for s in connected_edge_subsets(graph, max_vertex_degree=2)
+        if set(subset_degrees(graph, s).values()) == {2}
+    }
+    for verts, edges, vertex_mask in cycles:
+        assert verts[0] == min(verts) and verts[1] < verts[-1]
+        assert vertex_mask == sum(1 << v for v in verts)
+        steps = zip(verts, verts[1:] + verts[:1])
+        assert edges == sum(1 << graph.edges.index(tuple(sorted(s))) for s in steps)
 
 
 def test_has_four_cycle(graph_of):

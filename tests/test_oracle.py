@@ -190,6 +190,28 @@ def test_graver_bounded_takes_entries_past_int32():
     assert len(graver_bounded(cfg, 2)) == 2
 
 
+@pytest.mark.parametrize(
+    "rows, box",
+    [
+        # one row: the largest degree key is box * (row sum), so these sit
+        # at the last key that fits in int64 and the first that does not
+        ([[1, 1, 2**63 - 3]], 1),
+        ([[1, 1, 2**63 - 2]], 1),
+        ([[1, 1, 2**62 - 3, 1]], 2),
+        ([[1, 1, 2**62 - 2, 1]], 2),
+        # two rows, the last the more significant: the largest key is
+        # 2 * s + 8 * (2 * s + 1) for the first row's sum s, so 2**63 - 18
+        # and 2**63
+        ([[1, 1, 2**63 // 18 - 4, 1], [1, 1, 1, 1]], 2),
+        ([[1, 1, 2**63 // 18 - 3, 1], [1, 1, 1, 1]], 2),
+    ],
+)
+def test_graver_bounded_around_the_int64_degree_key(rows, box):
+    cfg = config_from_rows(rows)
+    assert graver_bounded(cfg, box) == _graver_bounded_reference(cfg, box)
+    assert graver_bounded(cfg, box)
+
+
 def test_graver_bounded_of_a_tree_is_empty():
     # a spider: no even closed walk, so no kernel element at any box
     tree = Graph(6, ((0, 1), (1, 2), (1, 3), (3, 4), (3, 5)))
@@ -275,16 +297,33 @@ def test_fiber_of_many_columns_does_not_recurse():
     assert fiber(config_from_rows([[1] * 2000]), (0,)) == ((0,) * 2000,)
 
 
+@pytest.mark.parametrize(
+    "rows, degree",
+    [
+        # a matrix entry larger than every degree entry sets the field width
+        ([[1, 100, 1], [1, 1, 2]], (3, 3)),
+        ([[1, 100, 1], [1, 1, 2]], (101, 3)),
+        ([[2, 1, 200], [0, 1, 1]], (4, 2)),
+        # entries past 2**63, in the matrix and in the degree
+        ([[1, 2**64, 1], [1, 0, 2]], (2**64 + 1, 1)),
+        ([[1, 2**64, 1], [1, 0, 2]], (2**64 + 3, 3)),
+        ([[2**70, 1, 1], [1, 2**65, 2**65]], (2**70 + 2, 2**66 + 1)),
+        ([[1, 2**63], [1, 1]], (2**63 + 2, 3)),
+    ],
+)
+def test_fiber_takes_wide_fields(rows, degree):
+    cfg = config_from_rows(rows)
+    assert fiber(cfg, degree) == _fiber_reference(cfg, degree)
+    assert fiber(cfg, degree)
+
+
 @st.composite
 def _batch_cases(draw):
-    """A ``_fiber_cases`` configuration and enough distinct degrees to make
-    ``fibers`` sweep them as one batch, some of them repeated."""
+    """A ``_fiber_cases`` configuration and distinct degrees, some of them
+    repeated."""
     cfg, _ = draw(_fiber_cases())
     degree = st.tuples(*[st.integers(-1, 4)] * cfg.nrows)
-    distinct = draw(
-        st.lists(degree, min_size=toriclab.oracle._BATCH_MIN_DEGREES,
-                 max_size=12, unique=True)
-    )
+    distinct = draw(st.lists(degree, min_size=1, max_size=12, unique=True))
     repeated = draw(st.lists(st.sampled_from(distinct), max_size=3))
     return cfg, draw(st.permutations(distinct + repeated))
 
@@ -293,7 +332,12 @@ def _batch_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_batched_fibers_match_reference_on_random_configs(case):
     cfg, degrees = case
-    assert fibers(cfg, degrees) == {d: _fiber_reference(cfg, d) for d in degrees}
+    with pytest.MonkeyPatch.context() as patch:
+        # sweep every case in one batch, however few its degrees
+        patch.setattr(toriclab.oracle, "_BATCH_MIN_DEGREES", 1)
+        assert fibers(cfg, degrees) == {
+            d: _fiber_reference(cfg, d) for d in degrees
+        }
 
 
 def test_fibers_reject_a_degree_of_the_wrong_length():
@@ -304,8 +348,10 @@ def test_fibers_reject_a_degree_of_the_wrong_length():
 
 
 @pytest.mark.parametrize("big", [200, 2**40, 2**63 - 1, 2**63, 2**70])
-def test_batched_fibers_take_wide_entries(big):
-    # entries past int8, past int32, at and past the end of int64
+def test_batched_fibers_take_wide_entries(big, monkeypatch):
+    # entries past int8, past int32, at and past the end of int64; six
+    # degrees are fewer than the batch's crossover, so it is forced
+    monkeypatch.setattr(toriclab.oracle, "_BATCH_MIN_DEGREES", 1)
     cfg = config_from_rows([[1, big, 1], [1, 0, 2]])
     degrees = [(big, 0), (big + 1, 1), (2, 2), (3, 3), (1, 1), (0, 0)]
     assert fibers(cfg, degrees) == {d: fiber(cfg, d) for d in degrees}
@@ -416,6 +462,31 @@ def test_fiber_components_match_reference(graph):
         moves = [
             pair
             for b in bundle.minimal_markov
+            if (sum(b.degree), b.degree) < (sum(fg.degree), fg.degree)
+            for pair in ((b.plus, b.minus), (b.minus, b.plus))
+        ]
+        assert fg.components == _components_reference(fg.fiber, moves)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # the largest degree entry at 2**k - 1 and 2**k, so the packed
+        # field is one bit wider in the second of each pair
+        *([[1, 1, 2**k + d]] for k in (2, 5) for d in (-1, 0)),
+        *([[1, 2**k + d]] for k in (5, 10) for d in (-1, 0)),
+    ],
+)
+def test_fiber_components_at_a_field_width_boundary(rows):
+    cfg = config_from_rows(rows)
+    top = rows[0][-1]
+    graphs, minimal = fiber_graphs(cfg, [(1,), (top // 2,), (top,)])
+    assert graphs[-1].degree == (top,)
+    assert len(graphs[-1].components) == 2
+    for fg in graphs:
+        moves = [
+            pair
+            for b in minimal
             if (sum(b.degree), b.degree) < (sum(fg.degree), fg.degree)
             for pair in ((b.plus, b.minus), (b.minus, b.plus))
         ]
