@@ -32,7 +32,6 @@ from .walks import (
     ChordReport,
     ClosedEvenWalk,
     F4Record,
-    PrimitivityCheck,
     classify_chords,
     find_F4s,
     is_mixed,
@@ -86,9 +85,7 @@ def primitive_elements(graph: Graph) -> tuple[PrimitiveElement, ...]:
 
     out = []
     for subset, dec in primitive_block_trees(graph):
-        walk = walk_from_primitive_subgraph(
-            graph, subset, PrimitivityCheck.accepted(dec)
-        )
+        walk = walk_from_primitive_subgraph(graph, dec)
         chords = tuple(classify_chords(graph, walk, dec))
         f4s = tuple(find_F4s(graph, walk, chords))
         out.append(
@@ -224,21 +221,15 @@ def fiber_bundle(graph: Graph, analysis: GraphAnalysis) -> FiberBundle:
             f"fiber bundle of graph {graph.digest()}: universal Markov bases "
             "from fibers and from walks disagree"
         )
-    walk_tags = {
-        (b.plus, b.minus): ann
-        for b, ann in zip(
-            analysis.universal_markov.elements,
-            analysis.universal_markov.annotations,
-        )
-    }
-    items = []
-    for b in bundle.indispensable.elements:
-        ann = walk_tags.get((b.plus, b.minus))
-        if ann is None:
-            raise InternalInvariantError(
-                f"fiber bundle of graph {graph.digest()}: indispensable "
-                f"element {b.render()} outside the universal Markov basis"
-            )
-        items.append((b, dict(ann)))
+    # markov_bundle puts every indispensable element in its universal Markov
+    # set too, and that set equals the walk one, so filtering the walk set
+    # finds each indispensable element with its walk tags
+    keys = bundle.indispensable.element_set()
+    markov = analysis.universal_markov
+    items = [
+        (b, ann)
+        for b, ann in zip(markov.elements, markov.annotations)
+        if (b.plus, b.minus) in keys
+    ]
     indispensable = make_basis_set("indispensable", bundle.config.ncols, items)
     return replace(bundle, indispensable=indispensable)

@@ -26,16 +26,10 @@ from collections import Counter
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .bases import (
-    FiberBundle,
-    GraphAnalysis,
-    analyze_graph,
-    fiber_bundle,
-    graph_config,
-)
-from .binomials import BasisSet, BinomialError
+from .bases import FiberBundle, GraphAnalysis, analyze_graph, fiber_bundle
+from .binomials import BasisSet
 from .corpus import random_connected_graphs
-from .errors import InternalInvariantError, ScaleGuardError
+from .errors import InternalInvariantError, ScaleGuardError, read_named
 from .graphs import Graph, GraphError, graph_to_json, load_graph
 from .oracle import (
     ConfigError,
@@ -53,7 +47,6 @@ from .robustness import (
     implication_suite,
     robustness_verdict,
 )
-from .walks import WalkError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -131,12 +124,37 @@ def _counts(analysis: GraphAnalysis, bundle: FiberBundle) -> dict:
     return {key: len(s) for key, s in _sets(analysis, bundle).items()}
 
 
-def _groebner_union(config: ToricConfig, generators, samples: int, seed: int) -> list:
-    """Distinct elements of the sampled reduced Groebner bases, sorted."""
-    runs = sample_groebner(config, generators, samples, seed)
-    return sorted(
+# the label in text output of each Groebner-sample containment flag
+_WITHIN_LABELS = {
+    "within_universal_groebner": "UGB",
+    "within_bounded_graver": "bounded graver",
+}
+
+
+def _groebner_section(
+    config: ToricConfig, generators, args, key: str, within, prefix: str
+) -> dict:
+    """The distinct elements of the sampled reduced Groebner bases, sorted,
+    and under ``key`` whether each one's ``(plus, minus)`` lies in ``within``."""
+    runs = sample_groebner(config, generators, args.samples, args.seed)
+    union = sorted(
         {b for run in runs for b in run.elements},
         key=lambda b: b.sort_key(),
+    )
+    return {
+        "samples": args.samples,
+        "seed": args.seed,
+        "distinct_elements": [b.to_json(prefix) for b in union],
+        key: all((b.plus, b.minus) in within for b in union),
+    }
+
+
+def _render_groebner(g: dict, indent: str = "") -> None:
+    (key,) = g.keys() & _WITHIN_LABELS
+    print(
+        f"{indent}groebner samples: {g['samples']} (seed {g['seed']}), "
+        f"distinct elements {len(g['distinct_elements'])}, "
+        f"within {_WITHIN_LABELS[key]}: {'yes' if g[key] else 'no'}"
     )
 
 
@@ -279,49 +297,41 @@ def _cmd_set(args: argparse.Namespace) -> int:
 
 
 def _oracle_section(
-    graph: Graph,
-    analysis: GraphAnalysis,
-    box: int,
-    samples: int,
-    seed: int,
+    graph: Graph, analysis: GraphAnalysis, config: ToricConfig, args
 ) -> dict:
-    config = graph_config(graph)
-    bounded = graver_bounded(config, box)
+    bounded = graver_bounded(config, args.box)
     bounded_keys = {(b.plus, b.minus) for b in bounded}
     walk_keys = analysis.graver.element_set()
     matches = bounded_keys == walk_keys
     section: dict = {
-        "box": box,
+        "box": args.box,
         "bounded_graver_count": len(bounded),
         "graver_matches": matches,
     }
-    if not matches and box < 2 and bounded_keys < walk_keys:
+    if not matches and args.box < 2 and bounded_keys < walk_keys:
         # a cut edge enters a walk binomial squared, so a box below 2
         # misses those walks by the caller's choice; nothing broke
         raise ValueError(
-            f"--box {box} leaves out {len(walk_keys - bounded_keys)} of "
+            f"--box {args.box} leaves out {len(walk_keys - bounded_keys)} of "
             f"{len(walk_keys)} Graver elements, which have an exponent above "
-            f"{box}; box 2 is exact for graphs"
+            f"{args.box}; box 2 is exact for graphs"
         )
     if not matches:
         raise InternalInvariantError(
             f"oracle cross-check of graph {graph.digest()}: bounded Graver "
-            f"enumeration (box={box}) disagrees with the walk enumeration; "
+            f"enumeration (box={args.box}) disagrees with the walk enumeration; "
             "box >= 2 is exact for graphs"
         )
-    if samples > 0:
-        union = _groebner_union(
-            config, analysis.universal_markov.elements, samples, seed
+    if args.samples > 0:
+        section["groebner"] = _groebner_section(
+            config,
+            analysis.universal_markov.elements,
+            args,
+            "within_universal_groebner",
+            analysis.universal_groebner.element_set(),
+            "e",
         )
-        ugb_keys = analysis.universal_groebner.element_set()
-        inside = all((b.plus, b.minus) in ugb_keys for b in union)
-        section["groebner"] = {
-            "samples": samples,
-            "seed": seed,
-            "distinct_elements": [b.to_json() for b in union],
-            "within_universal_groebner": inside,
-        }
-        if not inside:
+        if not section["groebner"]["within_universal_groebner"]:
             raise InternalInvariantError(
                 f"oracle cross-check of graph {graph.digest()}: a sampled "
                 "reduced Groebner basis left the universal Groebner basis"
@@ -347,9 +357,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     }
     if args.oracle:
         with timings.stage("oracle cross-check"):
-            report["oracle"] = _oracle_section(
-                graph, analysis, args.box, args.samples, args.seed
-            )
+            report["oracle"] = _oracle_section(graph, analysis, bundle.config, args)
 
     def render(rep: dict) -> None:
         _render_input(rep["input"])
@@ -365,13 +373,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                 f"graver_matches={'yes' if oracle['graver_matches'] else 'no'}"
             )
             if "groebner" in oracle:
-                g = oracle["groebner"]
-                print(
-                    f"  groebner samples: {g['samples']} "
-                    f"(seed {g['seed']}), distinct elements "
-                    f"{len(g['distinct_elements'])}, within UGB: "
-                    f"{'yes' if g['within_universal_groebner'] else 'no'}"
-                )
+                _render_groebner(oracle["groebner"], "  ")
 
     _emit(report, args, timings, render)
     return EXIT_OK
@@ -403,47 +405,30 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _named_json_error(path, exc: json.JSONDecodeError) -> json.JSONDecodeError:
-    """The decoder's error, with the file it read named in the message."""
-    return json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos)
-
-
-def _load_matrix(path: str):
-    """The file's configuration; a decode or parse error names the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if text.lstrip().startswith("{"):
-            obj = json.loads(text)
-            if not isinstance(obj, dict) or "matrix" not in obj:
-                raise ConfigError('matrix JSON needs a "matrix" key')
-            rows = obj["matrix"]
-        else:
-            rows = []
-            for lineno, raw in enumerate(text.splitlines(), 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                try:
-                    rows.append([int(tok) for tok in line.replace(",", " ").split()])
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from exc
-            if not rows:
-                raise ConfigError("no matrix rows in input")
-        return config_from_rows(rows)
-    except json.JSONDecodeError as exc:
-        raise _named_json_error(path, exc) from exc
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    except RecursionError as exc:  # JSON nested past the interpreter's stack
-        raise ConfigError(f"{path}: JSON nests too deeply to read") from exc
-    except ValueError as exc:  # ConfigError, NegativeEntryError, a bad token
-        raise type(exc)(f"{path}: {exc}") from exc
+def _parse_matrix(text: str) -> ToricConfig:
+    """The configuration in rows of integers, or in JSON with a "matrix" key."""
+    if text.lstrip().startswith("{"):
+        obj = json.loads(text)
+        if not isinstance(obj, dict) or "matrix" not in obj:
+            raise ConfigError('matrix JSON needs a "matrix" key')
+        return config_from_rows(obj["matrix"])
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            rows.append([int(tok) for tok in line.replace(",", " ").split()])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+    if not rows:
+        raise ConfigError("no matrix rows in input")
+    return config_from_rows(rows)
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     timings = _Timings()
-    config = _load_matrix(args.path)
+    config = read_named(args.path, _parse_matrix)
     with timings.stage("bounded graver"):
         oracle = analyze_config(config, args.box)
     indispensable = oracle.indispensable.elements
@@ -473,18 +458,14 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     }
     if args.samples > 0:
         with timings.stage("groebner samples"):
-            union = _groebner_union(
-                config, oracle.universal_markov.elements, args.samples, args.seed
+            report["groebner"] = _groebner_section(
+                config,
+                oracle.universal_markov.elements,
+                args,
+                "within_bounded_graver",
+                {(b.plus, b.minus) for b in oracle.graver},
+                "x",
             )
-        graver_keys = {(b.plus, b.minus) for b in oracle.graver}
-        report["groebner"] = {
-            "samples": args.samples,
-            "seed": args.seed,
-            "distinct_elements": [b.to_json("x") for b in union],
-            "within_bounded_graver": all(
-                (b.plus, b.minus) in graver_keys for b in union
-            ),
-        }
 
     def render(rep: dict) -> None:
         analysis = rep["analysis"]
@@ -509,13 +490,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             f"{'yes' if obs['indispensable_equals_markov'] else 'no'}"
         )
         if "groebner" in rep:
-            g = rep["groebner"]
-            print(
-                f"groebner samples: {g['samples']} (seed {g['seed']}), "
-                f"distinct elements {len(g['distinct_elements'])}, "
-                f"within bounded graver: "
-                f"{'yes' if g['within_bounded_graver'] else 'no'}"
-            )
+            _render_groebner(rep["groebner"])
 
     _emit(report, args, timings, render)
     return EXIT_OK
@@ -529,15 +504,7 @@ def _load_expectation(path: Path) -> dict | None:
     sidecar = path.with_name(path.stem + ".expect.json")
     if not sidecar.exists():
         return None
-    try:
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            expect = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise _named_json_error(sidecar, exc) from exc
-    except RecursionError as exc:  # JSON nested past the interpreter's stack
-        raise ValueError(f"{sidecar}: JSON nests too deeply to read") from exc
-    except ValueError as exc:  # undecodable bytes, an integer past 4,300 digits
-        raise ValueError(f"{sidecar}: {exc}") from exc
+    expect = read_named(sidecar, json.loads)
     if not isinstance(expect, dict) or not isinstance(expect.get("counts", {}), dict):
         raise ValueError(
             f"{sidecar}: expectation must be a JSON object whose 'counts', "
@@ -672,18 +639,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, force: bool = True) -> None:
         p.add_argument(
             "--format",
             choices=("text", "json"),
             default="text",
             help="output format (default: text)",
         )
+        if force:
+            p.add_argument(
+                "--force",
+                action="store_true",
+                help="bypass the edge-count enumeration guard",
+            )
+
+    def sampling(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--box", type=int, default=2, help="brute-force exponent bound")
         p.add_argument(
-            "--force",
-            action="store_true",
-            help="bypass the edge-count enumeration guard",
+            "--samples",
+            type=int,
+            default=0,
+            help="random weight orders to sample (analyze: with --oracle)",
         )
+        p.add_argument("--seed", type=int, default=0, help="sampling seed")
 
     for name, attr in _SET_ATTRS.items():
         p = sub.add_parser(name, help=f"compute the {attr} set of a graph")
@@ -701,14 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check against bounded brute-force enumeration",
     )
-    p.add_argument("--box", type=int, default=2, help="oracle exponent bound")
-    p.add_argument(
-        "--samples",
-        type=int,
-        default=0,
-        help="random weight orders to sample (with --oracle)",
-    )
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    sampling(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("check", help="robustness verdict and implications")
@@ -720,14 +691,8 @@ def build_parser() -> argparse.ArgumentParser:
         "matrix", help="bounded toric analysis of a nonnegative matrix"
     )
     p.add_argument("path", help="matrix file (rows of integers, or JSON)")
-    p.add_argument(
-        "--format", choices=("text", "json"), default="text"
-    )
-    p.add_argument("--box", type=int, default=2, help="exponent bound")
-    p.add_argument(
-        "--samples", type=int, default=0, help="random weight orders to sample"
-    )
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    common(p, force=False)
+    sampling(p)
     p.set_defaults(func=_cmd_matrix)
 
     p = sub.add_parser(
@@ -777,15 +742,7 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"toriclab: invariant breach: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (
-        GraphError,
-        ConfigError,
-        BinomialError,
-        WalkError,
-        json.JSONDecodeError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:
         print(f"toriclab: error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -13,7 +13,10 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterator, Sequence
+
+from .errors import read_named
 
 
 class GraphError(ValueError):
@@ -222,15 +225,7 @@ def graph_to_json(graph: Graph) -> dict:
 
 def load_graph(path: str) -> Graph:
     """The graph in the file; a decode or parse error names the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_graph(fh.read())
-    except RecursionError as exc:  # JSON nested past the interpreter's stack
-        raise GraphError(f"{path}: JSON nests too deeply to read") from exc
-    except GraphError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
-    except ValueError as exc:  # undecodable bytes, a label past 4,300 digits
-        raise GraphError(f"{path}: {exc}") from exc
+    return read_named(path, parse_graph, GraphError)
 
 
 def degree_of(graph: Graph, exponents: Sequence[int]) -> tuple[int, ...]:
@@ -399,14 +394,17 @@ def _biconnected(adj, root: int) -> tuple[list[list[int]], set[int], int]:
 
 
 def has_four_cycle(graph: Graph) -> bool:
-    """Whether any simple 4-cycle exists: two vertices with two common neighbors."""
-    neighbor_sets = [
-        {w for w, _ in graph.adjacency[v]} for v in range(graph.vertex_count)
-    ]
-    for u in range(graph.vertex_count):
-        for v in range(u + 1, graph.vertex_count):
-            if len(neighbor_sets[u] & neighbor_sets[v]) >= 2:
+    """Whether any simple 4-cycle exists: some pair of vertices is the
+    neighbour pair of two different vertices.  Each vertex's neighbour pairs
+    go into one set until one repeats, so the work is linear in the sum of
+    squared degrees."""
+    pairs: set[tuple[int, int]] = set()
+    for neighbors in graph.adjacency:
+        # sorted by neighbour, so each pair comes in one orientation
+        for pair in combinations([w for w, _ in neighbors], 2):
+            if pair in pairs:
                 return True
+            pairs.add(pair)
     return False
 
 
@@ -593,62 +591,36 @@ def primitive_block_trees(
                             )
 
 
-def connected_edge_subsets(graph: Graph, max_vertex_degree: int = 4) -> Iterator[tuple[int, ...]]:
+def connected_edge_subsets(
+    graph: Graph, max_vertex_degree: int = 4
+) -> Iterator[tuple[int, ...]]:
     """Yield every connected edge subset, each exactly once, sorted internally.
 
-    Subsets are grown from their smallest edge so each appears once. Growth is
-    pruned when some vertex already exceeds ``max_vertex_degree`` inside the
-    subset, since adding edges never lowers a degree.  Filtered by
-    ``walks.is_primitive_subgraph`` it is the test oracle for
-    ``primitive_block_trees``; nothing in the package enumerates with it.
+    Only subsets in which no vertex has degree above ``max_vertex_degree``
+    are yielded.  A stack of edge masks starts from the single edges and
+    grows each mask by one adjacent edge whose ends both stay within the
+    bound; every such subset is reached that way, and a seen-set expands
+    each mask once.  Filtered by ``walks.is_primitive_subgraph`` it is the
+    test oracle for ``primitive_block_trees``; nothing in the package
+    enumerates with it.
     """
-    m = len(graph.edges)
-    edge_neighbors: list[set[int]] = [set() for _ in range(m)]
-    for v in range(graph.vertex_count):
-        incident = [ei for _, ei in graph.adjacency[v]]
-        for a in incident:
-            for b in incident:
-                if a != b:
-                    edge_neighbors[a].add(b)
-
-    def grow(
-        subset: list[int],
-        frontier: list[int],
-        banned: set[int],
-        degrees: dict[int, int],
-    ) -> Iterator[tuple[int, ...]]:
-        yield tuple(sorted(subset))
-        local_banned: set[int] = set()
-        for idx, e in enumerate(frontier):
-            if e in local_banned:
-                continue
-            u, v = graph.edges[e]
-            if degrees.get(u, 0) >= max_vertex_degree or degrees.get(v, 0) >= max_vertex_degree:
-                local_banned.add(e)
-                continue
-            new_frontier = [
-                f for f in frontier[idx + 1 :] if f not in local_banned and f not in banned
-            ]
-            for f in sorted(edge_neighbors[e]):
-                if (
-                    f > subset[0]
-                    and f not in banned
-                    and f not in local_banned
-                    and f != e
-                    and f not in new_frontier
-                    and f not in subset
-                ):
-                    new_frontier.append(f)
-            degrees[u] = degrees.get(u, 0) + 1
-            degrees[v] = degrees.get(v, 0) + 1
-            subset.append(e)
-            yield from grow(subset, new_frontier, banned | local_banned, degrees)
-            subset.pop()
-            degrees[u] -= 1
-            degrees[v] -= 1
-            local_banned.add(e)
-
-    for root in range(m):
-        u, v = graph.edges[root]
-        frontier = sorted(f for f in edge_neighbors[root] if f > root)
-        yield from grow([root], frontier, set(), {u: 1, v: 1})
+    incident = [0] * graph.vertex_count
+    for i, (u, v) in enumerate(graph.edges):
+        incident[u] |= 1 << i
+        incident[v] |= 1 << i
+    stack = [1 << e for e in range(len(graph.edges))]
+    seen = set(stack)
+    while stack:
+        mask = stack.pop()
+        yield _bits(mask)
+        touching = full = 0
+        for at_v in incident:
+            if at_v & mask:
+                touching |= at_v
+                if (at_v & mask).bit_count() >= max_vertex_degree:
+                    full |= at_v
+        for e in _bits(touching & ~full & ~mask):
+            grown = mask | 1 << e
+            if grown not in seen:
+                seen.add(grown)
+                stack.append(grown)

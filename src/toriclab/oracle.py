@@ -683,12 +683,6 @@ class GroebnerSample:
     weights: tuple[int, ...]
     elements: tuple[Binomial, ...]
 
-    def to_json(self, prefix: str = "e") -> dict:
-        return {
-            "weights": list(self.weights),
-            "elements": [b.to_json(prefix) for b in self.elements],
-        }
-
 
 def sample_groebner(
     config: ToricConfig,

@@ -36,10 +36,6 @@ class WalkError(ValueError):
     pass
 
 
-class NotPrimitiveError(WalkError):
-    """Raised when a walk reconstruction is requested for a non-primitive subset."""
-
-
 class ChordClassificationError(InternalInvariantError):
     """Occurrence pairs of a non-bridge chord disagreed on parity."""
 
@@ -75,12 +71,6 @@ class ClosedEvenWalk:
         for k, e in enumerate(self.edges):
             out.setdefault(e, []).append(k + 1)
         return {e: tuple(ps) for e, ps in out.items()}
-
-    def to_json(self) -> dict:
-        return {
-            "edges": [e + 1 for e in self.edges],
-            "vertices": [v + 1 for v in self.vertices],
-        }
 
 
 def _canonicalize(
@@ -417,13 +407,6 @@ class PrimitivityCheck:
     reason: str
     decomposition: BlockDecomposition | None = None
 
-    @classmethod
-    def accepted(cls, dec: BlockDecomposition) -> PrimitivityCheck:
-        """The passing verdict on a primitive walk's block tree."""
-        if len(dec.blocks) == 1:
-            return cls(True, "even cycle", dec)
-        return cls(True, "cycle/cut-edge block tree with odd sides", dec)
-
 
 def is_primitive_subgraph(graph: Graph, edge_subset: Sequence[int]) -> PrimitivityCheck:
     """Decide whether the connected subgraph is the graph of a primitive walk.
@@ -450,7 +433,7 @@ def is_primitive_subgraph(graph: Graph, edge_subset: Sequence[int]) -> Primitivi
             return PrimitivityCheck(False, "biconnected but not a cycle")
         if len(edges) % 2:
             return PrimitivityCheck(False, "odd cycle")
-        return PrimitivityCheck.accepted(dec)
+        return PrimitivityCheck(True, "even cycle", dec)
     for bi in range(len(dec.blocks)):
         if not (dec.is_cut_edge(bi) or dec.is_cyclic(bi)):
             return PrimitivityCheck(
@@ -475,7 +458,7 @@ def is_primitive_subgraph(graph: Graph, edge_subset: Sequence[int]) -> Primitivi
                     f"cut vertex {graph.labels[v]} has a side with an even "
                     f"cycle-edge total ({cyclic_total})",
                 )
-    return PrimitivityCheck.accepted(dec)
+    return PrimitivityCheck(True, "cycle/cut-edge block tree with odd sides", dec)
 
 
 def _sides_at_cut_vertex(
@@ -501,27 +484,21 @@ def _sides_at_cut_vertex(
 
 
 def walk_from_primitive_subgraph(
-    graph: Graph,
-    edge_subset: Sequence[int],
-    check: PrimitivityCheck,
-    _reverse_ties: bool = False,
+    graph: Graph, dec: BlockDecomposition, _reverse_ties: bool = False
 ) -> ClosedEvenWalk:
-    """Reconstruct the closed even walk whose subgraph is the given subset.
+    """Reconstruct the closed even walk of a primitive subgraph from its block
+    tree ``dec``.
 
     The block tree is toured depth first from the block holding the smallest
     edge: cycle blocks are traversed once around with branches visited inline
     at their cut vertices, cut edges are crossed on the way out and back.
     Each cycle edge appears once and each cut edge twice. The tie-break knob
     flips the traversal direction inside cycle blocks; the resulting binomial
-    must not depend on it. ``check`` is a passing verdict on this same
-    subset, carrying its block tree: ``is_primitive_subgraph``'s, or
-    ``PrimitivityCheck.accepted`` on a tree from the generator.  The tour
-    keeps an explicit stack of blocks, so a deep block tree costs no
-    interpreter depth.
+    must not depend on it. ``dec`` is a primitive walk's block tree: one
+    that ``graphs.primitive_block_trees`` yields, or the decomposition of a
+    passing ``is_primitive_subgraph`` verdict.  The tour keeps an explicit
+    stack of blocks, so a deep block tree costs no interpreter depth.
     """
-    if not check.ok:
-        raise NotPrimitiveError(check.reason)
-    dec = check.decomposition
     cut = set(dec.cut_vertices)
     pick = max if _reverse_ties else min
 

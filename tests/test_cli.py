@@ -130,6 +130,101 @@ def test_analyze_text_report(capsys):
     assert "fails=M4" in out
 
 
+# The whole stdout of three text renderers, pinned line for line.
+PINNED_TEXT = {
+    "analyze-oracle": """\
+graph 2862521c939c: 4 vertices, 6 edges
+circuits: 3 elements
+  e3*e4 - e5*e6  [circuit mixed minimal shape=even-cycle]
+  e1*e2 - e5*e6  [circuit mixed minimal shape=even-cycle]
+  e1*e2 - e3*e4  [circuit mixed minimal shape=even-cycle]
+graver: 3 elements
+  e3*e4 - e5*e6  [circuit mixed minimal]
+  e1*e2 - e5*e6  [circuit mixed minimal]
+  e1*e2 - e3*e4  [circuit mixed minimal]
+ugb: 3 elements
+  e3*e4 - e5*e6  [circuit mixed minimal]
+  e1*e2 - e5*e6  [circuit mixed minimal]
+  e1*e2 - e3*e4  [circuit mixed minimal]
+markov: 3 elements
+  e3*e4 - e5*e6  [circuit mixed minimal]
+  e1*e2 - e5*e6  [circuit mixed minimal]
+  e1*e2 - e3*e4  [circuit mixed minimal]
+indispensable: 0 elements
+betti degrees: 1
+minimal markov size: 2
+generalized_robust: yes
+robust: no
+  markov-equals-graver: yes
+  primitive-chord-conditions: yes
+  circuit-conditions: yes
+  unique-minimal-generation: no  witness={"binomial": {"degree": [1, 1, 1, 1], "minus": {"e5": 1, "e6": 1}, "plus": {"e3": 1, "e4": 1}, "text": "e3*e4 - e5*e6"}}
+implications: ok
+  checkers-agree: yes
+  robust-implies-generalized: yes
+  robust-implies-division-free: yes
+  no-four-cycle-unique-generation: yes
+oracle: box=2 graver_matches=yes
+  groebner samples: 3 (seed 0), distinct elements 2, within UGB: yes
+""",
+    "check": """\
+graph deb777d3b631: 5 vertices, 6 edges
+counts: circuits=1 graver=1 indispensable=1 universal_groebner=1 universal_markov=1
+generalized_robust: yes
+robust: yes
+  markov-equals-graver: yes
+  primitive-chord-conditions: yes
+  circuit-conditions: yes
+  unique-minimal-generation: yes
+implications: ok
+  checkers-agree: yes
+  robust-implies-generalized: yes
+  robust-implies-division-free: yes
+  no-four-cycle-unique-generation: yes
+""",
+    "matrix": """\
+matrix: 5 rows x 8 columns, box=1
+bounded graver: 6 elements
+  x5*x6 - x7*x8
+  x3*x4 - x7*x8
+  x3*x4 - x5*x6
+  x1*x2 - x7*x8
+  x1*x2 - x5*x6
+  x1*x2 - x3*x4
+betti fibers: 1
+minimal markov size: 3
+markov: 6 elements
+  x5*x6 - x7*x8
+  x3*x4 - x7*x8
+  x3*x4 - x5*x6
+  x1*x2 - x7*x8
+  x1*x2 - x5*x6
+  x1*x2 - x3*x4
+indispensable: 0 elements
+observations: markov_equals_graver=yes indispensable_equals_markov=no
+groebner samples: 3 (seed 0), distinct elements 5, within bounded graver: yes
+""",
+}
+
+
+@pytest.mark.parametrize(
+    "key,argv",
+    [
+        ("analyze-oracle", ("analyze", fixture_path("k4"), "--oracle", "--samples", 3)),
+        ("check", ("check", fixture_path("bowtie"))),
+        (
+            "matrix",
+            ("matrix", FIXTURES / "matrix" / "n5.json", "--box", 1, "--samples", 3),
+        ),
+    ],
+)
+def test_text_report_is_pinned(capsys, key, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out == PINNED_TEXT[key]
+    assert "[time]" in err
+
+
 def test_analyze_with_oracle_and_samples(capsys):
     code, out, _ = run(
         capsys,

@@ -202,6 +202,22 @@ def test_has_four_cycle(graph_of):
     assert not has_four_cycle(graph_of("triangle_per_corner"))
 
 
+def pairwise_four_cycle(g: Graph) -> bool:
+    """The definition: two vertices with two common neighbours."""
+    neighbors = [{w for w, _ in g.adjacency[v]} for v in range(g.vertex_count)]
+    return any(
+        len(a & b) >= 2 for a, b in itertools.combinations(neighbors, 2)
+    )
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_has_four_cycle_matches_pairwise_definition(seed):
+    graphs = random_connected_graphs(300, seed=seed, max_vertices=10, max_edges=30)
+    answers = [has_four_cycle(g) for g in graphs]
+    assert answers == [pairwise_four_cycle(g) for g in graphs]
+    assert any(answers) and not all(answers)
+
+
 def brute_force_subsets(g: Graph, max_degree: int) -> set[tuple[int, ...]]:
     found = set()
     m = len(g.edges)

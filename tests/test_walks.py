@@ -19,8 +19,6 @@ from toriclab.graphs import (
     primitive_block_trees,
 )
 from toriclab.walks import (
-    NotPrimitiveError,
-    PrimitivityCheck,
     WalkError,
     chord_crosses_F4,
     classify_chords,
@@ -95,7 +93,7 @@ def test_walk_binomial_bowtie(graph_of):
 
 def test_walk_binomial_square(graph_of):
     c4 = graph_of("c4")
-    w = walk_from_primitive_subgraph(c4, range(4), is_primitive_subgraph(c4, range(4)))
+    w = walk_from_primitive_subgraph(c4, is_primitive_subgraph(c4, range(4)).decomposition)
     assert walk_binomial(c4, w).render() == "e1*e2 - e3*e4"
 
 
@@ -258,8 +256,7 @@ def test_primitive_subgraph_shapes(graph_of):
     check = is_primitive_subgraph(k4, range(6))
     assert not check.ok
     assert check.reason == "biconnected but not a cycle"
-    with pytest.raises(NotPrimitiveError):
-        walk_from_primitive_subgraph(k4, range(6), check)
+    assert check.decomposition is None
 
     tpc = graph_of("triangle_per_corner")
     assert is_primitive_subgraph(tpc, range(12)).ok
@@ -298,15 +295,15 @@ def test_disconnected_subset_with_pendant_vertex_is_rejected():
 
 def test_walk_reconstruction_is_orientation_free(graph_of):
     tpc = graph_of("triangle_per_corner")
-    check = is_primitive_subgraph(tpc, range(12))
-    forward = walk_from_primitive_subgraph(tpc, range(12), check)
-    backward = walk_from_primitive_subgraph(tpc, range(12), check, _reverse_ties=True)
+    dec = is_primitive_subgraph(tpc, range(12)).decomposition
+    forward = walk_from_primitive_subgraph(tpc, dec)
+    backward = walk_from_primitive_subgraph(tpc, dec, _reverse_ties=True)
     assert forward == backward
 
     opp = graph_of("tri_square_tri_opposite")
-    check = is_primitive_subgraph(opp, range(12))
-    assert walk_from_primitive_subgraph(opp, range(12), check) == (
-        walk_from_primitive_subgraph(opp, range(12), check, _reverse_ties=True)
+    dec = is_primitive_subgraph(opp, range(12)).decomposition
+    assert walk_from_primitive_subgraph(opp, dec) == (
+        walk_from_primitive_subgraph(opp, dec, _reverse_ties=True)
     )
 
 
@@ -324,7 +321,7 @@ def test_deep_block_tree_without_recursion():
     assert dec == block_decomposition(g, subset)
     assert len(dec.blocks) == length + 2
     assert dec.cut_vertices == tuple(range(2, far + 1))
-    walk = walk_from_primitive_subgraph(g, subset, PrimitivityCheck.accepted(dec))
+    walk = walk_from_primitive_subgraph(g, dec)
     assert walk.length == 2 * length + 6
     assert walk_binomial(g, walk).total_degree == length + 3
 
