@@ -135,9 +135,6 @@ class BasisSet:
     def element_set(self) -> frozenset[tuple[tuple[int, ...], tuple[int, ...]]]:
         return frozenset((b.plus, b.minus) for b in self.elements)
 
-    def __contains__(self, item: Binomial) -> bool:
-        return (item.plus, item.minus) in self.element_set()
-
     def to_json(self, prefix: str = "e") -> dict:
         return {
             "kind": self.kind,

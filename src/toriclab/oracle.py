@@ -11,12 +11,13 @@ off the fiber graphs at a Graver set's degrees; the graph pipeline
 oracle (``analyze_config``, on the bounded Graver set) both go through it.
 A fiber is enumerated by a sweep over the columns, the fibers at 11 or
 more degrees (the measured crossover, see ``_BATCH_MIN_DEGREES``) by one
-batched numpy sweep, and each is split into components by a flood fill
-through the moves found at smaller degrees; none of it recurses.  The
-sweep's residuals and the flood fill's members and moves are packed into
-one Python integer each, a guarded field per entry (``_packing``), so an
-entrywise comparison is one subtraction and a mask and a move is one
-addition.  ``graver_bounded`` groups the box by one integer degree key.
+batched numpy sweep; none of it recurses.  The sweep's residuals are
+packed into one Python integer each, a guarded field per row
+(``_packing``), so an entrywise comparison is one subtraction and a mask.
+Each fiber is split into components from its own members alone: members
+that share a column lie in one component (``fiber_graphs``), so no degree
+depends on the moves found at another.  ``graver_bounded`` groups the box
+by one integer degree key.
 """
 
 from __future__ import annotations
@@ -425,26 +426,23 @@ def fiber_graphs(
     config: ToricConfig,
     degrees: Sequence[tuple[int, ...]],
 ) -> tuple[tuple[FiberGraph, ...], tuple[Binomial, ...]]:
-    """Process candidate degrees in a linear extension of the grading order.
+    """Each fiber at the given degrees, split into components under the
+    moves of smaller degree, and a minimal Markov basis.
 
-    At each degree the fiber members are connected by moves coming from
-    generators already discovered at smaller degrees.  Every fiber with more
-    than one component contributes spanning-tree edges: a star rooted at the
-    lexicographically least monomial of the lexicographically least
-    component, with each other component represented by its least monomial.
-    The collected edges form a minimal Markov basis.
+    Members u, v are joined by such moves exactly when a chain of members
+    links them in which each consecutive pair shares a column: sharing
+    column i puts u - e_i and v - e_i in the smaller fiber at b - a_i (no
+    column is zero), and a move of smaller degree keeps a nonzero common
+    part of a member and its image.  So a union-find over the columns
+    merges each member's support, and a member's component is the class of
+    its first support column.  Components come in the order of their least
+    members.  Each fiber with more than one component contributes a star
+    from its least member to the least member of each other component;
+    these edges form a minimal Markov basis.
     """
 
     ranked = sorted(set(tuple(int(x) for x in d) for d in degrees),
                     key=_degree_sort_key)
-    # Members and moves are packed as by ``_packing``, one field per column.
-    # A member's entry is at most its degree's largest entry, since every
-    # column is nonzero, and a move's two sides are members of lower fibers.
-    shifts, guard = _packing(
-        config.ncols, max((max(d) for d in ranked), default=0)
-    )
-    # each discovered generator, once in each orientation, as (from, to - from)
-    moves: list[tuple[int, int]] = []
     minimal: list[Binomial] = []
     graphs: list[FiberGraph] = []
 
@@ -453,45 +451,26 @@ def fiber_graphs(
         members = found[deg]
         if not members:
             continue
-        packed = [_pack(u, shifts) for u in members]
-        index = {u: i for i, u in enumerate(packed)}
-        # flood each unseen member through the moves; the moves come in both
-        # orientations, so each component starts at its least member.  A
-        # target with a guard bit set is no member, so it leaves the fiber.
-        seen = [False] * len(members)
-        components = []
-        for start in range(len(members)):
-            if seen[start]:
-                continue
-            seen[start] = True
-            component, stack = [start], [start]
-            while stack:
-                u = packed[stack.pop()]
-                raised = u | guard
-                for p, step in moves:
-                    if (raised - p) & guard == guard:
-                        j = index.get(u + step)
-                        if j is None:
-                            raise InternalInvariantError(
-                                f"generator move left the fiber of degree {list(deg)}"
-                            )
-                        if not seen[j]:
-                            seen[j] = True
-                            component.append(j)
-                            stack.append(j)
-            components.append(sorted(component))
+        supports = [[j for j, x in enumerate(u) if x] for u in members]
+        label = list(range(config.ncols))
+        for support in supports:
+            merged = {label[j] for j in support}
+            if len(merged) > 1:
+                root = label[support[0]]
+                label = [root if k in merged else k for k in label]
+        classes: dict[int, list[int]] = {}
+        for i, support in enumerate(supports):
+            # the zero degree's one member has no support
+            classes.setdefault(label[support[0]] if support else -1, []).append(i)
+        components = list(classes.values())
         graphs.append(
             FiberGraph(deg, members, tuple(tuple(c) for c in components))
         )
-        if len(components) > 1:
-            first = components[0][0]
-            root = packed[first]
-            for comp in components[1:]:
-                rep = packed[comp[0]]
-                minimal.append(
-                    make_binomial(members[comp[0]], members[first], config.degree)
-                )
-                moves += ((rep, root - rep), (root, rep - root))
+        first = components[0][0]
+        for comp in components[1:]:
+            minimal.append(
+                make_binomial(members[comp[0]], members[first], config.degree)
+            )
 
     return tuple(graphs), tuple(
         sorted(minimal, key=lambda b: b.sort_key())
@@ -522,10 +501,18 @@ def markov_bundle(config: ToricConfig, graver: Sequence[Binomial]) -> FiberBundl
     The universal Markov basis is every difference joining two distinct
     components of a Betti fiber.  A degree whose fiber has precisely two
     components, both singletons, forces its one such difference into every
-    minimal Markov basis: that element is indispensable.
+    minimal Markov basis: that element is indispensable.  Both sides of
+    every Graver element must be members of its degree's fiber, or an
+    invariant error naming the degree is raised.
     """
 
     graphs, minimal = fiber_graphs(config, [b.degree for b in graver])
+    members = {fg.degree: frozenset(fg.fiber) for fg in graphs}
+    for b in graver:
+        if not {b.plus, b.minus} <= members.get(b.degree, frozenset()):
+            raise InternalInvariantError(
+                f"a Graver side is missing from the fiber of degree {list(b.degree)}"
+            )
     universal: list[tuple[Binomial, dict]] = []
     indispensable: list[tuple[Binomial, dict]] = []
     for fg in graphs:

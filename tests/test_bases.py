@@ -155,22 +155,43 @@ def test_primitive_elements_take_their_block_trees_from_the_generator(
         ]
 
 
-def test_fiber_side_breach_names_the_graph(graph_of, monkeypatch):
-    # Drop the last member of the largest fiber.  The square moves connect
-    # the domino's perfect matchings, so one of them leads to the dropped
-    # member, and the flood fill must see that move leave the fiber.
-    graph = graph_of("domino")
-    analysis = analyze_graph(graph)
+def _without_top_member(monkeypatch, pick):
+    """Make ``oracle.fibers`` drop ``pick(members)`` from its largest fiber."""
     complete = toriclab.oracle.fibers
 
     def one_short(config, degrees):
         found = complete(config, degrees)
         top = max(found, key=lambda d: (sum(d), d))
         assert len(found[top]) > 1
-        found[top] = found[top][:-1]
+        dropped = pick(found[top])
+        found[top] = tuple(u for u in found[top] if u != dropped)
         return found
 
     monkeypatch.setattr(toriclab.oracle, "fibers", one_short)
-    with pytest.raises(InternalInvariantError, match="left the fiber") as err:
+
+
+def test_fiber_side_breach_names_the_graph(graph_of, monkeypatch):
+    # Drop the last member of the largest fiber, (1,0,1,0,0,1,0), the one
+    # perfect matching of the domino through its middle edge.  It is no
+    # Graver side, so only the comparison with the walks sees it gone.
+    graph = graph_of("domino")
+    analysis = analyze_graph(graph)
+    _without_top_member(monkeypatch, lambda members: members[-1])
+    with pytest.raises(InternalInvariantError, match="disagree") as err:
         fiber_bundle(graph, analysis)
     assert f"fiber bundle of graph {graph.digest()}" in str(err.value)
+
+
+def test_graver_side_missing_from_its_fiber_names_the_graph(
+    graph_of, monkeypatch
+):
+    # Drop a side of the domino's hexagon, a Graver element of the largest
+    # degree, from that degree's fiber.
+    graph = graph_of("domino")
+    analysis = analyze_graph(graph)
+    (hexagon,) = [b for b in analysis.graver.elements if sum(b.degree) == 6]
+    _without_top_member(monkeypatch, lambda members: hexagon.plus)
+    with pytest.raises(InternalInvariantError, match="missing from") as err:
+        fiber_bundle(graph, analysis)
+    assert f"fiber bundle of graph {graph.digest()}" in str(err.value)
+    assert f"fiber of degree {list(hexagon.degree)}" in str(err.value)

@@ -85,7 +85,7 @@ def test_basis_set_sorted_and_deduplicated():
     assert len(s) == 3
     # degree first, then plus side
     assert s.elements == (b2, b1, b3)
-    assert b1 in s
+    assert (b1.plus, b1.minus) in s.element_set()
     assert s.annotations[1] == {"a": 1}
 
 

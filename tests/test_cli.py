@@ -305,6 +305,22 @@ def test_matrix_samples_stay_inside_graver(capsys, tmp_path):
     assert report["groebner"]["within_bounded_graver"] is True
 
 
+def test_matrix_with_a_graver_set_cut_short_by_the_box(capsys, tmp_path):
+    # box 2 keeps 5 of this matrix's Graver elements (box 3 finds 11); each
+    # fiber is still split by its own members, so no two components share
+    # a column and every minimal Markov element is a valid binomial
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"matrix": [[1, 3, 1, 1, 1], [3, 1, 1, 0, 0]]}))
+    code, out, _ = run(capsys, "matrix", "--format", "json", "--box", "2", str(path))
+    assert code == 0
+    for fg in json.loads(out)["analysis"]["fibers"]:
+        columns = [
+            {j for i in comp for j, x in enumerate(fg["fiber"][i]) if x}
+            for comp in fg["components"]
+        ]
+        assert sum(map(len, columns)) == len(set().union(*columns))
+
+
 def test_matrix_negative_entry_exit_code(capsys, tmp_path):
     rows = tmp_path / "neg.txt"
     rows.write_text("1 -1\n0 1\n")

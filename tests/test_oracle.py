@@ -242,6 +242,15 @@ def test_graver_bounded_matches_reference_on_random_configs(cfg, box):
     assert graver_bounded(cfg, box) == _graver_bounded_reference(cfg, box)
 
 
+@given(_small_configs(), st.integers(1, 2))
+@settings(max_examples=150, deadline=None)
+def test_markov_bundle_of_a_graver_set_cut_short_by_the_box(cfg, box):
+    # a small box may miss Graver elements, and with them moves; the fiber
+    # components must still be sound, so no minimal Markov element joins
+    # two members that share a column
+    markov_bundle(cfg, graver_bounded(cfg, box))
+
+
 @st.composite
 def _fiber_cases(draw):
     """A small configuration, perhaps with a zero row put in, and a degree."""
@@ -471,8 +480,8 @@ def test_fiber_components_match_reference(graph):
 @pytest.mark.parametrize(
     "rows",
     [
-        # the largest degree entry at 2**k - 1 and 2**k, so the packed
-        # field is one bit wider in the second of each pair
+        # the top degree at 2**k - 1 and 2**k: there the last column alone
+        # is one component and the members on the other columns the other
         *([[1, 1, 2**k + d]] for k in (2, 5) for d in (-1, 0)),
         *([[1, 2**k + d]] for k in (5, 10) for d in (-1, 0)),
     ],
