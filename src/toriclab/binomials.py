@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Callable, Sequence
 
 
@@ -92,13 +93,15 @@ def make_binomial(
     degree_fn: Callable[[Sequence[int]], tuple[int, ...]],
 ) -> Binomial:
     """Build a canonical binomial, validating coprimality and degree balance."""
-    p = tuple(int(x) for x in plus)
-    q = tuple(int(x) for x in minus)
+    p = tuple(map(int, plus))
+    q = tuple(map(int, minus))
     if len(p) != len(q):
         raise BinomialError("exponent vectors differ in length")
-    if any(x < 0 for x in p + q):
+    if min(p + q, default=0) < 0:
         raise BinomialError("exponents must be nonnegative")
-    if any(a and b for a, b in zip(p, q)):
+    # nonnegative exponents share a variable exactly where their product is
+    # nonzero (a bitwise and would miss 1 against 2)
+    if any(map(mul, p, q)):
         shared = [i for i, (a, b) in enumerate(zip(p, q)) if a and b]
         raise NonCoprimeError(f"shared variables at indices {shared}")
     if p == q:

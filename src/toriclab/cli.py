@@ -322,7 +322,7 @@ def _oracle_section(
             f"enumeration (box={args.box}) disagrees with the walk enumeration; "
             "box >= 2 is exact for graphs"
         )
-    if args.samples > 0:
+    if args.samples:
         section["groebner"] = _groebner_section(
             config,
             analysis.universal_markov.elements,
@@ -456,7 +456,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             "minimal_markov_size": len(oracle.minimal_markov),
         },
     }
-    if args.samples > 0:
+    if args.samples:
         with timings.stage("groebner samples"):
             report["groebner"] = _groebner_section(
                 config,

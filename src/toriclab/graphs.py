@@ -309,6 +309,10 @@ class BlockDecomposition:
         ) == len(self.block_vertices[block_index])
 
     def cyclic_blocks(self) -> tuple[int, ...]:
+        return self._cyclic_blocks
+
+    @cached_property
+    def _cyclic_blocks(self) -> tuple[int, ...]:
         return tuple(b for b in range(len(self.blocks)) if self.is_cyclic(b))
 
 

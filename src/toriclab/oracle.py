@@ -679,6 +679,8 @@ def sample_groebner(
 ) -> tuple[GroebnerSample, ...]:
     """Reduced Groebner bases for seeded random positive weight orders."""
 
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     rng = random.Random(seed)
     low, high = _WEIGHT_RANGE
     out = []

@@ -12,6 +12,14 @@ in a unique common block (in particular any chord touching a cut vertex) is a
 bridge. The remaining chords have endpoints occurring exactly once each, so
 splitting the walk at the chord is unambiguous: the chord is odd when the two
 pieces are odd, even when both are even.
+
+Each walk carries one positions table, built in one pass over its canonical
+form: the walk positions of every vertex and of every edge
+(``vertex_positions`` and ``edge_occurrences``).  Every stage reads it: the
+traversal-count check of ``make_walk``, the chords and their occurrence
+pairs, the F4 search, and the edge parities of each cyclic block that the
+mixed test and the sink search share.  The tour steps around each cyclic
+block by a table of that block's own edges.
 """
 
 from __future__ import annotations
@@ -57,39 +65,50 @@ class ClosedEvenWalk:
         return len(self.edges)
 
     @cached_property
+    def _positions(
+        self,
+    ) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
+        """The positions table: 1-based walk positions of each vertex and of
+        each edge, from one pass over the walk."""
+        at_vertex: dict[int, tuple[int, ...]] = {}
+        at_edge: dict[int, tuple[int, ...]] = {}
+        for k, (v, e) in enumerate(zip(self.vertices, self.edges), 1):
+            at_vertex[v] = at_vertex[v] + (k,) if v in at_vertex else (k,)
+            at_edge[e] = at_edge[e] + (k,) if e in at_edge else (k,)
+        return at_vertex, at_edge
+
+    @cached_property
     def vertex_positions(self) -> dict[int, tuple[int, ...]]:
         """1-based walk positions of each vertex."""
-        out: dict[int, list[int]] = {}
-        for k, v in enumerate(self.vertices):
-            out.setdefault(v, []).append(k + 1)
-        return {v: tuple(ps) for v, ps in out.items()}
+        return self._positions[0]
 
     @cached_property
     def edge_occurrences(self) -> dict[int, tuple[int, ...]]:
         """1-based walk positions of each edge."""
-        out: dict[int, list[int]] = {}
-        for k, e in enumerate(self.edges):
-            out.setdefault(e, []).append(k + 1)
-        return {e: tuple(ps) for e, ps in out.items()}
+        return self._positions[1]
 
 
 def _canonicalize(
     edges: Sequence[int], vertices: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Least edge tuple over rotations and reflections, vertices kept aligned."""
-    L = len(edges)
+    """Least edge tuple over rotations and reflections, vertices kept aligned.
+
+    The least tuple starts with the least edge, so only the rotations that
+    start at an occurrence of it are compared, in both directions.
+    """
     e = tuple(edges)
     v = tuple(vertices)
-    e_ref = tuple(reversed(e))
-    v_ref = (v[0],) + tuple(reversed(v[1:]))
-    best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    for seq_e, seq_v in ((e, v), (e_ref, v_ref)):
-        for r in range(L):
-            cand = (seq_e[r:] + seq_e[:r], seq_v[r:] + seq_v[:r])
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best
+    L = len(e)
+    e_ref = e[::-1]
+    v_ref = v[:1] + v[:0:-1]
+    least = min(e)
+    candidates = []
+    for p in range(L):
+        if e[p] == least:
+            r = L - 1 - p  # where that occurrence sits in the reflection
+            candidates.append((e[p:] + e[:p], v[p:] + v[:p]))
+            candidates.append((e_ref[r:] + e_ref[:r], v_ref[r:] + v_ref[:r]))
+    return min(candidates)
 
 
 def make_walk(graph: Graph, edges: Sequence[int], vertices: Sequence[int]) -> ClosedEvenWalk:
@@ -98,26 +117,26 @@ def make_walk(graph: Graph, edges: Sequence[int], vertices: Sequence[int]) -> Cl
     Requires even length at least 4, consecutive edges matching the vertex
     sequence, and no edge traversed more than twice.
     """
-    edges = tuple(int(e) for e in edges)
-    vertices = tuple(int(v) for v in vertices)
+    edges = tuple(map(int, edges))
+    vertices = tuple(map(int, vertices))
     L = len(edges)
     if L != len(vertices):
         raise WalkError("edge and vertex sequences differ in length")
     if L < 4 or L % 2 != 0:
         raise WalkError(f"walk length {L} is not an even number >= 4")
-    counts: dict[int, int] = {}
-    for k in range(L):
-        e = edges[k]
-        if not 0 <= e < len(graph.edges):
-            raise WalkError(f"edge index {e} out of range")
-        a, b = graph.edges[e]
-        if {a, b} != {vertices[k], vertices[(k + 1) % L]}:
+    ends = graph.edges
+    if min(edges) < 0 or max(edges) >= len(ends):
+        bad = next(e for e in edges if not 0 <= e < len(ends))
+        raise WalkError(f"edge index {bad} out of range")
+    # graph edges are stored as (u, v) with u < v
+    for k, (e, u, w) in enumerate(zip(edges, vertices, vertices[1:] + vertices[:1])):
+        if ends[e] != ((u, w) if u < w else (w, u)):
             raise WalkError(f"edge at position {k + 1} does not join its walk vertices")
-        counts[e] = counts.get(e, 0) + 1
-        if counts[e] > 2:
+    walk = ClosedEvenWalk(*_canonicalize(edges, vertices))
+    for e, occurrences in walk.edge_occurrences.items():
+        if len(occurrences) > 2:
             raise WalkError(f"edge index {e} traversed more than twice")
-    ce, cv = _canonicalize(edges, vertices)
-    return ClosedEvenWalk(ce, cv)
+    return walk
 
 
 def walk_binomial(graph: Graph, walk: ClosedEvenWalk) -> Binomial:
@@ -130,11 +149,10 @@ def walk_binomial(graph: Graph, walk: ClosedEvenWalk) -> Binomial:
     m = len(graph.edges)
     plus = [0] * m
     minus = [0] * m
-    for k, e in enumerate(walk.edges):
-        if k % 2 == 0:
-            plus[e] += 1
-        else:
-            minus[e] += 1
+    for e in walk.edges[::2]:
+        plus[e] += 1
+    for e in walk.edges[1::2]:
+        minus[e] += 1
     return make_binomial(plus, minus, lambda exps: degree_of(graph, exps))
 
 
@@ -158,12 +176,13 @@ class ChordReport:
 
 
 def chords_of(graph: Graph, walk: ClosedEvenWalk) -> list[int]:
-    on_walk = set(walk.edges)
-    verts = set(walk.vertices)
+    """Edges of the graph off the walk with both ends on it."""
+    on_walk = walk.edge_occurrences
+    at = walk.vertex_positions
     return [
         i
         for i, (u, v) in enumerate(graph.edges)
-        if i not in on_walk and u in verts and v in verts
+        if u in at and v in at and i not in on_walk
     ]
 
 
@@ -178,15 +197,15 @@ def classify_chords(
     endpoints occur exactly once, but the diagnostic is kept as a guard.
     """
     cut = set(dec.cut_vertices)
+    blocks_of = dec.blocks_of_vertex
+    at = walk.vertex_positions
     reports = []
     for f in chords_of(graph, walk):
         a, b = graph.edges[f]
-        occ_a = walk.vertex_positions[a]
-        occ_b = walk.vertex_positions[b]
         pairs = tuple(
-            (min(i, j), max(i, j)) for i in occ_a for j in occ_b
+            (i, j) if i < j else (j, i) for i in at[a] for j in at[b]
         )
-        if a in cut or b in cut or dec.blocks_of_vertex[a] != dec.blocks_of_vertex[b]:
+        if a in cut or b in cut or blocks_of[a] != blocks_of[b]:
             reports.append(ChordReport(f, "bridge", pairs))
             continue
         parities = {(t - s) % 2 for s, t in pairs}
@@ -233,11 +252,36 @@ def _single_position(
 ) -> int:
     occ = walk.edge_occurrences[edge]
     if len(occ) != 1:
-        raise InternalInvariantError(
-            f"{stage} of graph {graph.digest()}: walk edge index {edge} "
-            f"expected once in a cyclic block, found {len(occ)}"
-        )
+        raise _not_once(graph, edge, len(occ), stage)
     return occ[0]
+
+
+def _not_once(graph: Graph, edge: int, found: int, stage: str) -> InternalInvariantError:
+    return InternalInvariantError(
+        f"{stage} of graph {graph.digest()}: walk edge index {edge} "
+        f"expected once in a cyclic block, found {found}"
+    )
+
+
+def _cyclic_parities(
+    graph: Graph, walk: ClosedEvenWalk, dec: BlockDecomposition, stage: str
+) -> list[tuple[int, dict[int, int]]]:
+    """Each cyclic block with the position parity of each of its edges.
+
+    A cycle edge of a primitive walk is traversed once; any other count is a
+    breach named after ``stage``.
+    """
+    occurrences = walk.edge_occurrences
+    out = []
+    for bi in dec.cyclic_blocks():
+        parity = {}
+        for e in dec.blocks[bi]:
+            occ = occurrences[e]
+            if len(occ) != 1:
+                raise _not_once(graph, e, len(occ), stage)
+            parity[e] = occ[0] & 1
+        out.append((bi, parity))
+    return out
 
 
 def find_F4s(
@@ -249,15 +293,16 @@ def find_F4s(
     they exist; the walk is cyclic, so neither completion is preferred.
     """
     odd = [r for r in reports if r.kind == "odd"]
-    on_walk = set(walk.edges)
+    on_walk = walk.edge_occurrences
+    vertices = walk.vertices
     records = []
     for r1, r2 in combinations(odd, 2):
         if not cross_effectively(r1.span, r2.span):
             continue
         s1, j1 = r1.span
         s2, j2 = r2.span
-        a, b = walk.vertices[s1 - 1], walk.vertices[j1 - 1]
-        c, d = walk.vertices[s2 - 1], walk.vertices[j2 - 1]
+        a, b = vertices[s1 - 1], vertices[j1 - 1]
+        c, d = vertices[s2 - 1], vertices[j2 - 1]
         for x1, y1, x2, y2 in ((a, c, b, d), (a, d, b, c)):
             e1 = graph.edge_between(x1, y1)
             e2 = graph.edge_between(x2, y2)
@@ -271,9 +316,8 @@ def find_F4s(
                     "landed on positions of different parity"
                 )
             lo, hi = min(p1, p2), max(p1, p2)
-            L = walk.length
-            side1 = tuple(sorted({walk.vertices[k % L] for k in range(lo, hi)}))
-            side2 = tuple(sorted({walk.vertices[k % L] for k in range(hi, lo + L)}))
+            side1 = tuple(sorted(set(vertices[lo:hi])))
+            side2 = tuple(sorted(set(vertices[hi:] + vertices[:lo])))
             records.append(
                 F4Record(
                     walk_edges=(walk.edges[lo - 1], walk.edges[hi - 1]),
@@ -313,32 +357,31 @@ class SinkReport:
 def sinks_and_strong_primitivity(
     graph: Graph, walk: ClosedEvenWalk, dec: BlockDecomposition
 ) -> SinkReport:
+    ends = graph.edges
     blocks = []
     sinks = []
     strongly = True
-    for bi in dec.cyclic_blocks():
-        block_edges = dec.blocks[bi]
-        edge_set = set(block_edges)
-        block_sinks = []
+    for bi, parity in _cyclic_parities(graph, walk, dec, "sink search"):
+        meeting: dict[int, list[int]] = {}  # vertex -> parities of its block edges
+        for e, p in parity.items():
+            u, w = ends[e]
+            meeting.setdefault(u, []).append(p)
+            meeting.setdefault(w, []).append(p)
+        block_sinks = set()
         for v in dec.block_vertices[bi]:
-            incident = [
-                ei for _, ei in graph.adjacency[v] if ei in edge_set
-            ]
-            if len(incident) != 2:
+            met = meeting.get(v, ())
+            if len(met) != 2:
                 raise InternalInvariantError(
                     f"sink search of graph {graph.digest()}: vertex "
-                    f"{graph.labels[v]} has {len(incident)} edges in a cyclic block"
+                    f"{graph.labels[v]} has {len(met)} edges in a cyclic block"
                 )
-            parities = [
-                _single_position(graph, walk, ei, "sink search") % 2 for ei in incident
-            ]
-            if parities[0] == parities[1]:
-                block_sinks.append(v)
-        for u, w in combinations(block_sinks, 2):
-            e = graph.edge_between(u, w)
-            if e is not None and e in edge_set:
-                strongly = False
-        blocks.append(block_edges)
+            if met[0] == met[1]:
+                block_sinks.add(v)
+        if len(block_sinks) > 1 and any(
+            ends[e][0] in block_sinks and ends[e][1] in block_sinks for e in parity
+        ):
+            strongly = False
+        blocks.append(dec.blocks[bi])
         sinks.append(tuple(sorted(block_sinks)))
     return SinkReport(tuple(blocks), tuple(sinks), strongly)
 
@@ -347,13 +390,10 @@ def is_mixed(
     graph: Graph, walk: ClosedEvenWalk, dec: BlockDecomposition
 ) -> bool:
     """Whether no cyclic block is pure, i.e. none sits entirely in one class."""
-    for bi in dec.cyclic_blocks():
-        classes = {
-            _single_position(graph, walk, e, "mixed test") % 2 for e in dec.blocks[bi]
-        }
-        if len(classes) == 1:
-            return False
-    return True
+    return all(
+        len(set(parity.values())) == 2
+        for _, parity in _cyclic_parities(graph, walk, dec, "mixed test")
+    )
 
 
 def uncompleted_crossing(
@@ -501,40 +541,35 @@ def walk_from_primitive_subgraph(
     """
     cut = set(dec.cut_vertices)
     pick = max if _reverse_ties else min
+    ends = graph.edges
 
     def steps(bi: int, entry: int) -> list[tuple[int, int]]:
         """One tour of block bi from entry, as (edge, vertex reached) steps."""
         block = dec.blocks[bi]
         if dec.is_cut_edge(bi):
             e = block[0]
-            u, w = graph.edges[e]
+            u, w = ends[e]
             return [(e, w if u == entry else u), (e, entry)]
-        edge_set = set(block)
-        neighbors = sorted(
-            w for w, ei in graph.adjacency[entry] if ei in edge_set
-        )
-        order = [entry, pick(neighbors)]
-        while True:
-            prev, cur = order[-2], order[-1]
-            nxt = [
-                w
-                for w, ei in graph.adjacency[cur]
-                if ei in edge_set and w != prev
-            ]
-            if len(nxt) != 1:
+        around: dict[int, list[tuple[int, int]]] = {}  # vertex -> (neighbour, edge)
+        for e in block:
+            u, w = ends[e]
+            around.setdefault(u, []).append((w, e))
+            around.setdefault(w, []).append((u, e))
+        prev = entry
+        cur, e = pick(around[entry])
+        out = [(e, cur)]
+        while cur != entry:
+            pairs = around[cur]
+            if len(pairs) != 2:
                 raise InternalInvariantError(
                     f"walk reconstruction of graph {graph.digest()}: cyclic "
                     "block is not a simple cycle"
                 )
-            if nxt[0] == entry:
-                break
-            order.append(nxt[0])
-        order.append(entry)
-        out = []
-        for a, b in zip(order, order[1:]):
-            e = graph.edge_between(a, b)
-            assert e is not None
-            out.append((e, b))
+            (a, ea), (b, eb) = pairs
+            if a == prev:
+                a, ea = b, eb
+            prev, cur, e = cur, a, ea
+            out.append((e, cur))
         return out
 
     # Each step's edge is followed by the tour of whatever hangs at the
@@ -544,11 +579,13 @@ def walk_from_primitive_subgraph(
     root = 0  # blocks are sorted by smallest edge, so block 0 holds it
     entry = min(dec.block_vertices[root])
     seq: list[int] = []
+    reached: list[int] = []
     frames = [(root, entry, iter(steps(root, entry)))]
     while frames:
         bi, block_entry, tour = frames[-1]
         for e, v in tour:
             seq.append(e)
+            reached.append(v)
             if v in cut and (v != block_entry or bi == root):
                 bs = dec.blocks_of_vertex[v]
                 nb = bs[0] if bs[1] == bi else bs[1]
@@ -557,14 +594,9 @@ def walk_from_primitive_subgraph(
         else:
             frames.pop()
 
-    vseq = [entry]
-    for e in seq[:-1]:
-        u, w = graph.edges[e]
-        vseq.append(w if vseq[-1] == u else u)
-    u, w = graph.edges[seq[-1]]
-    if vseq[0] not in (u, w):
+    if reached[-1] != entry:
         raise InternalInvariantError(
             f"walk reconstruction of graph {graph.digest()}: block tour did "
             "not close up"
         )
-    return make_walk(graph, seq, vseq)
+    return make_walk(graph, seq, [entry, *reached[:-1]])

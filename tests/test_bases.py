@@ -1,9 +1,13 @@
 """Distinguished sets from walks, cross-checked against the fiber machinery."""
 
+import hashlib
+import itertools
+import random
 import sys
 
 import pytest
 
+import toriclab.bases
 import toriclab.oracle
 from toriclab.bases import (
     analyze_graph,
@@ -13,9 +17,9 @@ from toriclab.bases import (
 )
 from toriclab.corpus import random_connected_graphs
 from toriclab.errors import InternalInvariantError, ScaleGuardError
-from toriclab.graphs import parse_graph
+from toriclab.graphs import Graph, GraphError, parse_graph
 
-from conftest import STRUCTURAL, support_minimal
+from conftest import STRUCTURAL, support_minimal, wide_graphs
 
 # circuits, graver, universal Groebner, universal Markov, indispensable
 EXPECTED_COUNTS = {
@@ -195,3 +199,91 @@ def test_graver_side_missing_from_its_fiber_names_the_graph(
         fiber_bundle(graph, analysis)
     assert f"fiber bundle of graph {graph.digest()}" in str(err.value)
     assert f"fiber of degree {list(hexagon.degree)}" in str(err.value)
+
+
+def _element_facts(element):
+    """Everything ``primitive_elements`` works out for one walk, as plain data."""
+    walk, b = element.walk, element.binomial
+    return (
+        element.subset,
+        walk.edges,
+        walk.vertices,
+        (b.plus, b.minus, b.degree),
+        element.mixed,
+        element.minimality_failures,
+        tuple((r.chord, r.kind, r.positions) for r in element.chords),
+        tuple(
+            (f.walk_edges, f.walk_edge_positions, f.chords, f.sides)
+            for f in element.f4s
+        ),
+    )
+
+
+def _graphs_on(vertices, edges, count, seed):
+    """Seeded connected graphs with exactly these vertex and edge counts."""
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(vertices), 2))
+    out = []
+    while len(out) < count:
+        try:
+            out.append(Graph(vertices, tuple(sorted(rng.sample(pairs, edges)))))
+        except GraphError:
+            continue
+    return out
+
+
+# sha256 of the facts of every element, graph by graph in the order listed,
+# as the walk layer computed them before it read one positions table per walk
+PINNED_ELEMENT_FACTS = {
+    "fixtures": (
+        "b70e91401cf70fd734442b45d5fac4e1"
+        "2f8ebff3a21b2a3e9a10e55738f28e9f"
+    ),
+    "12-edge": (
+        "ce3be102a8aecfef432c173d727aa5fa"
+        "25370ee8c7f89b0801243caba581ae87"
+    ),
+    "15-edge": (
+        "b66e3b6806f4ae1826bb5f4a4e9e4abe"
+        "1812ee3cd549605a6ae658089095bd5d"
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_ELEMENT_FACTS))
+def test_element_facts_match_pinned_digest(graph_of, family):
+    graphs = {
+        "fixtures": lambda: [graph_of(name) for name in STRUCTURAL],
+        "12-edge": lambda: wide_graphs(8, seed=1212),
+        "15-edge": lambda: _graphs_on(8, 15, 2, seed=1515),
+    }[family]()
+    facts = [
+        tuple(_element_facts(e) for e in primitive_elements(g)) for g in graphs
+    ]
+    digest = hashlib.sha256(repr(facts).encode()).hexdigest()
+    assert digest == PINNED_ELEMENT_FACTS[family]
+
+
+def test_walk_layer_runs_once_per_element(graph_of, monkeypatch):
+    # The tracer times the walk layer through these three functions, so
+    # ``primitive_elements`` must call each of them once per element.
+    calls = {}
+    for fn in (
+        "walk_from_primitive_subgraph",
+        "classify_chords",
+        "minimality_failures",
+    ):
+        real = getattr(toriclab.bases, fn)
+
+        def counted(*args, _real=real, _fn=fn, **kwargs):
+            calls[_fn] = calls.get(_fn, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(toriclab.bases, fn, counted)
+    elements = primitive_elements(graph_of("triangle_per_corner"))
+    assert len(elements) == 10
+    assert calls == {
+        "walk_from_primitive_subgraph": 10,
+        "classify_chords": 10,
+        "minimality_failures": 10,
+    }

@@ -37,6 +37,9 @@ def test_render_powers_and_prefix():
 def test_rejects_shared_support():
     with pytest.raises(NonCoprimeError):
         make_binomial((1, 1, 0), (1, 0, 1), total)
+    # a squared variable against a linear one: 2 & 1 == 0, yet both are used
+    with pytest.raises(NonCoprimeError, match=r"indices \[0\]"):
+        make_binomial((2, 0, 1), (1, 2, 0), total)
 
 
 def test_rejects_zero_and_negative():

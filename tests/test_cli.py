@@ -657,6 +657,21 @@ def test_long_path_is_answered(tmp_path):
     assert set(counts.values()) == {0}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--oracle", "--samples", "-1", fixture_path("k4")),
+        ("matrix", "--samples", "-2", FIXTURES / "matrix" / "n5.json"),
+    ],
+    ids=["analyze", "matrix"],
+)
+def test_negative_samples_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "toriclab: error: samples must be nonnegative\n"
+
+
 def test_box_below_two_that_misses_walks_is_a_usage_error(capsys):
     # the walk of tri_edge_tri squares its cut edge, so box 1 cannot hold it
     code, out, err = run(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from toriclab.bases import analyze_graph
 from toriclab.binomials import BinomialError
+from toriclab.errors import InternalInvariantError
 from toriclab.graphs import (
     DisconnectedGraphError,
     Graph,
@@ -20,6 +21,7 @@ from toriclab.graphs import (
 )
 from toriclab.walks import (
     WalkError,
+    _canonicalize,
     chord_crosses_F4,
     classify_chords,
     cross_effectively,
@@ -33,7 +35,7 @@ from toriclab.walks import (
     walk_from_primitive_subgraph,
 )
 
-from conftest import FIXTURES, wide_graphs
+from conftest import FIXTURES, STRUCTURAL, wide_graphs
 
 # octagon rim plus the chords {1,5} and {2,8}: the chords are odd and cross
 # effectively but no 4-cycle completes them, so the rim walk fails exactly M2
@@ -83,6 +85,52 @@ def test_walk_canonical_under_rotation_and_reflection(graph_of):
     reflected_edges = tuple(reversed(BOWTIE_EDGES))
     reflected_vertices = (BOWTIE_VERTICES[0],) + tuple(reversed(BOWTIE_VERTICES[1:]))
     assert make_walk(g, reflected_edges, reflected_vertices) == base
+
+
+def rotations_and_reflections(edges, vertices):
+    """Every rotation of the walk and of its reflection, vertices kept aligned."""
+    e = tuple(edges)
+    v = tuple(vertices)
+    for seq_e, seq_v in ((e, v), (e[::-1], v[:1] + v[:0:-1])):
+        for r in range(len(e)):
+            yield seq_e[r:] + seq_e[:r], seq_v[r:] + seq_v[:r]
+
+
+def canonical_by_every_rotation(edges, vertices):
+    """Reference canonical form: the least (edges, vertices) pair over all
+    rotations and reflections, compared one by one."""
+    return min(rotations_and_reflections(edges, vertices))
+
+
+@st.composite
+def edge_vertex_sequences(draw):
+    """An edge sequence using each edge once or twice, as a primitive walk
+    does with its cycle and cut edges, and a vertex sequence beside it."""
+    distinct = draw(st.lists(st.integers(0, 30), unique=True, min_size=2, max_size=9))
+    twice = draw(st.lists(st.booleans(), min_size=len(distinct), max_size=len(distinct)))
+    edges = draw(st.permutations(distinct + [e for e, t in zip(distinct, twice) if t]))
+    vertices = draw(
+        st.lists(st.integers(0, 5), min_size=len(edges), max_size=len(edges))
+    )
+    return edges, vertices
+
+
+@given(edge_vertex_sequences())
+@settings(max_examples=300, deadline=None)
+def test_canonical_form_matches_every_rotation(sequences):
+    edges, vertices = sequences
+    assert _canonicalize(edges, vertices) == canonical_by_every_rotation(
+        edges, vertices
+    )
+
+
+@pytest.mark.parametrize("name", STRUCTURAL)
+def test_canonical_form_of_every_walk_rotation(analysis_of, name):
+    # fixture walks, including the ones that cross a cut edge twice
+    for element in analysis_of(name).elements:
+        walk = (element.walk.edges, element.walk.vertices)
+        for rotated in rotations_and_reflections(*walk):
+            assert _canonicalize(*rotated) == walk
 
 
 def test_walk_binomial_bowtie(graph_of):
@@ -305,6 +353,14 @@ def test_walk_reconstruction_is_orientation_free(graph_of):
     assert walk_from_primitive_subgraph(opp, dec) == (
         walk_from_primitive_subgraph(opp, dec, _reverse_ties=True)
     )
+
+
+def test_tour_refuses_a_block_that_is_no_cycle(graph_of):
+    # K4 is one block of six edges, every vertex on three of them
+    k4 = graph_of("k4")
+    with pytest.raises(InternalInvariantError, match="not a simple cycle") as err:
+        walk_from_primitive_subgraph(k4, block_decomposition(k4))
+    assert k4.digest() in str(err.value)
 
 
 def test_deep_block_tree_without_recursion():
