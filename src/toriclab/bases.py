@@ -167,24 +167,6 @@ def analyze_graph(graph: Graph, force: bool = False) -> GraphAnalysis:
         m,
         [(e.binomial, _tags(e, e.subset in in_circuit)) for e in elements],
     )
-    ugb = make_basis_set(
-        "ugb",
-        m,
-        [
-            (b, dict(ann))
-            for b, ann in zip(graver.elements, graver.annotations)
-            if ann["mixed"]
-        ],
-    )
-    markov = make_basis_set(
-        "markov",
-        m,
-        [
-            (b, dict(ann))
-            for b, ann in zip(graver.elements, graver.annotations)
-            if ann["minimal"]
-        ],
-    )
     return GraphAnalysis(
         graph,
         elements,
@@ -197,8 +179,8 @@ def analyze_graph(graph: Graph, force: bool = False) -> GraphAnalysis:
             ],
         ),
         graver,
-        ugb,
-        markov,
+        graver.subset("ugb", lambda _, ann: ann["mixed"]),
+        graver.subset("markov", lambda _, ann: ann["minimal"]),
     )
 
 
@@ -225,11 +207,7 @@ def fiber_bundle(graph: Graph, analysis: GraphAnalysis) -> FiberBundle:
     # set too, and that set equals the walk one, so filtering the walk set
     # finds each indispensable element with its walk tags
     keys = bundle.indispensable.element_set()
-    markov = analysis.universal_markov
-    items = [
-        (b, ann)
-        for b, ann in zip(markov.elements, markov.annotations)
-        if (b.plus, b.minus) in keys
-    ]
-    indispensable = make_basis_set("indispensable", bundle.config.ncols, items)
+    indispensable = analysis.universal_markov.subset(
+        "indispensable", lambda b, _: (b.plus, b.minus) in keys
+    )
     return replace(bundle, indispensable=indispensable)

@@ -124,7 +124,9 @@ class BasisSet:
 
     ``annotations[i]`` is a JSON-ready dict of per-element tags (may be empty).
     Elements are sorted by (total degree, plus vector, minus vector), so two
-    runs over the same input serialize to identical bytes.
+    runs over the same input serialize to identical bytes.  A subset built
+    by ``subset`` shares its annotation dicts with this set, so they are
+    read-only: copy one before changing it.
     """
 
     kind: str
@@ -135,8 +137,26 @@ class BasisSet:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def element_set(self) -> frozenset[tuple[tuple[int, ...], tuple[int, ...]]]:
+    @cached_property
+    def _keys(self) -> frozenset[tuple[tuple[int, ...], tuple[int, ...]]]:
         return frozenset((b.plus, b.minus) for b in self.elements)
+
+    def element_set(self) -> frozenset[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The ``(plus, minus)`` key of every element, built on the first call."""
+        return self._keys
+
+    def subset(self, kind: str, keep: Callable[[Binomial, dict], bool]) -> BasisSet:
+        """The elements for which ``keep(binomial, annotation)`` holds, in this
+        set's order and with its annotation dicts, as a set of ``kind``."""
+        if kind not in BASIS_KINDS:
+            raise ValueError(f"unknown basis kind {kind!r}")
+        kept = [pair for pair in zip(self.elements, self.annotations) if keep(*pair)]
+        return BasisSet(
+            kind,
+            self.variables,
+            tuple(b for b, _ in kept),
+            tuple(a for _, a in kept),
+        )
 
     def to_json(self, prefix: str = "e") -> dict:
         return {

@@ -131,6 +131,15 @@ _WITHIN_LABELS = {
 }
 
 
+def _check_sampling(args) -> None:
+    """Reject a ``--box`` below 1 or a negative ``--samples`` before any work,
+    with the errors ``graver_bounded`` and ``sample_groebner`` raise."""
+    if args.box < 1:
+        raise ValueError("box must be at least 1")
+    if args.samples < 0:
+        raise ValueError("samples must be nonnegative")
+
+
 def _groebner_section(
     config: ToricConfig, generators, args, key: str, within, prefix: str
 ) -> dict:
@@ -340,6 +349,7 @@ def _oracle_section(
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    _check_sampling(args)
     timings = _Timings()
     graph = load_graph(args.path)
     analysis, bundle, verdict, suite = _pipeline(graph, args.force, timings)
@@ -427,11 +437,13 @@ def _parse_matrix(text: str) -> ToricConfig:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
+    _check_sampling(args)
     timings = _Timings()
     config = read_named(args.path, _parse_matrix)
     with timings.stage("bounded graver"):
         oracle = analyze_config(config, args.box)
     indispensable = oracle.indispensable.elements
+    graver_keys = {(b.plus, b.minus) for b in oracle.graver}
     report = {
         "schema": 1,
         "command": "matrix",
@@ -450,7 +462,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         },
         "observations": {
             "markov_equals_graver": oracle.universal_markov.element_set()
-            == {(b.plus, b.minus) for b in oracle.graver},
+            == graver_keys,
             "indispensable_equals_markov": oracle.indispensable.element_set()
             == oracle.universal_markov.element_set(),
             "minimal_markov_size": len(oracle.minimal_markov),
@@ -463,7 +475,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
                 oracle.universal_markov.elements,
                 args,
                 "within_bounded_graver",
-                {(b.plus, b.minus) for b in oracle.graver},
+                graver_keys,
                 "x",
             )
 
@@ -536,15 +548,12 @@ def _instance_record(
                     "actual": record[key],
                 }
         for key, wanted in expect.get("counts", {}).items():
-            if key not in record["counts"]:
+            # every count is an int, so None marks a key with no count
+            actual = record["counts"].get(key)
+            if actual is None or actual != wanted:
                 mismatches[f"counts.{key}"] = {
                     "expected": wanted,
-                    "actual": None,
-                }
-            elif record["counts"][key] != wanted:
-                mismatches[f"counts.{key}"] = {
-                    "expected": wanted,
-                    "actual": record["counts"][key],
+                    "actual": actual,
                 }
     if mismatches:
         record["expect_mismatch"] = mismatches

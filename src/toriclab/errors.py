@@ -14,11 +14,11 @@ class InternalInvariantError(RuntimeError):
 
 
 def read_named(path, parse, error=ValueError):
-    """``parse`` of the file's UTF-8 text.  Each decode or parse error names
-    the file.  One that is neither an ``error`` nor a JSON decode error, and
-    undecodable bytes, become an ``error``."""
+    """``parse`` of the file's UTF-8 text, after any byte order mark.  Each
+    decode or parse error names the file.  One that is neither an ``error``
+    nor a JSON decode error, and undecodable bytes, become an ``error``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return parse(fh.read())
     except json.JSONDecodeError as exc:
         raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from exc

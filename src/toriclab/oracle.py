@@ -127,6 +127,13 @@ class ToricConfig:
             for column in self.columns
         )
 
+    @cached_property
+    def last_columns(self) -> tuple[int, ...]:
+        """For each row, the index of its last nonzero column (0 if none)."""
+        return tuple(
+            max((j for j, a in enumerate(row) if a), default=0) for row in self.rows
+        )
+
     def degree(self, exponents: Sequence[int]) -> tuple[int, ...]:
         """The degree A·u, summed over the nonzero exponents only."""
         if len(exponents) != self.ncols:
@@ -178,12 +185,10 @@ def fiber(config: ToricConfig, degree: Sequence[int]) -> tuple[tuple[int, ...], 
     cols = config.columns
     top = max(*target, *map(max, config.rows))
     shifts, guard = _packing(config.nrows, top)
-    # closed[j]: the value bits of the rows whose last nonzero column is j;
-    # zero rows close at 0
+    # closed[j]: the value bits of the rows whose last nonzero column is j
     closed = [0] * len(cols)
-    for r in range(config.nrows):
-        last = max((j for j, col in enumerate(cols) if col[r]), default=0)
-        closed[last] |= (1 << top.bit_length()) - 1 << shifts[r]
+    for shift, last in zip(shifts, config.last_columns):
+        closed[last] |= (1 << top.bit_length()) - 1 << shift
 
     pairs = [((), _pack(target, shifts))]
     for col, shut in zip((_pack(c, shifts) for c in cols), closed):
@@ -271,11 +276,9 @@ def _fiber_batch(
     rows = np.zeros((len(degrees), width), dtype=dtype)
     rows[:, 0] = np.arange(len(degrees))
     rows[:, 1:1 + config.nrows] = np.array(degrees, dtype=dtype)
-    lasts = [max((j for j, col in enumerate(cols) if col[r]), default=0)
-             for r in range(config.nrows)]
     for j, col in enumerate(cols):
         reached = [r for r, c in enumerate(col) if c]
-        shut = [1 + r for r, last in enumerate(lasts) if last == j]
+        shut = [1 + r for r, last in enumerate(config.last_columns) if last == j]
         most = (rows[:, [1 + r for r in reached]]
                 // np.array([col[r] for r in reached], dtype=dtype)).min(axis=1)
         steps = most.astype(np.intp) + 1

@@ -13,11 +13,14 @@ from toriclab.bases import (
     analyze_graph,
     ensure_tractable,
     fiber_bundle,
+    graph_config,
     primitive_elements,
 )
+from toriclab.binomials import make_basis_set
 from toriclab.corpus import random_connected_graphs
 from toriclab.errors import InternalInvariantError, ScaleGuardError
 from toriclab.graphs import Graph, GraphError, parse_graph
+from toriclab.oracle import markov_bundle
 
 from conftest import STRUCTURAL, support_minimal, wide_graphs
 
@@ -287,3 +290,32 @@ def test_walk_layer_runs_once_per_element(graph_of, monkeypatch):
         "classify_chords": 10,
         "minimality_failures": 10,
     }
+
+
+@pytest.mark.parametrize("family", ["fixtures", "12-edge"])
+def test_filtered_subsets_match_a_fresh_basis_set(graph_of, family):
+    # ``BasisSet.subset`` skips make_basis_set's copying, duplicate check and
+    # sort; over a canonical set it must build the same set, element by
+    # element and annotation by annotation
+    graphs = {
+        "fixtures": lambda: [graph_of(name) for name in STRUCTURAL],
+        "12-edge": lambda: wide_graphs(8, seed=1212),
+    }[family]()
+    for g in graphs:
+        a = analyze_graph(g)
+        oracle = markov_bundle(graph_config(g), a.graver.elements)
+        keys = oracle.indispensable.element_set()
+        for subset, source, keep in (
+            (a.universal_groebner, a.graver, lambda _, ann: ann["mixed"]),
+            (a.universal_markov, a.graver, lambda _, ann: ann["minimal"]),
+            (
+                fiber_bundle(g, a).indispensable,
+                a.universal_markov,
+                lambda b, _: (b.plus, b.minus) in keys,
+            ),
+        ):
+            items = zip(source.elements, source.annotations)
+            fresh = make_basis_set(
+                subset.kind, len(g.edges), [pair for pair in items if keep(*pair)]
+            )
+            assert subset == fresh

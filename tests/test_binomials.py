@@ -92,6 +92,31 @@ def test_basis_set_sorted_and_deduplicated():
     assert s.annotations[1] == {"a": 1}
 
 
+def test_element_set_is_built_once():
+    b = make_binomial((1, 0), (0, 1), total)
+    s = make_basis_set("graver", 2, [(b, {})])
+    keys = s.element_set()
+    assert keys == {(b.plus, b.minus)}
+    assert s.element_set() is keys
+
+
+def test_subset_keeps_order_and_shares_annotations():
+    b1 = make_binomial((1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1), total)
+    b2 = make_binomial((0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1), total)
+    b3 = make_binomial((1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1), total)
+    s = make_basis_set(
+        "graver", 6, [(b1, {"keep": True}), (b2, {"keep": False}), (b3, {"keep": True})]
+    )
+    sub = s.subset("ugb", lambda _, ann: ann["keep"])
+    assert (sub.kind, sub.variables, sub.elements) == ("ugb", 6, (b1, b3))
+    assert sub.annotations[0] is s.annotations[1]
+    assert sub.annotations[1] is s.annotations[2]
+    assert s.subset("markov", lambda b, _: b is b2).elements == (b2,)
+    assert len(s.subset("indispensable", lambda *_: False)) == 0
+    with pytest.raises(ValueError):
+        s.subset("mystery", lambda *_: True)
+
+
 def test_basis_set_conflicting_tags_rejected():
     b = make_binomial((1, 0), (0, 1), total)
     with pytest.raises(BinomialError):

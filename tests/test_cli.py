@@ -672,6 +672,70 @@ def test_negative_samples_is_a_usage_error(capsys, argv):
     assert err == "toriclab: error: samples must be nonnegative\n"
 
 
+N5 = FIXTURES / "matrix" / "n5.json"
+BOX_BELOW_ONE = "box must be at least 1"
+NEGATIVE_SAMPLES = "samples must be nonnegative"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("analyze", "--box", "0", fixture_path("k4")), BOX_BELOW_ONE),
+        (("analyze", "--samples", "-1", fixture_path("k4")), NEGATIVE_SAMPLES),
+        (
+            ("analyze", "--oracle", "--box", "-3", "--samples", "-1", fixture_path("k4")),
+            BOX_BELOW_ONE,
+        ),
+        (("matrix", "--box", "0", N5), BOX_BELOW_ONE),
+        (("matrix", "--samples", "-2", N5), NEGATIVE_SAMPLES),
+    ],
+    ids=["analyze-box", "analyze-samples", "analyze-oracle", "matrix-box", "matrix-samples"],
+)
+def test_box_and_samples_are_checked_before_any_work(capsys, monkeypatch, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before --box and --samples were checked")
+
+    for name in ("load_graph", "analyze_graph", "read_named", "analyze_config"):
+        monkeypatch.setattr(cli, name, no_work)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"toriclab: error: {message}\n")
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize(
+    "command,name,content",
+    [
+        ("check", "square.txt", b"1 2\n2 3\n3 4\n4 1\n"),
+        (
+            "check",
+            "square.json",
+            b'{"vertices": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]}',
+        ),
+        ("matrix", "m.txt", b"1 0 0 1\n1 1 0 0\n0 1 1 0\n0 0 1 1\n"),
+        ("suite", "square.expect.json", b'{"robust": true, "counts": {"graver": 1}}'),
+    ],
+    ids=["edge-list", "json-graph", "matrix", "sidecar"],
+)
+def test_a_leading_byte_order_mark_is_skipped(capsys, tmp_path, command, name, content):
+    # the same file with and without a UTF-8 byte order mark reads the same
+    outputs = []
+    for prefix in (b"", BOM):
+        folder = tmp_path / ("bom" if prefix else "plain")
+        folder.mkdir()
+        (folder / name).write_bytes(prefix + content)
+        target = folder / name
+        if command == "suite":
+            shutil.copy(fixture_path("c4"), folder / "square.txt")
+            target = folder
+        outputs.append(run(capsys, command, "--format", "json", target))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+    if command == "check":
+        assert set(json.loads(outputs[0][1])["counts"].values()) == {1}
+
+
 def test_box_below_two_that_misses_walks_is_a_usage_error(capsys):
     # the walk of tri_edge_tri squares its cut edge, so box 1 cannot hold it
     code, out, err = run(

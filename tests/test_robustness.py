@@ -104,6 +104,33 @@ def test_unique_generation(graph_of, analysis_of, bundle_of):
     assert rep.holds
 
 
+def _first_missing(source, other):
+    """The first element of ``source`` minus ``other`` in sort order."""
+    missing = source.element_set() - other.element_set()
+    return min(
+        (b for b in source.elements if (b.plus, b.minus) in missing),
+        key=lambda b: b.sort_key(),
+    )
+
+
+def test_failing_criteria_name_the_least_missing_element(analysis_of, bundle_of):
+    failed = []
+    for name in EXPECTED_VERDICTS:
+        a, bundle = analysis_of(name), bundle_of(name)
+        rep = check_generalized_robust_sets(a)
+        if not rep.holds:
+            least = _first_missing(a.graver, a.universal_markov)
+            assert rep.witness["binomial"] == least.to_json(), name
+            failed.append(rep.name)
+        rep = check_unique_generation(a, bundle)
+        if not rep.holds:
+            least = _first_missing(a.universal_markov, bundle.indispensable)
+            assert rep.witness == {"binomial": least.to_json()}, name
+            failed.append(rep.name)
+    # both criteria fail somewhere, so both witnesses were compared
+    assert set(failed) == {"markov-equals-graver", "unique-minimal-generation"}
+
+
 @pytest.mark.parametrize("name", sorted(EXPECTED_VERDICTS))
 def test_implication_suite_holds(graph_of, analysis_of, bundle_of, name):
     suite = implication_suite(graph_of(name), analysis_of(name), bundle_of(name))
