@@ -16,8 +16,9 @@ packed into one Python integer each, a guarded field per row
 (``_packing``), so an entrywise comparison is one subtraction and a mask.
 Each fiber is split into components from its own members alone: members
 that share a column lie in one component (``fiber_graphs``), so no degree
-depends on the moves found at another.  ``graver_bounded`` groups the box
-by one integer degree key.
+depends on the moves found at another.  ``graver_bounded`` finds the
+kernel vectors in its box by a meet in the middle: two half-boxes, each row
+with a signed degree key, joined where the keys cancel.
 """
 
 from __future__ import annotations
@@ -39,7 +40,11 @@ from .binomials import (
 )
 from .errors import InternalInvariantError, ScaleGuardError
 
-# Hard cap on the number of exponent vectors graver_bounded will materialize.
+# Cap on the size (box + 1)^m of graver_bounded's box {0..box}^m.  The join
+# builds only two half-boxes of (2 * box + 1)^half rows, far fewer, but the
+# cap stays on the box so that the inputs it refused before still exit 3.
+# It bounds neither the matches nor the candidates: the one row of twelve
+# 1s at box 2 is under it and has 9,805,587 kernel vectors up to sign.
 _MAX_BOX_ROWS = 5_000_000
 
 # Inclusive range of the random weights sample_groebner draws.
@@ -304,11 +309,16 @@ def _fiber_batch(
 def graver_bounded(config: ToricConfig, box: int) -> tuple[Binomial, ...]:
     """Primitive kernel elements whose exponents are bounded by ``box``.
 
-    Enumerates every exponent vector in {0..box}^m, sorts them by a degree
-    key so each degree is a run of rows, pairs rows of a run whose supports
-    (as bitmasks) are disjoint, and keeps the conformally minimal pairs.
-    Minimality inside the box equals global minimality because a proper
-    conformal divisor of an in-box vector is itself in the box.
+    These are the binomials x^u - x^v, u = w⁺ and v = w⁻, of the nonzero
+    w in {-box..box}^m with A·w = 0 that no other such w conformally
+    precedes.  The kernel vectors come from a meet in the middle (Horowitz
+    and Sahni, 1974): the first ⌊m/2⌋ columns of w and the rest each get a
+    signed degree key, and A·w = 0 exactly when the two keys cancel, so
+    only the two half-boxes of (2·box + 1)^half rows are built.  Of each
+    pair ±w the one with u > v is kept.  They are ranked by total degree,
+    then (u, v), and each is kept unless a kept one divides it straight or
+    crossed.  Minimality inside the box equals global minimality because a
+    proper conformal divisor of an in-box vector is itself in the box.
     """
 
     if box < 1:
@@ -317,77 +327,91 @@ def graver_bounded(config: ToricConfig, box: int) -> tuple[Binomial, ...]:
     total = (box + 1) ** m
     if total > _MAX_BOX_ROWS:
         raise ScaleGuardError(
-            f"box enumeration would need {total} exponent vectors "
+            f"the box {{0..{box}}}^{m} holds {total} exponent vectors "
             f"(limit {_MAX_BOX_ROWS}); reduce the box or the variable count"
         )
-    # Row i is the exponent vector np.unravel_index(i, (box + 1,) * m).  Its
-    # degree becomes one mixed-radix key, the last matrix row the most
-    # significant digit, and its support a bitmask; both are built a column
-    # at a time, the first column varying slowest.  Matrix row r's degree
-    # entries lie in 0..box * sum(row r).  Past int64 the keys are Python
-    # integers in an object array.
+    if m == 1:
+        # A nonzero column has no kernel; its half-box would hold 2 * box + 1
+        # rows, more than its box.
+        return ()
+    # The key of w is sum_j w_j * weight_j, its degree A·w in a balanced
+    # mixed radix: matrix row r, of sum s, gives the digit of radix
+    # 2 * box * s + 1, which lies in -box*s..box*s; the last row is the
+    # most significant.  So a key is 0 exactly when A·w = 0, and every key,
+    # like every partial sum of one, lies within (radix - 1) / 2 of 0.
+    # Past int64 the keys are Python integers in an object array.
     radix = 1
     weights = [0] * m
     for row in config.rows:
         for j, a in enumerate(row):
             weights[j] += a * radix
-        radix *= box * sum(row) + 1
-    dtype = np.int64 if radix - 1 <= np.iinfo(np.int64).max else object
-    steps = np.arange(box + 1)
-    keys = np.zeros(1, dtype=dtype)
-    bits = np.zeros(1, dtype=np.int64)
-    for j, weight in enumerate(weights):
-        keys = (keys[:, None] + steps.astype(dtype) * weight).ravel()
-        bits = (bits[:, None] | (steps > 0).astype(np.int64) << j).ravel()
-    order = np.argsort(keys, kind="stable")
-    ranked_keys = keys[order]
-    del keys
-    group = np.concatenate(([0], np.cumsum(ranked_keys[1:] != ranked_keys[:-1])))
-    del ranked_keys
-    bits = bits[order]
+        radix *= 2 * box * sum(row) + 1
+    key_dtype = np.int64 if (radix - 1) // 2 <= np.iinfo(np.int64).max else object
+    narrow, top = next((t, top) for t, top in _BATCH_DTYPES if 2 * box <= top)
+    left_keys, left = _half_box(weights[:m // 2], box, key_dtype, narrow)
+    right_keys, right = _half_box(weights[m // 2:], box, key_dtype, narrow)
 
-    # Sorted row k pairs with row k + d while both lie in one degree run.
-    firsts = [np.empty(0, dtype=np.intp)]
-    seconds = [np.empty(0, dtype=np.intp)]
-    for d in range(1, total):
-        same = group[:-d] == group[d:]
-        if not same.any():
-            break
-        kept = np.flatnonzero(same & ((bits[:-d] & bits[d:]) == 0))
-        firsts.append(kept)
-        seconds.append(kept + d)
-    shape = (box + 1,) * m
-    firsts_rows = np.column_stack(
-        np.unravel_index(order[np.concatenate(firsts)], shape)
-    ).tolist()
-    seconds_rows = np.column_stack(
-        np.unravel_index(order[np.concatenate(seconds)], shape)
-    ).tolist()
-
-    candidates: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    for u, v in zip(firsts_rows, seconds_rows):
-        ut, vt = tuple(u), tuple(v)
-        candidates.add((ut, vt) if ut > vt else (vt, ut))
-
-    ranked = sorted(candidates, key=lambda pv: (sum(pv[0]) + sum(pv[1]), pv))
-    accepted: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for plus, minus in ranked:
-        dominated = False
-        for ap, am in accepted:
-            straight = all(x <= y for x, y in zip(ap, plus)) and all(
-                x <= y for x, y in zip(am, minus)
-            )
-            crossed = all(x <= y for x, y in zip(am, plus)) and all(
-                x <= y for x, y in zip(ap, minus)
-            )
-            if straight or crossed:
-                dominated = True
-                break
-        if not dominated:
-            accepted.append((plus, minus))
-    return tuple(
-        make_binomial(plus, minus, config.degree) for plus, minus in accepted
+    # A half-box's rows are lex ascending, so its middle row is zero and
+    # the rows after it are those whose first nonzero entry is positive.
+    # The w with u > v are those whose first nonzero entry is positive:
+    # those with a left half past the middle, and those with a zero left
+    # half and a right half past the middle.
+    zero = len(left) // 2
+    left_keys, left = left_keys[zero:], left[zero:]
+    order = np.argsort(left_keys, kind="stable")
+    ranked_keys, targets = left_keys[order], -right_keys
+    lo = np.searchsorted(ranked_keys, targets, side="left")
+    hi = np.searchsorted(ranked_keys, targets, side="right")
+    counts = hi - lo
+    right_rows = np.repeat(np.arange(len(right)), counts)
+    # the k-th match of right row r is ranked left row lo[r] + k
+    left_rows = order[
+        np.arange(len(right_rows)) - np.repeat(np.cumsum(counts) - hi, counts)
+    ]
+    positive = (left_rows > 0) | (right_rows > len(right) // 2)
+    kernel = np.concatenate(
+        (left[left_rows[positive]], right[right_rows[positive]]), axis=1
     )
+    pairs = np.concatenate((np.maximum(kernel, 0), np.maximum(-kernel, 0)), axis=1)
+    # by total degree, then (u, v); lexsort's last key is the primary one
+    ranking = np.lexsort((*pairs.T[::-1], pairs.sum(axis=1)))
+
+    # Each (u, v) packed into one integer as by ``_packing``: its entries
+    # lie in 0..box, so the sign bit of each little-endian ``narrow`` field
+    # is clear and serves as the guard.  A kept (u', v') divides (u, v)
+    # straight when (u', v') <= (u, v) and crossed when (v', u') <= (u, v).
+    _, guard = _packing(2 * m, top)
+    field = np.dtype(narrow).newbyteorder("<")
+    packed = pairs[ranking].astype(field).tobytes()
+    size = 2 * m * field.itemsize  # bytes per (u, v)
+    half = 4 * size  # bits of the fields of v
+    divisors: list[int] = []
+    kept = []
+    for i in range(len(pairs)):
+        pair = int.from_bytes(packed[i * size:(i + 1) * size], "little")
+        lifted = pair | guard
+        for divisor in divisors:
+            if (lifted - divisor) & guard == guard:
+                break
+        else:
+            kept.append(ranking[i])
+            divisors += (pair, pair >> half | (pair & (1 << half) - 1) << half)
+    return tuple(
+        make_binomial(tuple(row[:m]), tuple(row[m:]), config.degree)
+        for row in pairs[kept].tolist()
+    )
+
+
+def _half_box(
+    weights: list[int], box: int, key_dtype, narrow
+) -> tuple[np.ndarray, np.ndarray]:
+    """The keys and rows of {-box..box}^len(weights), the rows lex
+    ascending in ``narrow``, the key of w sum_j w_j * weights[j] in
+    ``key_dtype``."""
+    n = len(weights)
+    rows = np.indices((2 * box + 1,) * n, dtype=narrow)
+    rows = rows.reshape(n, (2 * box + 1) ** n).T - narrow(box)
+    return rows.astype(key_dtype) @ np.array(weights, dtype=key_dtype), rows
 
 
 def _degree_sort_key(degree: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:

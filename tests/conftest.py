@@ -80,13 +80,14 @@ def binomial_from_vector(vector, degree_fn):
     return make_binomial(plus, minus, degree_fn)
 
 
-def wide_graphs(count, seed, edges=12):
-    """Seeded connected graphs with ``edges`` edges on 7 or 8 vertices."""
+def wide_graphs(count, seed, edges=12, vertices=(7, 8)):
+    """Seeded connected graphs with ``edges`` edges, each on a vertex count
+    drawn from ``vertices``."""
 
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        n = rng.choice((7, 8))
+        n = rng.choice(vertices)
         pairs = list(itertools.combinations(range(n), 2))
         try:
             out.append(Graph(n, tuple(sorted(rng.sample(pairs, edges)))))

@@ -212,6 +212,46 @@ def test_graver_bounded_around_the_int64_degree_key(rows, box):
     assert graver_bounded(cfg, box)
 
 
+@pytest.mark.parametrize(
+    "rows, box",
+    [
+        # one row: the join's signed key reaches box * (row sum), here
+        # 2**63 - 2, the last even key that fits in int64, and 2**63
+        ([[1, 1, 2**62 - 4, 1]], 2),
+        ([[1, 1, 2**62 - 3, 1]], 2),
+        # two rows, the last the more significant: the key reaches
+        # 2 * s + 8 * (4 * s + 1) = 34 * s + 8 for the first row's sum s,
+        # which fits int64 up to s = (2**63 - 9) // 34
+        ([[1, 1, (2**63 - 9) // 34 - 3, 1], [1, 1, 1, 1]], 2),
+        ([[1, 1, (2**63 - 9) // 34 - 2, 1], [1, 1, 1, 1]], 2),
+    ],
+)
+def test_graver_bounded_around_the_int64_signed_key(rows, box):
+    cfg = config_from_rows(rows)
+    assert graver_bounded(cfg, box) == _graver_bounded_reference(cfg, box)
+    assert graver_bounded(cfg, box)
+
+
+@pytest.mark.parametrize(
+    "rows, box",
+    [
+        # one column: the left half is empty, and there is no kernel
+        ([[3]], 1),
+        ([[1], [2]], 3),
+        # odd column counts, so the right half is the wider
+        ([[1, 2, 3]], 3),
+        ([[1, 1, 1, 0, 0], [0, 1, 2, 1, 3]], 2),
+        ([[2, 0, 1, 1, 3, 1, 1], [1, 3, 0, 2, 1, 1, 2]], 1),
+        # repeated columns: many kernel vectors at each degree
+        ([[1] * 6], 2),
+        ([[1, 1, 1, 2, 2], [1, 1, 1, 1, 1]], 3),
+    ],
+)
+def test_graver_bounded_join_edge_cases(rows, box):
+    cfg = config_from_rows(rows)
+    assert graver_bounded(cfg, box) == _graver_bounded_reference(cfg, box)
+
+
 def test_graver_bounded_of_a_tree_is_empty():
     # a spider: no even closed walk, so no kernel element at any box
     tree = Graph(6, ((0, 1), (1, 2), (1, 3), (3, 4), (3, 5)))
@@ -222,9 +262,9 @@ def test_graver_bounded_of_a_tree_is_empty():
 
 
 @st.composite
-def _small_configs(draw):
+def _small_configs(draw, max_cols=6):
     nrows = draw(st.integers(1, 3))
-    ncols = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, max_cols))
     columns = [
         draw(
             st.lists(st.integers(0, 3), min_size=nrows, max_size=nrows).filter(
@@ -239,6 +279,12 @@ def _small_configs(draw):
 @given(_small_configs(), st.integers(1, 2))
 @settings(max_examples=150, deadline=None)
 def test_graver_bounded_matches_reference_on_random_configs(cfg, box):
+    assert graver_bounded(cfg, box) == _graver_bounded_reference(cfg, box)
+
+
+@given(_small_configs(max_cols=5), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_graver_bounded_matches_reference_up_to_box_3(cfg, box):
     assert graver_bounded(cfg, box) == _graver_bounded_reference(cfg, box)
 
 
@@ -397,6 +443,25 @@ def _keys(binomials):
 )
 def test_walk_sets_match_oracle_past_corpus_edge_cap(graph):
     # The acceptance corpus stops at 11 edges; these have 12.
+    _assert_walk_sets_match_oracle(graph)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        *wide_graphs(6, seed=1313, edges=13, vertices=(7, 8, 9)),
+        *wide_graphs(6, seed=1414, edges=14, vertices=(7, 8, 9)),
+    ],
+    ids=lambda g: f"{len(g.edges)}e-{g.digest()[:12]}",
+)
+def test_walk_sets_match_oracle_at_13_and_14_edges(graph):
+    # 3^14 is the last box under the scale guard at box 2
+    _assert_walk_sets_match_oracle(graph)
+
+
+def _assert_walk_sets_match_oracle(graph):
+    """The walk-derived Graver, circuit, universal Markov and indispensable
+    sets equal the box-2 oracle's."""
     analysis = analyze_graph(graph)
     bundle = fiber_bundle(graph, analysis)
     cfg = graph_config(graph)
