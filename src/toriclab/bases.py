@@ -5,10 +5,11 @@ their block trees: ``graphs.primitive_block_trees`` grows trees of cycles
 and cut-edge paths out of each cycle and yields the even cycles and the
 trees with odd sides at every cut vertex, each with the block tree it
 grew, so no walk's primitivity or blocks are worked out a second time.
-Circuits are read off those walks' block trees: the primitive walks with
-one cyclic block (an even cycle) or two (odd cycles meeting in a vertex or
-joined by a path).  The universal Groebner and universal Markov members are
-primitive walks passing the mixedness and minimality filters.
+Each walk's circuit shape is read off its block tree once, on its element:
+the walks with one cyclic block (an even cycle) or two (odd cycles meeting
+in a vertex or joined by a path) are the circuits.  The universal Groebner
+and universal Markov members are primitive walks passing the mixedness and
+minimality filters.
 ``fiber_bundle`` hands the walk-derived Graver set to
 ``oracle.markov_bundle``; the universal Markov basis read off its fiber
 graphs must match the walk one, an internal consistency check.
@@ -63,7 +64,8 @@ class PrimitiveElement:
     """One primitive walk with its binomial and classification tags.
 
     ``decomposition``, ``chords`` and ``f4s`` are the walk's block tree,
-    chord reports and F4s, worked out once here for every later reader.
+    chord reports and F4s, and ``shape`` its circuit shape (None for a walk
+    that is no circuit), worked out once here for every later reader.
     """
 
     subset: tuple[int, ...]
@@ -74,6 +76,7 @@ class PrimitiveElement:
     decomposition: BlockDecomposition = field(repr=False, compare=False)
     chords: tuple[ChordReport, ...] = field(repr=False, compare=False)
     f4s: tuple[F4Record, ...] = field(repr=False, compare=False)
+    shape: str | None = field(repr=False, compare=False)
 
     @property
     def minimal(self) -> bool:
@@ -81,10 +84,26 @@ class PrimitiveElement:
 
 
 def primitive_elements(graph: Graph) -> tuple[PrimitiveElement, ...]:
-    """Every primitive walk of the graph, sorted by binomial."""
+    """Every primitive walk of the graph, sorted by binomial.
+
+    A graph's circuits are its even cycles, pairs of odd cycles meeting in
+    exactly one vertex, and pairs of vertex-disjoint odd cycles joined by a
+    path (whose edges enter squared).  Each is a primitive walk, and its
+    block tree tells them apart: one cyclic block is an even cycle; two
+    cyclic blocks and nothing else share a vertex; two cyclic blocks plus
+    cut edges are path-joined.  A primitive walk with three or more cyclic
+    blocks is no circuit.
+    """
 
     out = []
     for subset, dec in primitive_block_trees(graph):
+        cyclic = len(dec.cyclic_blocks)
+        if cyclic == 1:
+            shape = "even-cycle"
+        elif cyclic == 2:
+            shape = "shared-vertex" if len(dec.blocks) == 2 else "path-joined"
+        else:
+            shape = None
         walk = walk_from_primitive_subgraph(graph, dec)
         chords = tuple(classify_chords(graph, walk, dec))
         f4s = tuple(find_F4s(graph, walk, chords))
@@ -100,6 +119,7 @@ def primitive_elements(graph: Graph) -> tuple[PrimitiveElement, ...]:
                 decomposition=dec,
                 chords=chords,
                 f4s=f4s,
+                shape=shape,
             )
         )
     out.sort(key=lambda e: e.binomial.sort_key())
@@ -109,35 +129,14 @@ def primitive_elements(graph: Graph) -> tuple[PrimitiveElement, ...]:
 def circuit_walks(
     elements: Sequence[PrimitiveElement],
 ) -> list[tuple[PrimitiveElement, str]]:
-    """The circuits among the primitive walks, each labelled with its shape.
-
-    A graph's circuits are its even cycles, pairs of odd cycles meeting in
-    exactly one vertex, and pairs of vertex-disjoint odd cycles joined by a
-    path (whose edges enter squared).  Each is a primitive walk, and its
-    block tree tells them apart: one cyclic block is an even cycle; two
-    cyclic blocks and nothing else share a vertex; two cyclic blocks plus
-    cut edges are path-joined.  A primitive walk with three or more cyclic
-    blocks is no circuit.
-    """
-
-    out = []
-    for element in elements:
-        dec = element.decomposition
-        cyclic = len(dec.cyclic_blocks())
-        if cyclic == 1:
-            out.append((element, "even-cycle"))
-        elif cyclic == 2 and len(dec.blocks) == 2:
-            out.append((element, "shared-vertex"))
-        elif cyclic == 2:
-            out.append((element, "path-joined"))
-    return out
+    """The circuits among the primitive walks, each with its shape."""
+    return [(e, e.shape) for e in elements if e.shape]
 
 
 @dataclass(frozen=True)
 class GraphAnalysis:
     """The four walk-derived sets plus the underlying primitive elements."""
 
-    graph: Graph
     elements: tuple[PrimitiveElement, ...]
     circuits: BasisSet
     graver: BasisSet
@@ -158,24 +157,18 @@ def _tags(element: PrimitiveElement, circuit: bool) -> dict:
 def analyze_graph(graph: Graph, force: bool = False) -> GraphAnalysis:
     ensure_tractable(graph, force)
     elements = primitive_elements(graph)
-    circuits = circuit_walks(elements)
-    in_circuit = {e.subset for e, _ in circuits}
-
     m = len(graph.edges)
     graver = make_basis_set(
-        "graver",
-        m,
-        [(e.binomial, _tags(e, e.subset in in_circuit)) for e in elements],
+        "graver", m, [(e.binomial, _tags(e, bool(e.shape))) for e in elements]
     )
     return GraphAnalysis(
-        graph,
         elements,
         make_basis_set(
             "circuits",
             m,
             [
                 (e.binomial, {**_tags(e, True), "shape": shape})
-                for e, shape in circuits
+                for e, shape in circuit_walks(elements)
             ],
         ),
         graver,

@@ -140,7 +140,12 @@ class Graph:
         return f"{{{self.labels[u]}, {self.labels[v]}}}"
 
     def digest(self) -> str:
-        """Stable short digest of the labelled edge list."""
+        """Stable short digest of the vertex count and edge list (labels do
+        not enter it), hashed once per graph."""
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
         payload = json.dumps(
             {"vertices": self.vertex_count, "edges": list(self.edges)},
             sort_keys=True,
@@ -308,11 +313,8 @@ class BlockDecomposition:
             self.blocks[block_index]
         ) == len(self.block_vertices[block_index])
 
-    def cyclic_blocks(self) -> tuple[int, ...]:
-        return self._cyclic_blocks
-
     @cached_property
-    def _cyclic_blocks(self) -> tuple[int, ...]:
+    def cyclic_blocks(self) -> tuple[int, ...]:
         return tuple(b for b in range(len(self.blocks)) if self.is_cyclic(b))
 
 

@@ -43,9 +43,14 @@ from .errors import InternalInvariantError, ScaleGuardError
 # Cap on the size (box + 1)^m of graver_bounded's box {0..box}^m.  The join
 # builds only two half-boxes of (2 * box + 1)^half rows, far fewer, but the
 # cap stays on the box so that the inputs it refused before still exit 3.
-# It bounds neither the matches nor the candidates: the one row of twelve
-# 1s at box 2 is under it and has 9,805,587 kernel vectors up to sign.
+# It does not bound the join's matches, which set its cost: the one row
+# 1 2 ... 22 at box 1 is under it and has 122,551,623 matches.
 _MAX_BOX_ROWS = 5_000_000
+# Cap on the matches of graver_bounded's join, counted before any is built.
+# A match took 105 bytes of peak memory at 10-11 columns and 145-172 at 16
+# (rows of 1s at box 2, rows of 1s or 1..16 at box 1), so this cap holds
+# the join to about 200-350 MB.
+_MAX_JOIN_MATCHES = 2_000_000
 
 # Inclusive range of the random weights sample_groebner draws.
 _WEIGHT_RANGE = (1, 100)
@@ -363,6 +368,13 @@ def graver_bounded(config: ToricConfig, box: int) -> tuple[Binomial, ...]:
     lo = np.searchsorted(ranked_keys, targets, side="left")
     hi = np.searchsorted(ranked_keys, targets, side="right")
     counts = hi - lo
+    matches = int(counts.sum())
+    if matches > _MAX_JOIN_MATCHES:
+        raise ScaleGuardError(
+            f"the kernel join of the box {{0..{box}}}^{m} has {matches} "
+            f"matches (limit {_MAX_JOIN_MATCHES}); reduce the box or the "
+            "variable count"
+        )
     right_rows = np.repeat(np.arange(len(right)), counts)
     # the k-th match of right row r is ranked left row lo[r] + k
     left_rows = order[

@@ -70,13 +70,10 @@ def circuit_rule_violations(graph: Graph, analysis: GraphAnalysis) -> dict[str, 
     and have that edge on a cycle of both.
     """
 
-    circuits = analysis.circuits.element_set()
-    circuit_elements = [
-        e for e in analysis.elements if (e.binomial.plus, e.binomial.minus) in circuits
-    ]
+    circuits = [e for e in analysis.elements if e.shape]
     violations: dict[str, dict] = {}
 
-    for e in circuit_elements:
+    for e in circuits:
         if "R1" not in violations and "M1" in e.minimality_failures:
             bad = next(r for r in e.chords if r.kind != "odd")
             violations["R1"] = {
@@ -93,13 +90,14 @@ def circuit_rule_violations(graph: Graph, analysis: GraphAnalysis) -> dict[str, 
                 "chords": [graph.edge_label(r.chord) for r in pair],
             }
 
-    for e1, e2 in combinations(circuit_elements, 2):
-        shared = set(e1.walk.edges) & set(e2.walk.edges)
+    # each circuit's edge and vertex sets, built once rather than per pair
+    sets = [(e, set(e.walk.edges), set(e.walk.vertices)) for e in circuits]
+    for (e1, edges1, vertices1), (e2, edges2, vertices2) in combinations(sets, 2):
+        shared = edges1 & edges2
         if len(shared) != 1:
             continue
         edge = next(iter(shared))
-        endpoints = set(graph.edges[edge])
-        if set(e1.walk.vertices) & set(e2.walk.vertices) != endpoints:
+        if vertices1 & vertices2 != set(graph.edges[edge]):
             continue
         if all(
             e.decomposition.is_cyclic(e.decomposition.block_of_edge[edge])

@@ -153,6 +153,9 @@ def walk_binomial(graph: Graph, walk: ClosedEvenWalk) -> Binomial:
         plus[e] += 1
     for e in walk.edges[1::2]:
         minus[e] += 1
+    # Degreed by graphs.degree_of, not ToricConfig.degree, on purpose: then
+    # markov_bundle's check that both sides lie in their degree's fiber
+    # compares two independent degree maps.
     return make_binomial(plus, minus, lambda exps: degree_of(graph, exps))
 
 
@@ -175,33 +178,25 @@ class ChordReport:
         return self.positions[0]
 
 
-def chords_of(graph: Graph, walk: ClosedEvenWalk) -> list[int]:
-    """Edges of the graph off the walk with both ends on it."""
-    on_walk = walk.edge_occurrences
-    at = walk.vertex_positions
-    return [
-        i
-        for i, (u, v) in enumerate(graph.edges)
-        if u in at and v in at and i not in on_walk
-    ]
-
-
 def classify_chords(
     graph: Graph, walk: ClosedEvenWalk, dec: BlockDecomposition
 ) -> list[ChordReport]:
     """Classify every chord of the walk as bridge, even, or odd.
 
-    Parity is computed for every occurrence pair of the endpoints and must
-    agree; disagreement raises ChordClassificationError. With bridges split
-    off first this cannot trigger on a primitive walk, where non-bridge
+    A chord is an edge off the walk with both ends on it.  Parity is
+    computed for every occurrence pair of the endpoints and must agree;
+    disagreement raises ChordClassificationError. With bridges split off
+    first this cannot trigger on a primitive walk, where non-bridge
     endpoints occur exactly once, but the diagnostic is kept as a guard.
     """
     cut = set(dec.cut_vertices)
     blocks_of = dec.blocks_of_vertex
     at = walk.vertex_positions
+    on_walk = walk.edge_occurrences
     reports = []
-    for f in chords_of(graph, walk):
-        a, b = graph.edges[f]
+    for f, (a, b) in enumerate(graph.edges):
+        if a not in at or b not in at or f in on_walk:
+            continue
         pairs = tuple(
             (i, j) if i < j else (j, i) for i in at[a] for j in at[b]
         )
@@ -273,7 +268,7 @@ def _cyclic_parities(
     """
     occurrences = walk.edge_occurrences
     out = []
-    for bi in dec.cyclic_blocks():
+    for bi in dec.cyclic_blocks:
         parity = {}
         for e in dec.blocks[bi]:
             occ = occurrences[e]
@@ -349,7 +344,6 @@ class SinkReport:
     two sinks joined by a block edge.
     """
 
-    cyclic_blocks: tuple[tuple[int, ...], ...]
     sinks: tuple[tuple[int, ...], ...]
     strongly_primitive: bool
 
@@ -358,7 +352,6 @@ def sinks_and_strong_primitivity(
     graph: Graph, walk: ClosedEvenWalk, dec: BlockDecomposition
 ) -> SinkReport:
     ends = graph.edges
-    blocks = []
     sinks = []
     strongly = True
     for bi, parity in _cyclic_parities(graph, walk, dec, "sink search"):
@@ -381,9 +374,8 @@ def sinks_and_strong_primitivity(
             ends[e][0] in block_sinks and ends[e][1] in block_sinks for e in parity
         ):
             strongly = False
-        blocks.append(dec.blocks[bi])
         sinks.append(tuple(sorted(block_sinks)))
-    return SinkReport(tuple(blocks), tuple(sinks), strongly)
+    return SinkReport(tuple(sinks), strongly)
 
 
 def is_mixed(
@@ -524,7 +516,7 @@ def _sides_at_cut_vertex(
 
 
 def walk_from_primitive_subgraph(
-    graph: Graph, dec: BlockDecomposition, _reverse_ties: bool = False
+    graph: Graph, dec: BlockDecomposition
 ) -> ClosedEvenWalk:
     """Reconstruct the closed even walk of a primitive subgraph from its block
     tree ``dec``.
@@ -532,15 +524,13 @@ def walk_from_primitive_subgraph(
     The block tree is toured depth first from the block holding the smallest
     edge: cycle blocks are traversed once around with branches visited inline
     at their cut vertices, cut edges are crossed on the way out and back.
-    Each cycle edge appears once and each cut edge twice. The tie-break knob
-    flips the traversal direction inside cycle blocks; the resulting binomial
-    must not depend on it. ``dec`` is a primitive walk's block tree: one
-    that ``graphs.primitive_block_trees`` yields, or the decomposition of a
-    passing ``is_primitive_subgraph`` verdict.  The tour keeps an explicit
-    stack of blocks, so a deep block tree costs no interpreter depth.
+    Each cycle edge appears once and each cut edge twice. ``dec`` is a
+    primitive walk's block tree: one that ``graphs.primitive_block_trees``
+    yields, or the decomposition of a passing ``is_primitive_subgraph``
+    verdict.  The tour keeps an explicit stack of blocks, so a deep block
+    tree costs no interpreter depth.
     """
     cut = set(dec.cut_vertices)
-    pick = max if _reverse_ties else min
     ends = graph.edges
 
     def steps(bi: int, entry: int) -> list[tuple[int, int]]:
@@ -556,7 +546,7 @@ def walk_from_primitive_subgraph(
             around.setdefault(u, []).append((w, e))
             around.setdefault(w, []).append((u, e))
         prev = entry
-        cur, e = pick(around[entry])
+        cur, e = min(around[entry])
         out = [(e, cur)]
         while cur != entry:
             pairs = around[cur]

@@ -267,6 +267,33 @@ def test_element_facts_match_pinned_digest(graph_of, family):
     assert digest == PINNED_ELEMENT_FACTS[family]
 
 
+@pytest.mark.parametrize("family", sorted(PINNED_ELEMENT_FACTS))
+def test_shape_marks_exactly_the_circuits(graph_of, family):
+    # Each element's circuit shape is set from its block tree; the circuits
+    # are independently the support-minimal Graver elements, and the
+    # circuits set carries the same shapes.
+    graphs = {
+        "fixtures": lambda: [graph_of(name) for name in STRUCTURAL],
+        "12-edge": lambda: wide_graphs(8, seed=1212),
+        "15-edge": lambda: _graphs_on(8, 15, 2, seed=1515),
+    }[family]()
+    for g in graphs:
+        a = analyze_graph(g)
+        shaped = {
+            (e.binomial.plus, e.binomial.minus): e.shape
+            for e in a.elements
+            if e.shape is not None
+        }
+        assert set(shaped) == support_minimal(a.graver.element_set())
+        assert set(shaped.values()) <= {
+            "even-cycle", "shared-vertex", "path-joined"
+        }
+        assert shaped == {
+            (b.plus, b.minus): ann["shape"]
+            for b, ann in zip(a.circuits.elements, a.circuits.annotations)
+        }
+
+
 def test_walk_layer_runs_once_per_element(graph_of, monkeypatch):
     # The tracer times the walk layer through these three functions, so
     # ``primitive_elements`` must call each of them once per element.

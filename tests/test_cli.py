@@ -401,6 +401,36 @@ def test_scale_guard_exit_code_and_force(capsys, tmp_path):
     assert json.loads(out)["set"]["count"] == 0
 
 
+@pytest.mark.parametrize(
+    "row, box",
+    [(list(range(1, 23)), 1), ([1] * 14, 2)],
+    ids=["1..22-box1", "ones14-box2"],
+)
+def test_matrix_join_guard_exits_3(capsys, tmp_path, row, box):
+    path = tmp_path / "row.txt"
+    path.write_text(" ".join(map(str, row)) + "\n")
+    code, out, err = run(capsys, "matrix", "--box", str(box), str(path))
+    assert code == 3
+    assert out == ""
+    assert "matches (limit 2000000)" in err
+
+
+def test_check_hashes_the_graph_once(capsys, monkeypatch):
+    # the report's input section and the implication suite both name the
+    # graph's digest; it is hashed once and kept
+    real = hashlib.sha256
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha256", counted)
+    code, _, _ = run(capsys, "check", "--format", "json", fixture_path("k4"))
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_suite_directory_with_expectations(capsys, tmp_path):
     shutil.copy(fixture_path("c4"), tmp_path / "square.txt")
     expect = tmp_path / "square.expect.json"

@@ -142,7 +142,7 @@ def test_block_partition_covers_edges(graph_of):
     # square, two triangles, two cut edges
     sizes = sorted(len(b) for b in dec.blocks)
     assert sizes == [1, 1, 3, 3, 4]
-    assert len(dec.cyclic_blocks()) == 3
+    assert len(dec.cyclic_blocks) == 3
 
 
 def test_block_decomposition_of_subset(graph_of):

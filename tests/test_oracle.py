@@ -482,6 +482,21 @@ def test_graver_bounded_guards_scale():
         graver_bounded(cfg, box=2)
 
 
+# Both boxes are under the box cap, but their joins have 122,551,623 and
+# 227,406,945 matches; the guard counts them from the two half-boxes
+# before building any.
+JOIN_TOO_LARGE = [
+    pytest.param([list(range(1, 23))], 1, id="1..22-box1"),
+    pytest.param([[1] * 14], 2, id="ones14-box2"),
+]
+
+
+@pytest.mark.parametrize("rows, box", JOIN_TOO_LARGE)
+def test_graver_bounded_guards_the_join_matches(rows, box):
+    with pytest.raises(ScaleGuardError, match=r"matches \(limit 2000000\)"):
+        graver_bounded(config_from_rows(rows), box)
+
+
 def test_k4_fiber_graph_betti(graph_of):
     cfg = graph_config(graph_of("k4"))
     bundle = markov_bundle(cfg, graver_bounded(cfg, box=2))
