@@ -7,9 +7,12 @@ trees with odd sides at every cut vertex, each with the block tree it
 grew, so no walk's primitivity or blocks are worked out a second time.
 Each walk's circuit shape is read off its block tree once, on its element:
 the walks with one cyclic block (an even cycle) or two (odd cycles meeting
-in a vertex or joined by a path) are the circuits.  The universal Groebner
-and universal Markov members are primitive walks passing the mixedness and
-minimality filters.
+in a vertex or joined by a path) are the circuits.  Every other fact of a
+walk is worked out once too, in ``primitive_elements``, and read from the
+table that ``walks`` names for it; the element keeps the block tree,
+chords, odd-chord crossings and F4s for the readers after it.  The
+universal Groebner and universal Markov members are primitive walks
+passing the mixedness and minimality filters.
 ``fiber_bundle`` hands the walk-derived Graver set to
 ``oracle.markov_bundle``; the universal Markov basis read off its fiber
 graphs must match the walk one, an internal consistency check.
@@ -34,6 +37,8 @@ from .walks import (
     ClosedEvenWalk,
     F4Record,
     classify_chords,
+    crossing_pairs,
+    cyclic_parities,
     find_F4s,
     is_mixed,
     minimality_failures,
@@ -63,9 +68,10 @@ def graph_config(graph: Graph) -> ToricConfig:
 class PrimitiveElement:
     """One primitive walk with its binomial and classification tags.
 
-    ``decomposition``, ``chords`` and ``f4s`` are the walk's block tree,
-    chord reports and F4s, and ``shape`` its circuit shape (None for a walk
-    that is no circuit), worked out once here for every later reader.
+    ``decomposition``, ``chords``, ``crossings`` and ``f4s`` are the walk's
+    block tree, chord reports, odd-chord crossing scan and F4s, and
+    ``shape`` its circuit shape (None for a walk that is no circuit), worked
+    out once here for every later reader.
     """
 
     subset: tuple[int, ...]
@@ -75,6 +81,9 @@ class PrimitiveElement:
     minimality_failures: tuple[str, ...]
     decomposition: BlockDecomposition = field(repr=False, compare=False)
     chords: tuple[ChordReport, ...] = field(repr=False, compare=False)
+    crossings: tuple[tuple[ChordReport, ChordReport], ...] = field(
+        repr=False, compare=False
+    )
     f4s: tuple[F4Record, ...] = field(repr=False, compare=False)
     shape: str | None = field(repr=False, compare=False)
 
@@ -93,6 +102,11 @@ def primitive_elements(graph: Graph) -> tuple[PrimitiveElement, ...]:
     cyclic blocks and nothing else share a vertex; two cyclic blocks plus
     cut edges are path-joined.  A primitive walk with three or more cyclic
     blocks is no circuit.
+
+    Each fact of a walk is worked out once, in this order, and every later
+    stage reads it: the walk with its positions table, the chord reports,
+    the odd-chord crossing scan, the F4s, the cyclic-parity table, then the
+    binomial, the mixed test and the minimality codes.
     """
 
     out = []
@@ -105,19 +119,22 @@ def primitive_elements(graph: Graph) -> tuple[PrimitiveElement, ...]:
         else:
             shape = None
         walk = walk_from_primitive_subgraph(graph, dec)
-        chords = tuple(classify_chords(graph, walk, dec))
-        f4s = tuple(find_F4s(graph, walk, chords))
+        chords = classify_chords(graph, walk, dec)
+        crossings = crossing_pairs(chords)
+        f4s = find_F4s(graph, walk, crossings)
+        parities = cyclic_parities(graph, walk, dec)
         out.append(
             PrimitiveElement(
                 subset=subset,
                 walk=walk,
                 binomial=walk_binomial(graph, walk),
-                mixed=is_mixed(graph, walk, dec),
+                mixed=is_mixed(parities),
                 minimality_failures=minimality_failures(
-                    graph, walk, dec, chords, f4s
+                    graph, dec, parities, chords, crossings, f4s
                 ),
                 decomposition=dec,
                 chords=chords,
+                crossings=crossings,
                 f4s=f4s,
                 shape=shape,
             )

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
-from .graphs import Graph, GraphError
+from .graphs import DisconnectedGraphError, Graph, GraphError
 
 
 def random_connected_graphs(
@@ -46,3 +47,26 @@ def random_connected_graphs(
         except GraphError:
             continue
     return out
+
+
+def ladder_graph(vertices: int, edges: int) -> Graph:
+    """The seeded connected graph of a size ladder: ``edges`` distinct
+    vertex pairs on ``vertices`` vertices, drawn by
+    ``random.Random(1000 + edges)`` and drawn again until connected.
+
+    The rungs 8/20, 9/22, 10/24 and 11/26 are graphs just past the
+    unforced edge limit whose walk enumeration and fibers grow fast.  A
+    size that no simple connected graph has is a ValueError; a size close
+    to a tree takes many draws.
+    """
+    pairs = list(combinations(range(vertices), 2))
+    if not max(1, vertices - 1) <= edges <= len(pairs):
+        raise ValueError(
+            f"no connected simple graph has {vertices} vertices and {edges} edges"
+        )
+    rng = random.Random(1000 + edges)
+    while True:
+        try:
+            return Graph(vertices, tuple(sorted(rng.sample(pairs, edges))))
+        except DisconnectedGraphError:
+            continue

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from typing import Iterator, Sequence
@@ -241,9 +241,9 @@ def degree_of(graph: Graph, exponents: Sequence[int]) -> tuple[int, ...]:
         )
     deg = [0] * graph.vertex_count
     for k, (u, v) in zip(exponents, graph.edges):
-        if k < 0:
-            raise ValueError("exponents must be nonnegative")
         if k:
+            if k < 0:
+                raise ValueError("exponents must be nonnegative")
             deg[u] += k
             deg[v] += k
     return tuple(deg)
@@ -282,12 +282,29 @@ class BlockDecomposition:
 
     ``blocks[i]`` is a sorted tuple of edge indices; blocks are sorted by their
     smallest edge. A block is a *cut edge* when it has a single edge, and
-    *cyclic* when it is a cycle (edge count equals vertex count).
+    *cyclic* when it is a cycle (edge count equals vertex count).  The
+    blocks of each vertex and the cyclic blocks are worked out on
+    construction, once.
     """
 
     blocks: tuple[tuple[int, ...], ...]
     block_vertices: tuple[tuple[int, ...], ...]
     cut_vertices: tuple[int, ...]
+    blocks_of_vertex: dict[int, tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    cyclic_blocks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        at: dict[int, tuple[int, ...]] = {}
+        cyclic = []
+        for bi, (edges, verts) in enumerate(zip(self.blocks, self.block_vertices)):
+            for v in verts:
+                at[v] = at.get(v, ()) + (bi,)
+            if len(edges) >= 3 and len(edges) == len(verts):
+                cyclic.append(bi)
+        object.__setattr__(self, "blocks_of_vertex", at)
+        object.__setattr__(self, "cyclic_blocks", tuple(cyclic))
 
     @cached_property
     def block_of_edge(self) -> dict[int, int]:
@@ -297,25 +314,11 @@ class BlockDecomposition:
                 out[e] = bi
         return out
 
-    @cached_property
-    def blocks_of_vertex(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {}
-        for bi, verts in enumerate(self.block_vertices):
-            for v in verts:
-                out.setdefault(v, []).append(bi)
-        return {v: tuple(bs) for v, bs in out.items()}
-
     def is_cut_edge(self, block_index: int) -> bool:
         return len(self.blocks[block_index]) == 1
 
     def is_cyclic(self, block_index: int) -> bool:
-        return len(self.blocks[block_index]) >= 3 and len(
-            self.blocks[block_index]
-        ) == len(self.block_vertices[block_index])
-
-    @cached_property
-    def cyclic_blocks(self) -> tuple[int, ...]:
-        return tuple(b for b in range(len(self.blocks)) if self.is_cyclic(b))
+        return block_index in self.cyclic_blocks
 
 
 def block_decomposition(
@@ -535,12 +538,12 @@ def primitive_block_trees(
             cut = 0
             for _, _, path_edges, joints in attachments:
                 cut |= joints
-                blocks.extend(((e,), graph.edges[e]) for e in _bits(path_edges))
+                if path_edges:
+                    blocks.extend(((e,), graph.edges[e]) for e in _bits(path_edges))
             blocks.sort()
+            block_edges, block_vertices = zip(*blocks)
             yield _bits(edge_mask), BlockDecomposition(
-                tuple(edges for edges, _ in blocks),
-                tuple(verts for _, verts in blocks),
-                _bits(cut),
+                block_edges, block_vertices, _bits(cut)
             )
         # the cycles through one or more, and through two or more, state vertices
         once = twice = 0

@@ -83,7 +83,7 @@ def circuit_rule_violations(graph: Graph, analysis: GraphAnalysis) -> dict[str, 
                 "kind": bad.kind,
             }
         if "R2" not in violations and "M2" in e.minimality_failures:
-            pair = uncompleted_crossing(e.chords, e.f4s)
+            pair = uncompleted_crossing(e.crossings, e.f4s)
             violations["R2"] = {
                 "rule": "R2",
                 "binomial": e.binomial.to_json(),

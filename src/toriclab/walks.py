@@ -13,19 +13,31 @@ bridge. The remaining chords have endpoints occurring exactly once each, so
 splitting the walk at the chord is unambiguous: the chord is odd when the two
 pieces are odd, even when both are even.
 
-Each walk carries one positions table, built in one pass over its canonical
-form: the walk positions of every vertex and of every edge
-(``vertex_positions`` and ``edge_occurrences``).  Every stage reads it: the
-traversal-count check of ``make_walk``, the chords and their occurrence
-pairs, the F4 search, and the edge parities of each cyclic block that the
-mixed test and the sink search share.  The tour steps around each cyclic
-block by a table of that block's own edges.
+Each fact of a walk is worked out once and read from one table:
+
+- the positions table of ``ClosedEvenWalk`` (``vertex_positions`` and
+  ``edge_occurrences``), built on construction in one pass over the
+  canonical form; that pass also checks that no edge is traversed more
+  than twice.  The chords and their occurrence pairs, the F4 search and the
+  cyclic-parity table read it.
+- the block tree (``graphs.BlockDecomposition``), handed over by the
+  generator with each vertex's blocks and the cyclic blocks worked out on
+  construction.  The tour, the bridge test of the chords, the cyclic-parity
+  table and the sink search read it.
+- the cyclic-parity table (``cyclic_parities``): the position parity of
+  every edge of each cyclic block.  The mixed test and the sink search
+  read it.
+- the odd-chord crossing scan (``crossing_pairs``): every effectively
+  crossing pair of odd chords.  The F4 search and the M2 test read it.
+- the F4 records, whose two sides the M3 test reads.
+
+The binomial is counted off the edge sequence by position parity.  The
+tour steps around each cyclic block by a table of that block's own edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
@@ -54,38 +66,52 @@ class ClosedEvenWalk:
 
     ``edges[k]`` joins ``vertices[k]`` and ``vertices[(k+1) % length]``. The
     stored representative is the lexicographically least edge sequence over
-    all rotations and reflections.
+    all rotations and reflections.  The positions table is built on
+    construction, in one pass over that form, and that pass refuses an edge
+    traversed more than twice.
     """
 
     edges: tuple[int, ...]
     vertices: tuple[int, ...]
+    _vertex_at: dict[int, tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    _edge_at: dict[int, tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        at_vertex: dict[int, tuple[int, ...]] = {}
+        at_edge: dict[int, tuple[int, ...]] = {}
+        k = 0
+        for v, e in zip(self.vertices, self.edges):
+            k += 1
+            if v in at_vertex:
+                at_vertex[v] += (k,)
+            else:
+                at_vertex[v] = (k,)
+            if e not in at_edge:
+                at_edge[e] = (k,)
+            elif len(at_edge[e]) == 1:
+                at_edge[e] += (k,)
+            else:
+                raise WalkError(f"edge index {e} traversed more than twice")
+        object.__setattr__(self, "_vertex_at", at_vertex)
+        object.__setattr__(self, "_edge_at", at_edge)
 
     @property
     def length(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def _positions(
-        self,
-    ) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
-        """The positions table: 1-based walk positions of each vertex and of
-        each edge, from one pass over the walk."""
-        at_vertex: dict[int, tuple[int, ...]] = {}
-        at_edge: dict[int, tuple[int, ...]] = {}
-        for k, (v, e) in enumerate(zip(self.vertices, self.edges), 1):
-            at_vertex[v] = at_vertex[v] + (k,) if v in at_vertex else (k,)
-            at_edge[e] = at_edge[e] + (k,) if e in at_edge else (k,)
-        return at_vertex, at_edge
-
-    @cached_property
+    @property
     def vertex_positions(self) -> dict[int, tuple[int, ...]]:
         """1-based walk positions of each vertex."""
-        return self._positions[0]
+        return self._vertex_at
 
-    @cached_property
+    @property
     def edge_occurrences(self) -> dict[int, tuple[int, ...]]:
         """1-based walk positions of each edge."""
-        return self._positions[1]
+        return self._edge_at
 
 
 def _canonicalize(
@@ -129,14 +155,12 @@ def make_walk(graph: Graph, edges: Sequence[int], vertices: Sequence[int]) -> Cl
         bad = next(e for e in edges if not 0 <= e < len(ends))
         raise WalkError(f"edge index {bad} out of range")
     # graph edges are stored as (u, v) with u < v
-    for k, (e, u, w) in enumerate(zip(edges, vertices, vertices[1:] + vertices[:1])):
+    k = 0
+    for e, u, w in zip(edges, vertices, vertices[1:] + vertices[:1]):
+        k += 1
         if ends[e] != ((u, w) if u < w else (w, u)):
-            raise WalkError(f"edge at position {k + 1} does not join its walk vertices")
-    walk = ClosedEvenWalk(*_canonicalize(edges, vertices))
-    for e, occurrences in walk.edge_occurrences.items():
-        if len(occurrences) > 2:
-            raise WalkError(f"edge index {e} traversed more than twice")
-    return walk
+            raise WalkError(f"edge at position {k} does not join its walk vertices")
+    return ClosedEvenWalk(*_canonicalize(edges, vertices))
 
 
 def walk_binomial(graph: Graph, walk: ClosedEvenWalk) -> Binomial:
@@ -180,7 +204,7 @@ class ChordReport:
 
 def classify_chords(
     graph: Graph, walk: ClosedEvenWalk, dec: BlockDecomposition
-) -> list[ChordReport]:
+) -> tuple[ChordReport, ...]:
     """Classify every chord of the walk as bridge, even, or odd.
 
     A chord is an edge off the walk with both ends on it.  Parity is
@@ -189,18 +213,16 @@ def classify_chords(
     first this cannot trigger on a primitive walk, where non-bridge
     endpoints occur exactly once, but the diagnostic is kept as a guard.
     """
-    cut = set(dec.cut_vertices)
     blocks_of = dec.blocks_of_vertex
     at = walk.vertex_positions
     on_walk = walk.edge_occurrences
     reports = []
     for f, (a, b) in enumerate(graph.edges):
-        if a not in at or b not in at or f in on_walk:
+        if f in on_walk or a not in at or b not in at:
             continue
-        pairs = tuple(
-            (i, j) if i < j else (j, i) for i in at[a] for j in at[b]
-        )
-        if a in cut or b in cut or blocks_of[a] != blocks_of[b]:
+        pairs = tuple([(i, j) if i < j else (j, i) for i in at[a] for j in at[b]])
+        # a vertex is a cut vertex exactly when it lies in two or more blocks
+        if blocks_of[a] != blocks_of[b] or len(blocks_of[a]) > 1:
             reports.append(ChordReport(f, "bridge", pairs))
             continue
         parities = {(t - s) % 2 for s, t in pairs}
@@ -211,7 +233,7 @@ def classify_chords(
             )
         kind = "odd" if parities.pop() == 0 else "even"
         reports.append(ChordReport(f, kind, pairs))
-    return reports
+    return tuple(reports)
 
 
 def cross_effectively(first: tuple[int, int], second: tuple[int, int]) -> bool:
@@ -225,6 +247,19 @@ def cross_effectively(first: tuple[int, int], second: tuple[int, int]) -> bool:
     if (s2 - s) % 2 != 1:
         return False
     return s < s2 < j < j2 or s2 < s < j2 < j
+
+
+def crossing_pairs(
+    reports: Sequence[ChordReport],
+) -> tuple[tuple[ChordReport, ChordReport], ...]:
+    """The odd-chord crossing scan: every pair of odd chords that cross
+    effectively, in report order.  The F4 search and the M2 test read it."""
+    odd = [r for r in reports if r.kind == "odd"]
+    return tuple(
+        (r1, r2)
+        for r1, r2 in combinations(odd, 2)
+        if cross_effectively(r1.positions[0], r2.positions[0])
+    )
 
 
 @dataclass(frozen=True)
@@ -258,13 +293,14 @@ def _not_once(graph: Graph, edge: int, found: int, stage: str) -> InternalInvari
     )
 
 
-def _cyclic_parities(
-    graph: Graph, walk: ClosedEvenWalk, dec: BlockDecomposition, stage: str
-) -> list[tuple[int, dict[int, int]]]:
-    """Each cyclic block with the position parity of each of its edges.
+def cyclic_parities(
+    graph: Graph, walk: ClosedEvenWalk, dec: BlockDecomposition
+) -> tuple[tuple[int, dict[int, int]], ...]:
+    """The cyclic-parity table: each cyclic block with the position parity
+    of each of its edges.  The mixed test and the sink search read it.
 
     A cycle edge of a primitive walk is traversed once; any other count is a
-    breach named after ``stage``.
+    breach.
     """
     occurrences = walk.edge_occurrences
     out = []
@@ -273,29 +309,29 @@ def _cyclic_parities(
         for e in dec.blocks[bi]:
             occ = occurrences[e]
             if len(occ) != 1:
-                raise _not_once(graph, e, len(occ), stage)
+                raise _not_once(graph, e, len(occ), "cyclic parity table")
             parity[e] = occ[0] & 1
         out.append((bi, parity))
-    return out
+    return tuple(out)
 
 
 def find_F4s(
-    graph: Graph, walk: ClosedEvenWalk, reports: Sequence[ChordReport]
-) -> list[F4Record]:
+    graph: Graph,
+    walk: ClosedEvenWalk,
+    crossings: Sequence[tuple[ChordReport, ChordReport]],
+) -> tuple[F4Record, ...]:
     """All 4-cycles (e, f, e', f') with walk edges e, e' and crossing odd chords f, f'.
 
-    Both ways of completing a crossing pair by walk edges are reported when
-    they exist; the walk is cyclic, so neither completion is preferred.
+    ``crossings`` is the walk's odd-chord crossing scan.  Both ways of
+    completing a crossing pair by walk edges are reported when they exist;
+    the walk is cyclic, so neither completion is preferred.
     """
-    odd = [r for r in reports if r.kind == "odd"]
     on_walk = walk.edge_occurrences
     vertices = walk.vertices
     records = []
-    for r1, r2 in combinations(odd, 2):
-        if not cross_effectively(r1.span, r2.span):
-            continue
-        s1, j1 = r1.span
-        s2, j2 = r2.span
+    for r1, r2 in crossings:
+        s1, j1 = r1.positions[0]
+        s2, j2 = r2.positions[0]
         a, b = vertices[s1 - 1], vertices[j1 - 1]
         c, d = vertices[s2 - 1], vertices[j2 - 1]
         for x1, y1, x2, y2 in ((a, c, b, d), (a, d, b, c)):
@@ -321,18 +357,22 @@ def find_F4s(
                     sides=(side1, side2),
                 )
             )
-    return records
+    return tuple(records)
 
 
 def chord_crosses_F4(graph: Graph, report: ChordReport, record: F4Record) -> bool:
-    """Whether an odd chord has one endpoint on each side of the F4 split."""
+    """Whether an odd chord has one endpoint on each side of the F4 split.
+
+    Both endpoints lie on the walk and the sides split its vertices, so
+    that is: exactly one endpoint on the first side.
+    """
     if report.kind != "odd":
         return False
     if report.chord in record.chords:
         return False
     a, b = graph.edges[report.chord]
-    s1, s2 = set(record.sides[0]), set(record.sides[1])
-    return (a in s1 and b in s2) or (a in s2 and b in s1)
+    first = record.sides[0]
+    return (a in first) != (b in first)
 
 
 @dataclass(frozen=True)
@@ -349,12 +389,16 @@ class SinkReport:
 
 
 def sinks_and_strong_primitivity(
-    graph: Graph, walk: ClosedEvenWalk, dec: BlockDecomposition
+    graph: Graph,
+    dec: BlockDecomposition,
+    parities: Sequence[tuple[int, dict[int, int]]],
 ) -> SinkReport:
+    """Sinks of the walk read off its cyclic-parity table ``parities``;
+    ``dec`` is the walk's block tree."""
     ends = graph.edges
     sinks = []
     strongly = True
-    for bi, parity in _cyclic_parities(graph, walk, dec, "sink search"):
+    for bi, parity in parities:
         meeting: dict[int, list[int]] = {}  # vertex -> parities of its block edges
         for e, p in parity.items():
             u, w = ends[e]
@@ -378,34 +422,31 @@ def sinks_and_strong_primitivity(
     return SinkReport(tuple(sinks), strongly)
 
 
-def is_mixed(
-    graph: Graph, walk: ClosedEvenWalk, dec: BlockDecomposition
-) -> bool:
-    """Whether no cyclic block is pure, i.e. none sits entirely in one class."""
-    return all(
-        len(set(parity.values())) == 2
-        for _, parity in _cyclic_parities(graph, walk, dec, "mixed test")
-    )
+def is_mixed(parities: Sequence[tuple[int, dict[int, int]]]) -> bool:
+    """Whether no cyclic block is pure, i.e. none sits entirely in one class;
+    ``parities`` is the walk's cyclic-parity table."""
+    return all(0 < sum(parity.values()) < len(parity) for _, parity in parities)
 
 
 def uncompleted_crossing(
-    reports: Sequence[ChordReport], records: Sequence[F4Record]
+    crossings: Sequence[tuple[ChordReport, ChordReport]],
+    records: Sequence[F4Record],
 ) -> tuple[ChordReport, ChordReport] | None:
-    """First pair of effectively crossing odd chords that no F4 completes."""
-    completed = {frozenset(rec.chords) for rec in records}
-    odd = [r for r in reports if r.kind == "odd"]
-    for r1, r2 in combinations(odd, 2):
-        if cross_effectively(r1.span, r2.span):
-            if frozenset((r1.chord, r2.chord)) not in completed:
-                return r1, r2
+    """First effectively crossing pair of odd chords, from the walk's
+    crossing scan, that no F4 completes."""
+    completed = {rec.chords for rec in records}
+    for r1, r2 in crossings:
+        if (r1.chord, r2.chord) not in completed:
+            return r1, r2
     return None
 
 
 def minimality_failures(
     graph: Graph,
-    walk: ClosedEvenWalk,
     dec: BlockDecomposition,
+    parities: Sequence[tuple[int, dict[int, int]]],
     reports: Sequence[ChordReport],
+    crossings: Sequence[tuple[ChordReport, ChordReport]],
     records: Sequence[F4Record],
 ) -> tuple[str, ...]:
     """Chord conditions the walk violates, as sorted codes among M1..M4.
@@ -413,20 +454,20 @@ def minimality_failures(
     M1: every chord is odd. M2: odd chords crossing effectively must form an
     F4. M3: no odd chord crosses an F4. M4: the walk is strongly primitive.
     An empty result certifies membership in the universal Markov basis.
-    ``dec``, ``reports`` and ``records`` are the walk's block tree, chord
-    reports and F4s, worked out once by the caller.
+    ``dec``, ``parities``, ``reports``, ``crossings`` and ``records`` are
+    the walk's block tree, cyclic-parity table, chord reports, odd-chord
+    crossing scan and F4s, worked out once by the caller.
     """
     failures = set()
     if any(r.kind != "odd" for r in reports):
         failures.add("M1")
-    odd = [r for r in reports if r.kind == "odd"]
-    if uncompleted_crossing(reports, records) is not None:
+    if uncompleted_crossing(crossings, records) is not None:
         failures.add("M2")
-    for rec in records:
-        if any(chord_crosses_F4(graph, r, rec) for r in odd):
+    if records:
+        odd = [r for r in reports if r.kind == "odd"]
+        if any(chord_crosses_F4(graph, r, rec) for rec in records for r in odd):
             failures.add("M3")
-            break
-    if not sinks_and_strong_primitivity(graph, walk, dec).strongly_primitive:
+    if not sinks_and_strong_primitivity(graph, dec, parities).strongly_primitive:
         failures.add("M4")
     return tuple(sorted(failures))
 
@@ -536,7 +577,7 @@ def walk_from_primitive_subgraph(
     def steps(bi: int, entry: int) -> list[tuple[int, int]]:
         """One tour of block bi from entry, as (edge, vertex reached) steps."""
         block = dec.blocks[bi]
-        if dec.is_cut_edge(bi):
+        if len(block) == 1:  # a cut edge
             e = block[0]
             u, w = ends[e]
             return [(e, w if u == entry else u), (e, entry)]

@@ -29,7 +29,7 @@ from toriclab.robustness import (
     implication_suite,
     robustness_verdict,
 )
-from toriclab.walks import sinks_and_strong_primitivity
+from toriclab.walks import cyclic_parities, sinks_and_strong_primitivity
 
 from conftest import FIXTURES, fixture_path, support_minimal
 
@@ -257,7 +257,10 @@ def test_criterion_7_structural_witnesses():
         element.binomial.plus[cut_edge] == 2
         or element.binomial.minus[cut_edge] == 2
     )
-    sinks = sinks_and_strong_primitivity(g, element.walk, element.decomposition)
+    dec = element.decomposition
+    sinks = sinks_and_strong_primitivity(
+        g, dec, cyclic_parities(g, element.walk, dec)
+    )
     results.append(
         len(a.elements) == 1
         and doubled

@@ -9,6 +9,7 @@ import pytest
 
 import toriclab.bases
 import toriclab.oracle
+import toriclab.walks
 from toriclab.bases import (
     analyze_graph,
     ensure_tractable,
@@ -17,7 +18,7 @@ from toriclab.bases import (
     primitive_elements,
 )
 from toriclab.binomials import make_basis_set
-from toriclab.corpus import random_connected_graphs
+from toriclab.corpus import ladder_graph, random_connected_graphs
 from toriclab.errors import InternalInvariantError, ScaleGuardError
 from toriclab.graphs import Graph, GraphError, parse_graph
 from toriclab.oracle import markov_bundle
@@ -295,28 +296,50 @@ def test_shape_marks_exactly_the_circuits(graph_of, family):
 
 
 def test_walk_layer_runs_once_per_element(graph_of, monkeypatch):
-    # The tracer times the walk layer through these three functions, so
-    # ``primitive_elements`` must call each of them once per element.
+    # The tracer times the walk layer through its first three functions, so
+    # ``primitive_elements`` must call each of them once per element.  The
+    # cyclic-parity table and the odd-chord crossing scan are built once per
+    # element too, wherever in the package they are called from.
     calls = {}
     for fn in (
         "walk_from_primitive_subgraph",
         "classify_chords",
         "minimality_failures",
+        "cyclic_parities",
+        "crossing_pairs",
     ):
-        real = getattr(toriclab.bases, fn)
+        real = getattr(toriclab.walks, fn)
 
         def counted(*args, _real=real, _fn=fn, **kwargs):
             calls[_fn] = calls.get(_fn, 0) + 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(toriclab.bases, fn, counted)
+        for name, module in list(sys.modules.items()):
+            if name == "toriclab" or name.startswith("toriclab."):
+                if getattr(module, fn, None) is real:
+                    monkeypatch.setattr(module, fn, counted)
     elements = primitive_elements(graph_of("triangle_per_corner"))
     assert len(elements) == 10
     assert calls == {
         "walk_from_primitive_subgraph": 10,
         "classify_chords": 10,
         "minimality_failures": 10,
+        "cyclic_parities": 10,
+        "crossing_pairs": 10,
     }
+
+
+def test_ladder_graph_reproduces_the_8_20_rung():
+    g = ladder_graph(8, 20)
+    assert (g.vertex_count, len(g.edges)) == (8, 20)
+    assert ladder_graph(8, 20) == g
+    assert len(primitive_elements(g)) == 1690
+
+
+@pytest.mark.parametrize("vertices, edges", [(1, 0), (8, 6), (5, 11)])
+def test_ladder_graph_refuses_sizes_no_connected_graph_has(vertices, edges):
+    with pytest.raises(ValueError, match="no connected simple graph"):
+        ladder_graph(vertices, edges)
 
 
 @pytest.mark.parametrize("family", ["fixtures", "12-edge"])

@@ -6,6 +6,7 @@ import pytest
 
 from toriclab.bases import analyze_graph, fiber_bundle
 from toriclab.binomials import make_basis_set, make_binomial
+from toriclab.cli import main
 from toriclab.corpus import random_connected_graphs
 from toriclab.graphs import parse_graph
 from toriclab.robustness import (
@@ -198,3 +199,30 @@ def test_random_corpus_agrees_and_implies():
         assert suite.ok, suite.to_json()
         if v.robust:
             assert v.generalized_robust
+
+
+# Two triangles on the edge a b (a book of two pages), with two more
+# triangles hung at a.  The sets, the fibers and the box oracle all say the
+# ideal is generalized robust; the circuit decider's rule R3 says it is not.
+HUNG_BOOK = "a b\na c\nb c\na d\nb d\na x\na y\nx y\na u\na v\nu v\n"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: rule R3 refuses this generalized robust graph, "
+    "so the three deciders disagree and check exits 4",
+)
+def test_book_with_hung_triangles_deciders_agree(tmp_path, capsys):
+    g = parse_graph(HUNG_BOOK)
+    a = analyze_graph(g)
+    verdicts = {
+        check_generalized_robust_sets(a).holds,
+        check_generalized_robust_conditions(a).holds,
+        check_generalized_robust_circuits(g, a).holds,
+    }
+    path = tmp_path / "hung_book.txt"
+    path.write_text(HUNG_BOOK)
+    code = main(["check", str(path)])
+    capsys.readouterr()
+    assert code == 0
+    assert verdicts == {True}

@@ -25,6 +25,8 @@ from toriclab.walks import (
     chord_crosses_F4,
     classify_chords,
     cross_effectively,
+    crossing_pairs,
+    cyclic_parities,
     find_F4s,
     is_mixed,
     is_primitive_subgraph,
@@ -52,23 +54,27 @@ def element_on(analysis, subset):
 
 
 def checked_facts(graph, element):
-    """Block tree, chords and F4s of the element's walk, worked out anew.
+    """Block tree, cyclic-parity table, chords, odd-chord crossings and F4s
+    of the element's walk, worked out anew.
 
-    Each is checked against the fact stored on the element, and so are the
-    stored mixedness and minimality codes.
+    Each stored one is checked against the element, and so are the stored
+    mixedness and minimality codes.
     """
     walk = element.walk
     dec = block_decomposition(graph, walk.edges)
+    parities = cyclic_parities(graph, walk, dec)
     chords = classify_chords(graph, walk, dec)
-    f4s = find_F4s(graph, walk, chords)
+    crossings = crossing_pairs(chords)
+    f4s = find_F4s(graph, walk, crossings)
     assert element.decomposition == dec
-    assert element.chords == tuple(chords)
-    assert element.f4s == tuple(f4s)
-    assert element.mixed == is_mixed(graph, walk, dec)
+    assert element.chords == chords
+    assert element.crossings == crossings
+    assert element.f4s == f4s
+    assert element.mixed == is_mixed(parities)
     assert element.minimality_failures == minimality_failures(
-        graph, walk, dec, chords, f4s
+        graph, dec, parities, chords, crossings, f4s
     )
-    return dec, chords, f4s
+    return dec, parities, chords, crossings, f4s
 
 
 def test_walk_canonical_under_rotation_and_reflection(graph_of):
@@ -150,10 +156,11 @@ def test_cut_edge_appears_squared(analysis_of):
     b = element.binomial
     # e4 = {3, 4} is the cut edge; the walk passes it twice with one parity
     assert b.plus[3] == 2
+    g = load_graph("tests/fixtures/tri_edge_tri.txt")
     report = sinks_and_strong_primitivity(
-        load_graph("tests/fixtures/tri_edge_tri.txt"),
-        element.walk,
+        g,
         element.decomposition,
+        cyclic_parities(g, element.walk, element.decomposition),
     )
     assert report.strongly_primitive
     assert sorted(v for block in report.sinks for v in block) == [2, 3]
@@ -167,6 +174,8 @@ def test_make_walk_rejects_bad_input(graph_of):
         make_walk(g, (2, 0, 1, 3), (2, 0, 1, 2))  # does not close
     with pytest.raises(WalkError):
         make_walk(g, (0, 1, 1, 2), (0, 1, 2, 2))  # vertex not on edge
+    with pytest.raises(WalkError, match="traversed more than twice"):
+        make_walk(g, (0,) * 6, (0, 1) * 3)  # back and forth over one edge
 
 
 def test_degenerate_walk_has_no_binomial(graph_of):
@@ -180,9 +189,11 @@ def test_degenerate_walk_has_no_binomial(graph_of):
 def test_even_chord_on_domino_hexagon(analysis_of, graph_of):
     g = graph_of("domino")
     hexagon = element_on(analysis_of("domino"), (0, 1, 3, 4, 5, 6))
-    dec, reports, records = checked_facts(g, hexagon)
+    dec, parities, reports, crossings, records = checked_facts(g, hexagon)
     assert [(r.chord, r.kind) for r in reports] == [(2, "even")]
-    assert minimality_failures(g, hexagon.walk, dec, reports, records) == ("M1",)
+    assert minimality_failures(
+        g, dec, parities, reports, crossings, records
+    ) == ("M1",)
 
 
 def test_bridge_chord_on_joined_circuit(analysis_of, graph_of):
@@ -195,7 +206,7 @@ def test_bridge_chord_on_joined_circuit(analysis_of, graph_of):
     ]
     assert len(bridged) == 3  # one two-step joining path per corner pair
     for e in bridged:
-        _, reports, _ = checked_facts(g, e)
+        _, _, reports, _, _ = checked_facts(g, e)
         kinds = {r.kind for r in reports}
         assert kinds == {"bridge"}
 
@@ -218,18 +229,20 @@ def test_cross_effectively(first, second, expected):
 def test_k4_square_has_two_F4_completions(analysis_of, graph_of):
     k4 = graph_of("k4")
     sq = element_on(analysis_of("k4"), (0, 1, 4, 5))
-    dec, reports, records = checked_facts(k4, sq)
+    dec, parities, reports, crossings, records = checked_facts(k4, sq)
     assert len(records) == 2
     assert {rec.walk_edge_positions for rec in records} == {(1, 3), (2, 4)}
     for rec in records:
         assert set(rec.chords) == {2, 3}
-    assert minimality_failures(k4, sq.walk, dec, reports, records) == ()
+    assert minimality_failures(
+        k4, dec, parities, reports, crossings, records
+    ) == ()
 
 
 def test_octagon_third_chord_crosses_an_F4(analysis_of, graph_of):
     g = graph_of("octagon_three_chords")
     rim = element_on(analysis_of("octagon_three_chords"), range(8))
-    dec, reports, records = checked_facts(g, rim)
+    dec, parities, reports, crossings, records = checked_facts(g, rim)
     assert [(r.chord, r.kind, r.span) for r in reports] == [
         (8, "odd", (1, 3)),
         (9, "odd", (2, 4)),
@@ -239,15 +252,19 @@ def test_octagon_third_chord_crosses_an_F4(analysis_of, graph_of):
     first = [rec for rec in records if rec.walk_edge_positions == (1, 3)][0]
     crossing = [r for r in reports if r.chord == 10]
     assert chord_crosses_F4(g, crossing[0], first)
-    assert minimality_failures(g, rim.walk, dec, reports, records) == ("M3",)
+    assert minimality_failures(
+        g, dec, parities, reports, crossings, records
+    ) == ("M3",)
 
 
 def test_crossing_chords_without_F4_fail_M2():
     g = parse_graph(M2_GRAPH)
     rim = element_on(analyze_graph(g), range(8))
-    dec, reports, records = checked_facts(g, rim)
+    dec, parities, reports, crossings, records = checked_facts(g, rim)
     assert not records
-    assert minimality_failures(g, rim.walk, dec, reports, records) == ("M2",)
+    assert minimality_failures(
+        g, dec, parities, reports, crossings, records
+    ) == ("M2",)
 
 
 def test_adjacent_attachment_walk_fails_M4(analysis_of, graph_of):
@@ -255,14 +272,15 @@ def test_adjacent_attachment_walk_fails_M4(analysis_of, graph_of):
     a = analysis_of("tri_square_tri_adjacent")
     big = [e for e in a.elements if e.binomial.total_degree == 5]
     assert len(big) == 1
-    walk = big[0].walk
-    dec, reports, records = checked_facts(g, big[0])
-    report = sinks_and_strong_primitivity(g, walk, dec)
+    dec, parities, reports, crossings, records = checked_facts(g, big[0])
+    report = sinks_and_strong_primitivity(g, dec, parities)
     assert not report.strongly_primitive
     square_sinks = [s for s in report.sinks if len(s) == 2]
     assert square_sinks == [(0, 1)]  # the two attachment corners, adjacent
-    assert minimality_failures(g, walk, dec, reports, records) == ("M4",)
-    assert is_mixed(g, walk, dec)
+    assert minimality_failures(
+        g, dec, parities, reports, crossings, records
+    ) == ("M4",)
+    assert is_mixed(parities)
 
 
 def test_opposite_attachment_walk_is_strongly_primitive(analysis_of, graph_of):
@@ -270,11 +288,13 @@ def test_opposite_attachment_walk_is_strongly_primitive(analysis_of, graph_of):
     a = analysis_of("tri_square_tri_opposite")
     big = [e for e in a.elements if len(e.subset) == 12]
     assert len(big) == 1
-    dec, reports, records = checked_facts(g, big[0])
-    report = sinks_and_strong_primitivity(g, big[0].walk, dec)
+    dec, parities, reports, crossings, records = checked_facts(g, big[0])
+    report = sinks_and_strong_primitivity(g, dec, parities)
     assert report.strongly_primitive
     assert (0, 2) in report.sinks  # opposite corners of the square
-    assert minimality_failures(g, big[0].walk, dec, reports, records) == ()
+    assert minimality_failures(
+        g, dec, parities, reports, crossings, records
+    ) == ()
 
 
 def test_pure_block_is_not_mixed(analysis_of, graph_of):
@@ -282,8 +302,8 @@ def test_pure_block_is_not_mixed(analysis_of, graph_of):
     a = analysis_of("triangle_per_corner")
     big = [e for e in a.elements if len(e.subset) == 12]
     assert len(big) == 1
-    dec, _, _ = checked_facts(g, big[0])
-    assert not is_mixed(g, big[0].walk, dec)
+    _, parities, _, _, _ = checked_facts(g, big[0])
+    assert not is_mixed(parities)
     assert not big[0].mixed
     assert "M4" in big[0].minimality_failures
 
