@@ -55,12 +55,21 @@ class Graph:
     """Finite simple undirected connected graph.
 
     ``edges[i]`` is a normalized pair (u, v) with u < v. ``labels[v]`` is the
-    original name of vertex v, used only when rendering output.
+    original name of vertex v, used only when rendering output.  The pass
+    that validates the edges also builds ``edge_index`` and ``adjacency``.
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
     labels: tuple[str, ...] = ()
+    # For each vertex, its sorted (neighbour, edge index) pairs.
+    adjacency: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    # The index of each edge, keyed by its normalized pair.
+    edge_index: dict[tuple[int, int], int] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.vertex_count <= 0:
@@ -80,56 +89,39 @@ class Graph:
             )
         if len(self.labels) != self.vertex_count:
             raise GraphError("label count does not match vertex count")
-        seen: set[tuple[int, int]] = set()
-        norm: list[tuple[int, int]] = []
-        for u, v in self.edges:
+        index: dict[tuple[int, int], int] = {}
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
+        for i, (u, v) in enumerate(self.edges):
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise GraphError(f"edge ({u}, {v}) outside vertex range")
             if u == v:
                 raise LoopEdgeError(f"loop at vertex {self.labels[u]}")
             key = (min(u, v), max(u, v))
-            if key in seen:
+            if key in index:
                 raise DuplicateEdgeError(
                     f"duplicate edge {{{self.labels[key[0]]}, {self.labels[key[1]]}}}"
                 )
-            seen.add(key)
-            norm.append(key)
-        object.__setattr__(self, "edges", tuple(norm))
-        reached = self._reachable_from(0)
-        if len(reached) != self.vertex_count:
-            missing = sorted(set(range(self.vertex_count)) - reached)
+            index[key] = i
+            adj[u].append((v, i))
+            adj[v].append((u, i))
+        object.__setattr__(self, "edges", tuple(index))
+        object.__setattr__(self, "edge_index", index)
+        adjacency = tuple(tuple(sorted(a)) for a in adj)
+        object.__setattr__(self, "adjacency", adjacency)
+        reached = [False] * self.vertex_count
+        reached[0] = True
+        stack = [0]
+        while stack:
+            for w, _ in adjacency[stack.pop()]:
+                if not reached[w]:
+                    reached[w] = True
+                    stack.append(w)
+        if not all(reached):
+            missing = [v for v in range(self.vertex_count) if not reached[v]]
             raise DisconnectedGraphError(
                 f"graph is disconnected; vertices {[self.labels[v] for v in missing]} "
                 "are not reachable from the first vertex"
             )
-
-    def _reachable_from(self, start: int) -> set[int]:
-        adj: dict[int, list[int]] = {v: [] for v in range(self.vertex_count)}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """For each vertex, sorted (neighbor, edge_index) pairs."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
-        for i, (u, v) in enumerate(self.edges):
-            adj[u].append((v, i))
-            adj[v].append((u, i))
-        return tuple(tuple(sorted(a)) for a in adj)
-
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
 
     def edge_between(self, u: int, v: int) -> int | None:
         """Index of the edge {u, v}, or None."""
@@ -159,6 +151,8 @@ def parse_graph(text: str) -> Graph:
     Edge-list form: one ``u v`` pair per line; ``#`` starts a comment; blank
     lines are ignored. Labels may be arbitrary tokens and are mapped to dense
     indices (numerically when every label is an integer, else lexically).
+    Integer labels of one value, such as ``1`` and ``01``, are ordered by
+    their text, so the indices never depend on string hashing.
     JSON form: ``{"vertices": N, "edges": [[u, v], ...]}`` with 1-based labels.
     """
     if text.lstrip().startswith("{"):
@@ -182,7 +176,7 @@ def parse_graph(text: str) -> Graph:
         raise EmptyGraphError("no edges in input")
     names = {tok for pair in pairs for tok in pair}
     if all(re.fullmatch(r"-?[0-9]+", tok) for tok in names):
-        ordered = sorted(names, key=int)
+        ordered = sorted(names, key=lambda tok: (int(tok), tok))
     else:
         ordered = sorted(names)
     index = {tok: i for i, tok in enumerate(ordered)}

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from operator import lshift
 from typing import Sequence
 
@@ -90,19 +89,29 @@ class OrderError(ValueError):
 class ToricConfig:
     """A nonnegative integer matrix, one column per variable.
 
-    Columns must be nonzero so every fiber is finite.
+    Columns must be nonzero so every fiber is finite.  The pass that
+    validates the rows also builds ``column_support`` and ``last_columns``.
     """
 
     rows: tuple[tuple[int, ...], ...]
+    # For each column, its nonzero entries as (row, entry) pairs.
+    column_support: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    # For each row, the index of its last nonzero column (0 if none).
+    last_columns: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.rows or not self.rows[0]:
             raise ConfigError("configuration matrix must be nonempty")
         width = len(self.rows[0])
-        for row in self.rows:
+        support: list[list[tuple[int, int]]] = [[] for _ in range(width)]
+        last_columns = []
+        for i, row in enumerate(self.rows):
             if len(row) != width:
                 raise ConfigError("configuration matrix rows have unequal lengths")
-            for entry in row:
+            last = 0
+            for j, entry in enumerate(row):
                 if not isinstance(entry, int) or isinstance(entry, bool):
                     raise ConfigError(
                         f"configuration entries must be integers, got {entry!r}"
@@ -111,9 +120,15 @@ class ToricConfig:
                     raise NegativeEntryError(
                         "configuration entries must be nonnegative"
                     )
-        for j in range(width):
-            if all(row[j] == 0 for row in self.rows):
+                if entry:
+                    support[j].append((i, entry))
+                    last = j
+            last_columns.append(last)
+        for j, entries in enumerate(support):
+            if not entries:
                 raise ConfigError(f"column {j + 1} of the configuration is zero")
+        object.__setattr__(self, "column_support", tuple(map(tuple, support)))
+        object.__setattr__(self, "last_columns", tuple(last_columns))
 
     @property
     def nrows(self) -> int:
@@ -122,27 +137,6 @@ class ToricConfig:
     @property
     def ncols(self) -> int:
         return len(self.rows[0])
-
-    @cached_property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(row[j] for row in self.rows) for j in range(self.ncols)
-        )
-
-    @cached_property
-    def column_support(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """For each column, its nonzero entries as (row, entry) pairs."""
-        return tuple(
-            tuple((i, a) for i, a in enumerate(column) if a)
-            for column in self.columns
-        )
-
-    @cached_property
-    def last_columns(self) -> tuple[int, ...]:
-        """For each row, the index of its last nonzero column (0 if none)."""
-        return tuple(
-            max((j for j, a in enumerate(row) if a), default=0) for row in self.rows
-        )
 
     def degree(self, exponents: Sequence[int]) -> tuple[int, ...]:
         """The degree A·u, summed over the nonzero exponents only."""
@@ -192,16 +186,16 @@ def fiber(config: ToricConfig, degree: Sequence[int]) -> tuple[tuple[int, ...], 
         raise ConfigError(f"degree must have {config.nrows} entries")
     if any(x < 0 for x in target):
         return ()
-    cols = config.columns
     top = max(*target, *map(max, config.rows))
     shifts, guard = _packing(config.nrows, top)
     # closed[j]: the value bits of the rows whose last nonzero column is j
-    closed = [0] * len(cols)
+    closed = [0] * config.ncols
     for shift, last in zip(shifts, config.last_columns):
         closed[last] |= (1 << top.bit_length()) - 1 << shift
 
     pairs = [((), _pack(target, shifts))]
-    for col, shut in zip((_pack(c, shifts) for c in cols), closed):
+    for support, shut in zip(config.column_support, closed):
+        col = sum(a << shifts[i] for i, a in support)
         extended = []
         for prefix, rest in pairs:
             k = 0
@@ -281,22 +275,21 @@ def _fiber_batch(
     """``fibers``'s numpy sweep over nonnegative degrees whose every entry,
     like every matrix entry and the number of degrees, fits in ``dtype``."""
     # a row is [degree index, residual (nrows), prefix (ncols)]
-    cols = config.columns
     width = 1 + config.nrows + config.ncols
     rows = np.zeros((len(degrees), width), dtype=dtype)
     rows[:, 0] = np.arange(len(degrees))
     rows[:, 1:1 + config.nrows] = np.array(degrees, dtype=dtype)
-    for j, col in enumerate(cols):
-        reached = [r for r, c in enumerate(col) if c]
+    for j, support in enumerate(config.column_support):
+        reached = [1 + r for r, _ in support]
+        entries = np.array([a for _, a in support], dtype=dtype)
         shut = [1 + r for r, last in enumerate(config.last_columns) if last == j]
-        most = (rows[:, [1 + r for r in reached]]
-                // np.array([col[r] for r in reached], dtype=dtype)).min(axis=1)
+        most = (rows[:, reached] // entries).min(axis=1)
         steps = most.astype(np.intp) + 1
         pick = np.repeat(np.arange(len(rows)), steps)
         firsts = np.repeat(np.cumsum(steps) - steps, steps)
         k = (np.arange(len(pick)) - firsts).astype(dtype)
         rows = rows[pick]
-        rows[:, 1:1 + config.nrows] -= k[:, None] * np.array(col, dtype=dtype)
+        rows[:, reached] -= k[:, None] * entries
         rows[:, 1 + config.nrows + j] = k
         if shut:
             rows = rows[~rows[:, shut].any(axis=1)]
@@ -480,13 +473,10 @@ def fiber_graphs(
     these edges form a minimal Markov basis.
     """
 
-    ranked = sorted(set(tuple(int(x) for x in d) for d in degrees),
-                    key=_degree_sort_key)
+    found = fibers(config, degrees)
     minimal: list[Binomial] = []
     graphs: list[FiberGraph] = []
-
-    found = fibers(config, ranked)
-    for deg in ranked:
+    for deg in sorted(found, key=_degree_sort_key):
         members = found[deg]
         if not members:
             continue

@@ -5,6 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from toriclab.bases import analyze_graph, fiber_bundle
 from toriclab.binomials import make_binomial
@@ -94,6 +95,20 @@ def wide_graphs(count, seed, edges=12, vertices=(7, 8)):
         except GraphError:
             continue
     return out
+
+
+@st.composite
+def connected_graphs(draw, max_vertices=8, max_edges=14):
+    """A random spanning tree plus extra edges, at most ``max_edges`` in all."""
+    n = draw(st.integers(3, max_vertices))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    others = [p for p in itertools.combinations(range(n), 2) if p not in tree]
+    extra = draw(
+        st.lists(
+            st.sampled_from(others), unique=True, max_size=max_edges - len(tree)
+        )
+    )
+    return Graph(n, tuple(tree + extra))
 
 
 @pytest.fixture(scope="session")

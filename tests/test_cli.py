@@ -621,6 +621,25 @@ def test_python_dash_m_round_trip(tmp_path):
     assert "error" in proc.stderr
 
 
+def test_tied_integer_labels_ignore_hash_seed(tmp_path):
+    # 1 and 01 are one integer; their order, and so the edge variables and
+    # the input digest, must not follow the string hash of the run
+    path = tmp_path / "tied.txt"
+    path.write_text("1 01\n01 2\n2 1\n1 3\n")
+    outputs = set()
+    for seed in range(8):
+        proc = subprocess.run(
+            [sys.executable, "-m", "toriclab", "check", "--format", "json",
+             str(path)],
+            capture_output=True,
+            text=True,
+            env={**subprocess_env(), "PYTHONHASHSEED": str(seed)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+
+
 @pytest.mark.parametrize("max_edges", ["0", "1"])
 def test_suite_edge_budget_below_two_stops(max_edges):
     # no connected graph on 3 or more vertices has fewer than 2 edges, so

@@ -26,7 +26,7 @@ from toriclab.graphs import (
     subset_degrees,
 )
 
-from conftest import FIXTURES, is_connected_subset
+from conftest import FIXTURES, connected_graphs, is_connected_subset
 
 
 def test_parse_edge_list_with_comments():
@@ -56,6 +56,34 @@ def test_edge_labels_and_lookup(graph_of):
     assert k4.edge_between(0, 1) == 0
     assert k4.edge_between(0, 0) is None
     assert k4.edge_index[(0, 2)] == 2
+
+
+def assert_tables_match_edges(g):
+    """``edge_index`` and ``adjacency`` equal their definitions from ``edges``."""
+    assert g.edge_index == {e: i for i, e in enumerate(g.edges)}
+    assert g.adjacency == tuple(
+        tuple(sorted(
+            (u + v - x, i) for i, (u, v) in enumerate(g.edges) if x in (u, v)
+        ))
+        for x in range(g.vertex_count)
+    )
+
+
+@pytest.mark.parametrize(
+    "path", sorted(FIXTURES.glob("*.txt")), ids=lambda p: p.stem
+)
+def test_graph_tables_match_edges_on_fixtures(path):
+    assert_tables_match_edges(parse_graph(path.read_text()))
+
+
+@given(connected_graphs())
+@settings(max_examples=60, deadline=None)
+def test_graph_tables_match_edges_on_random_graphs(graph):
+    assert_tables_match_edges(graph)
+    # the same edges, each given the other way round
+    flipped = Graph(graph.vertex_count, tuple((v, u) for u, v in graph.edges))
+    assert flipped.edges == graph.edges
+    assert_tables_match_edges(flipped)
 
 
 @pytest.mark.parametrize(

@@ -132,7 +132,7 @@ def _graver_bounded_reference(config, box):
     base = box * max(sum(row) for row in config.rows) + 1
     weights = [
         sum(c * base**r for r, c in enumerate(column))
-        for column in config.columns
+        for column in zip(*config.rows)
     ]
     groups = {}
     for u in itertools.product(range(box + 1), repeat=config.ncols):
@@ -309,11 +309,24 @@ def _fiber_cases(draw):
     return config_from_rows(rows), tuple(degree)
 
 
+@given(_fiber_cases())
+@settings(max_examples=100, deadline=None)
+def test_config_tables_match_their_definitions(case):
+    cfg, _ = case
+    assert cfg.column_support == tuple(
+        tuple((i, a) for i, a in enumerate(column) if a)
+        for column in zip(*cfg.rows)
+    )
+    assert cfg.last_columns == tuple(
+        max((j for j, a in enumerate(row) if a), default=0) for row in cfg.rows
+    )
+
+
 def _fiber_reference(cfg, degree):
     """Every vector under the per-column caps, in lex order, kept if A x = d."""
     caps = [
         min(max(d, 0) // c for d, c in zip(degree, col) if c)
-        for col in cfg.columns
+        for col in zip(*cfg.rows)
     ]
     return tuple(
         x

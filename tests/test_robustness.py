@@ -204,7 +204,18 @@ def test_random_corpus_agrees_and_implies():
 # Two triangles on the edge a b (a book of two pages), with two more
 # triangles hung at a.  The sets, the fibers and the box oracle all say the
 # ideal is generalized robust; the circuit decider's rule R3 says it is not.
-HUNG_BOOK = "a b\na c\nb c\na d\nb d\na x\na y\nx y\na u\na v\nu v\n"
+# The books of three and four pages, and a 16-edge graph from a seeded
+# search, breach the same way.  Each is kept in the edge order whose input
+# digest ROADMAP item 1 quotes.
+R3_BREACHES = {
+    "book_2_pages": "a b\na c\nb c\na d\nb d\na x\na y\nx y\na u\na v\nu v\n",
+    "book_3_pages": "a b\na c\nb c\na d\nb d\na e\nb e\n"
+    "a x\na y\nx y\na u\na v\nu v\n",
+    "book_4_pages": "a b\na c\nb c\na d\nb d\na e\nb e\na f\nb f\n"
+    "a x\na y\nx y\na u\na v\nu v\n",
+    "seeded_16_edges": "0 6\n0 8\n1 5\n1 10\n2 5\n3 5\n3 8\n3 9\n3 10\n"
+    "4 7\n4 8\n6 8\n7 8\n8 9\n8 11\n9 11\n",
+}
 
 
 @pytest.mark.xfail(
@@ -212,16 +223,18 @@ HUNG_BOOK = "a b\na c\nb c\na d\nb d\na x\na y\nx y\na u\na v\nu v\n"
     reason="ROADMAP item 1: rule R3 refuses this generalized robust graph, "
     "so the three deciders disagree and check exits 4",
 )
-def test_book_with_hung_triangles_deciders_agree(tmp_path, capsys):
-    g = parse_graph(HUNG_BOOK)
+@pytest.mark.parametrize("name", list(R3_BREACHES))
+def test_book_with_hung_triangles_deciders_agree(name, tmp_path, capsys):
+    text = R3_BREACHES[name]
+    g = parse_graph(text)
     a = analyze_graph(g)
     verdicts = {
         check_generalized_robust_sets(a).holds,
         check_generalized_robust_conditions(a).holds,
         check_generalized_robust_circuits(g, a).holds,
     }
-    path = tmp_path / "hung_book.txt"
-    path.write_text(HUNG_BOOK)
+    path = tmp_path / f"{name}.txt"
+    path.write_text(text)
     code = main(["check", str(path)])
     capsys.readouterr()
     assert code == 0

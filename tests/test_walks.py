@@ -1,8 +1,6 @@
 """Walk layer: candidate generation, canonical walks, chords, F4s, sinks,
 minimality codes."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +35,7 @@ from toriclab.walks import (
     walk_from_primitive_subgraph,
 )
 
-from conftest import FIXTURES, STRUCTURAL, wide_graphs
+from conftest import FIXTURES, STRUCTURAL, connected_graphs, wide_graphs
 
 # octagon rim plus the chords {1,5} and {2,8}: the chords are odd and cross
 # effectively but no 4-cycle completes them, so the rim walk fails exactly M2
@@ -416,20 +414,6 @@ def test_candidates_match_subset_oracle_on_fixtures(path):
 )
 def test_candidates_match_subset_oracle_on_12_edge_graphs(graph):
     assert_trees_match_subset_oracle(graph)
-
-
-@st.composite
-def connected_graphs(draw, max_vertices=8, max_edges=14):
-    """A random spanning tree plus extra edges, at most ``max_edges`` in all."""
-    n = draw(st.integers(3, max_vertices))
-    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
-    others = [p for p in itertools.combinations(range(n), 2) if p not in tree]
-    extra = draw(
-        st.lists(
-            st.sampled_from(others), unique=True, max_size=max_edges - len(tree)
-        )
-    )
-    return Graph(n, tuple(tree + extra))
 
 
 @given(connected_graphs())
