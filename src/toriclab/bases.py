@@ -28,7 +28,6 @@ from .errors import InternalInvariantError, ScaleGuardError
 from .graphs import (
     BlockDecomposition,
     Graph,
-    incidence_matrix,
     primitive_block_trees,
 )
 from .oracle import FiberBundle, ToricConfig, markov_bundle
@@ -60,8 +59,10 @@ def ensure_tractable(graph: Graph, force: bool = False) -> None:
 
 
 def graph_config(graph: Graph) -> ToricConfig:
-    """Vertex-edge incidence matrix as a toric configuration."""
-    return ToricConfig(incidence_matrix(graph))
+    """The vertex-edge incidence configuration: edge {u, v}'s column is e_u + e_v."""
+    return ToricConfig(
+        graph.vertex_count, tuple(((u, 1), (v, 1)) for u, v in graph.edges)
+    )
 
 
 @dataclass(frozen=True)

@@ -32,21 +32,11 @@ class Binomial:
     degree: tuple[int, ...]
 
     @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(
-            i for i, (p, q) in enumerate(zip(self.plus, self.minus)) if p or q
-        )
-
-    @property
     def total_degree(self) -> int:
         return sum(self.plus)
 
     def sort_key(self) -> tuple:
         return (self.total_degree, self.plus, self.minus)
-
-    def vector(self) -> tuple[int, ...]:
-        """Signed exponent vector plus - minus."""
-        return tuple(p - q for p, q in zip(self.plus, self.minus))
 
     def render(self, prefix: str = "e") -> str:
         return f"{render_monomial(self.plus, prefix)} - {render_monomial(self.minus, prefix)}"

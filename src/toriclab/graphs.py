@@ -243,15 +243,6 @@ def degree_of(graph: Graph, exponents: Sequence[int]) -> tuple[int, ...]:
     return tuple(deg)
 
 
-def incidence_matrix(graph: Graph) -> tuple[tuple[int, ...], ...]:
-    """0/1 matrix with one row per vertex and one column per edge."""
-    rows = [[0] * len(graph.edges) for _ in range(graph.vertex_count)]
-    for i, (u, v) in enumerate(graph.edges):
-        rows[u][i] = 1
-        rows[v][i] = 1
-    return tuple(tuple(r) for r in rows)
-
-
 def subset_vertices(graph: Graph, edge_subset: Sequence[int]) -> tuple[int, ...]:
     verts = set()
     for i in edge_subset:

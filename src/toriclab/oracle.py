@@ -87,56 +87,46 @@ class OrderError(ValueError):
 
 @dataclass(frozen=True)
 class ToricConfig:
-    """A nonnegative integer matrix, one column per variable.
-
-    Columns must be nonzero so every fiber is finite.  The pass that
-    validates the rows also builds ``column_support`` and ``last_columns``.
+    """A nonnegative integer matrix, one column per variable, held as its
+    columns' nonzero entries.  Columns must be nonzero so every fiber is
+    finite; the pass that checks them also builds ``last_columns`` and
+    ``top``.  ``config_from_rows`` checks the entries of a dense matrix.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    # For each column, its nonzero entries as (row, entry) pairs.
-    column_support: tuple[tuple[tuple[int, int], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    nrows: int
+    # For each column, its nonzero entries as (row, entry) pairs, rows ascending.
+    column_support: tuple[tuple[tuple[int, int], ...], ...]
     # For each row, the index of its last nonzero column (0 if none).
     last_columns: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # The largest entry.
+    top: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.rows or not self.rows[0]:
+        if not self.nrows or not self.column_support:
             raise ConfigError("configuration matrix must be nonempty")
-        width = len(self.rows[0])
-        support: list[list[tuple[int, int]]] = [[] for _ in range(width)]
-        last_columns = []
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise ConfigError("configuration matrix rows have unequal lengths")
-            last = 0
-            for j, entry in enumerate(row):
-                if not isinstance(entry, int) or isinstance(entry, bool):
-                    raise ConfigError(
-                        f"configuration entries must be integers, got {entry!r}"
-                    )
-                if entry < 0:
-                    raise NegativeEntryError(
-                        "configuration entries must be nonnegative"
-                    )
-                if entry:
-                    support[j].append((i, entry))
-                    last = j
-            last_columns.append(last)
-        for j, entries in enumerate(support):
-            if not entries:
+        last_columns = [0] * self.nrows
+        top = 0
+        for j, support in enumerate(self.column_support):
+            if not support:
                 raise ConfigError(f"column {j + 1} of the configuration is zero")
-        object.__setattr__(self, "column_support", tuple(map(tuple, support)))
+            for i, a in support:
+                last_columns[i] = j
+                top = max(top, a)
         object.__setattr__(self, "last_columns", tuple(last_columns))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
+        object.__setattr__(self, "top", top)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0])
+        return len(self.column_support)
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The dense matrix, built on each call."""
+        rows = [[0] * self.ncols for _ in range(self.nrows)]
+        for j, support in enumerate(self.column_support):
+            for i, a in support:
+                rows[i][j] = a
+        return tuple(map(tuple, rows))
 
     def degree(self, exponents: Sequence[int]) -> tuple[int, ...]:
         """The degree A·u, summed over the nonzero exponents only."""
@@ -158,15 +148,32 @@ class ToricConfig:
 def config_from_rows(rows: Sequence[Sequence[int]]) -> ToricConfig:
     """Configuration from a list of integer rows, as read from text or JSON.
 
-    Entries are taken as they are, not coerced: a float, boolean, string or
-    null entry is a ConfigError, as is a matrix or row that is not a list.
+    Entries are checked here, in the pass that builds the column supports,
+    and taken as they are, not coerced: a float, boolean, string or null
+    entry is a ConfigError, as is a matrix or row that is not a list.
     """
     if not isinstance(rows, (list, tuple)):
         raise ConfigError("matrix must be a list of rows")
     for i, row in enumerate(rows, 1):
         if not isinstance(row, (list, tuple)):
             raise ConfigError(f"matrix row {i} is not a list, got {row!r}")
-    return ToricConfig(tuple(tuple(row) for row in rows))
+    if not rows or not rows[0]:
+        raise ConfigError("configuration matrix must be nonempty")
+    width = len(rows[0])
+    support: list[list[tuple[int, int]]] = [[] for _ in range(width)]
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ConfigError("configuration matrix rows have unequal lengths")
+        for j, entry in enumerate(row):
+            if not isinstance(entry, int) or isinstance(entry, bool):
+                raise ConfigError(
+                    f"configuration entries must be integers, got {entry!r}"
+                )
+            if entry < 0:
+                raise NegativeEntryError("configuration entries must be nonnegative")
+            if entry:
+                support[j].append((i, entry))
+    return ToricConfig(len(rows), tuple(map(tuple, support)))
 
 
 def fiber(config: ToricConfig, degree: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -186,7 +193,7 @@ def fiber(config: ToricConfig, degree: Sequence[int]) -> tuple[tuple[int, ...], 
         raise ConfigError(f"degree must have {config.nrows} entries")
     if any(x < 0 for x in target):
         return ()
-    top = max(*target, *map(max, config.rows))
+    top = max(*target, config.top)
     shifts, guard = _packing(config.nrows, top)
     # closed[j]: the value bits of the rows whose last nonzero column is j
     closed = [0] * config.ncols
@@ -263,9 +270,7 @@ def _batch_dtype(config: ToricConfig, degrees: list[tuple[int, ...]]):
     """The narrowest of ``_BATCH_DTYPES`` that holds every entry of a batch
     row, or None past int64.  Every entry lies in 0..limit: a multiplicity
     k of column c takes k * c <= residual from each row c reaches."""
-    limit = max(
-        len(degrees), max(map(max, degrees), default=0), max(map(max, config.rows))
-    )
+    limit = max(len(degrees), max(map(max, degrees), default=0), config.top)
     return next((t for t, top in _BATCH_DTYPES if limit <= top), None)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toriclab.bases import graph_config
 from toriclab.corpus import random_connected_graphs
 from toriclab.graphs import (
     DisconnectedGraphError,
@@ -20,11 +21,11 @@ from toriclab.graphs import (
     graph_from_json,
     graph_to_json,
     has_four_cycle,
-    incidence_matrix,
     parse_graph,
     simple_cycles,
     subset_degrees,
 )
+from toriclab.oracle import config_from_rows
 
 from conftest import FIXTURES, connected_graphs, is_connected_subset
 
@@ -122,10 +123,32 @@ def test_parse_accepts_arbitrary_vertex_tokens():
 
 
 def test_incidence_matrix_k4(graph_of):
-    rows = incidence_matrix(graph_of("k4"))
+    rows = graph_config(graph_of("k4")).rows
     # vertex 1 meets e1={1,2}, e3={1,3}, e5={1,4}
     assert rows[0] == (1, 0, 1, 0, 1, 0)
     assert all(sum(col) == 2 for col in zip(*rows))
+
+
+def assert_config_is_incidence_matrix(g: Graph) -> None:
+    """The configuration built from the edges equals the one read from the
+    dense vertex-edge incidence matrix."""
+    rows = [[int(v in edge) for edge in g.edges] for v in range(g.vertex_count)]
+    assert graph_config(g) == config_from_rows(rows)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(FIXTURES.glob("*.txt")), ids=lambda p: p.stem
+)
+def test_graph_config_is_incidence_matrix_on_fixtures(path):
+    assert_config_is_incidence_matrix(parse_graph(path.read_text()))
+
+
+@given(connected_graphs())
+@settings(max_examples=60, deadline=None)
+def test_graph_config_is_incidence_matrix_on_random_graphs(graph):
+    assert_config_is_incidence_matrix(graph)
+    flipped = Graph(graph.vertex_count, tuple((v, u) for u, v in graph.edges))
+    assert_config_is_incidence_matrix(flipped)
 
 
 def test_degree_of_counts_endpoints(graph_of):

@@ -17,6 +17,7 @@ from toriclab.oracle import (
     ConfigError,
     NegativeEntryError,
     OrderError,
+    ToricConfig,
     WeightOrder,
     analyze_config,
     buchberger,
@@ -43,26 +44,52 @@ N5_ROWS = json.loads(
 )["matrix"]
 
 
-def test_config_validation():
-    with pytest.raises(NegativeEntryError):
-        config_from_rows([[1, -1], [0, 1]])
-    with pytest.raises(ConfigError):
-        config_from_rows([[1, 0], [1]])
-    with pytest.raises(ConfigError):
-        config_from_rows([[1, 0], [1, 0]])  # zero column
-    with pytest.raises(ConfigError):
-        config_from_rows([])
+_UNEQUAL = "configuration matrix rows have unequal lengths"
+_NEGATIVE = "configuration entries must be nonnegative"
+_EMPTY = "configuration matrix must be nonempty"
+_TYPE = "configuration entries must be integers, got "
+
+# (matrix, exception type, message); a matrix is checked in this order:
+# list shapes, nonempty, then row by row its length and each entry's type
+# and sign, then its columns
+MALFORMED_MATRICES = [
+    ([[1, -1], [0, 1]], NegativeEntryError, _NEGATIVE),
+    ([[-1, 1.5]], NegativeEntryError, _NEGATIVE),
+    ([[1.5, -1]], ConfigError, _TYPE + "1.5"),
+    ([[1, -1], [1]], NegativeEntryError, _NEGATIVE),
+    ([[1, 0], [1]], ConfigError, _UNEQUAL),
+    ([[1, 1], [True]], ConfigError, _UNEQUAL),
+    ([[1], []], ConfigError, _UNEQUAL),
+    ([[0, 1.0], [0, 1]], ConfigError, _TYPE + "1.0"),
+    ([[1, 0], [1, 0]], ConfigError, "column 2 of the configuration is zero"),
+    ([[0, 0], [1, 0]], ConfigError, "column 2 of the configuration is zero"),
+    ([[], [1]], ConfigError, _EMPTY),
+    ([], ConfigError, _EMPTY),
     # malformed JSON matrices: rejected as they are, never coerced
-    for rows in (
-        5,
-        [[1, 2], 7],
-        [[1, None], [1, 1]],
-        [[1.5, 2], [1, 1]],
-        [[True, 1], [1, 1]],
-        [["1", 1], [1, 1]],
-    ):
-        with pytest.raises(ConfigError):
+    (5, ConfigError, "matrix must be a list of rows"),
+    ([[1, 2], 7], ConfigError, "matrix row 2 is not a list, got 7"),
+    ([[1], 7], ConfigError, "matrix row 2 is not a list, got 7"),
+    ([[1, None], [1, 1]], ConfigError, _TYPE + "None"),
+    ([[None]], ConfigError, _TYPE + "None"),
+    ([[1.5, 2], [1, 1]], ConfigError, _TYPE + "1.5"),
+    ([[True, 1], [1, 1]], ConfigError, _TYPE + "True"),
+    ([["1", 1], [1, 1]], ConfigError, _TYPE + "'1'"),
+    ([["1"]], ConfigError, _TYPE + "'1'"),
+]
+
+
+def test_config_validation():
+    for rows, error, message in MALFORMED_MATRICES:
+        with pytest.raises(ConfigError) as info:
             config_from_rows(rows)
+        assert (type(info.value), str(info.value)) == (error, message), rows
+    # the constructor checks what column supports can get wrong
+    with pytest.raises(ConfigError, match=_EMPTY):
+        ToricConfig(0, ())
+    with pytest.raises(ConfigError, match=_EMPTY):
+        ToricConfig(1, ())
+    with pytest.raises(ConfigError, match="column 2 of the configuration is zero"):
+        ToricConfig(2, (((1, 1),), ()))
 
 
 def test_fiber_enumeration_total_degree():
@@ -320,6 +347,7 @@ def test_config_tables_match_their_definitions(case):
     assert cfg.last_columns == tuple(
         max((j for j, a in enumerate(row) if a), default=0) for row in cfg.rows
     )
+    assert cfg.top == max(map(max, cfg.rows))
 
 
 def _fiber_reference(cfg, degree):
