@@ -7,8 +7,9 @@ were produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from operator import mul
 from typing import Callable, Sequence
 
@@ -82,12 +83,23 @@ def make_binomial(
     minus: Sequence[int],
     degree_fn: Callable[[Sequence[int]], tuple[int, ...]],
 ) -> Binomial:
-    """Build a canonical binomial, validating coprimality and degree balance."""
-    p = tuple(map(int, plus))
-    q = tuple(map(int, minus))
+    """Build a canonical binomial, validating coprimality and degree balance.
+
+    Exponents are taken as they are, not coerced: each must be an ``int``
+    (a ``bool``, float, string or numpy integer is a BinomialError), as
+    ``oracle.config_from_rows`` takes matrix entries.
+    """
+    p = tuple(plus)
+    q = tuple(minus)
     if len(p) != len(q):
         raise BinomialError("exponent vectors differ in length")
-    if min(p + q, default=0) < 0:
+    exponents = p + q
+    if not set(map(type, exponents)) <= {int}:
+        bad = next(k for k in exponents if type(k) is not int)
+        raise BinomialError(
+            f"exponents must be int, got {type(bad).__name__} {bad!r}"
+        )
+    if min(exponents, default=0) < 0:
         raise BinomialError("exponents must be nonnegative")
     # nonnegative exponents share a variable exactly where their product is
     # nonzero (a bitwise and would miss 1 against 2)
@@ -116,13 +128,17 @@ class BasisSet:
     Elements are sorted by (total degree, plus vector, minus vector), so two
     runs over the same input serialize to identical bytes.  A subset built
     by ``subset`` shares its annotation dicts with this set, so they are
-    read-only: copy one before changing it.
+    read-only: copy one before changing it.  ``source`` is the set and the
+    indices of the elements a subset kept from it (None for any other set).
     """
 
     kind: str
     variables: int
     elements: tuple[Binomial, ...]
     annotations: tuple[dict, ...]
+    source: tuple[BasisSet, tuple[int, ...]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -137,26 +153,56 @@ class BasisSet:
 
     def subset(self, kind: str, keep: Callable[[Binomial, dict], bool]) -> BasisSet:
         """The elements for which ``keep(binomial, annotation)`` holds, in this
-        set's order and with its annotation dicts, as a set of ``kind``."""
+        set's order and with its annotation dicts, as a set of ``kind``.
+
+        Its ``to_json`` reuses this set's element dicts, and this set's list
+        of them when every element is kept, so a report holding both sets
+        holds each shared element once.  Those are read-only, as this set's
+        ``to_json`` says.
+        """
         if kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {kind!r}")
-        kept = [pair for pair in zip(self.elements, self.annotations) if keep(*pair)]
+        flags = list(map(keep, self.elements, self.annotations))
         return BasisSet(
             kind,
             self.variables,
-            tuple(b for b, _ in kept),
-            tuple(a for _, a in kept),
+            tuple(compress(self.elements, flags)),
+            tuple(compress(self.annotations, flags)),
+            (self, tuple(compress(range(len(flags)), flags))),
         )
 
+    @cached_property
+    def _json_elements(self) -> dict[str, list[dict]]:
+        return {}
+
     def to_json(self, prefix: str = "e") -> dict:
+        """Kind, variable count, element count and the elements: each
+        binomial's ``to_json`` entries with ``"tags"``, its annotation dict.
+
+        The result is a read-only view of the set, not a copy: the element
+        list is built on the first call for each prefix and returned by
+        every later one (and by a subset's that keeps every element), and
+        its dicts hold the binomials' body entries and the annotation dicts
+        themselves.  Copy what you change.
+        """
+        elements = self._json_elements.get(prefix)
+        if elements is None:
+            if self.source is None:
+                elements = [
+                    {**b.to_json(prefix), "tags": ann}
+                    for b, ann in zip(self.elements, self.annotations)
+                ]
+            else:
+                parent, kept = self.source
+                elements = parent.to_json(prefix)["elements"]
+                if len(kept) < len(elements):
+                    elements = [elements[i] for i in kept]
+            self._json_elements[prefix] = elements
         return {
             "kind": self.kind,
             "variables": self.variables,
             "count": len(self.elements),
-            "elements": [
-                {**b.to_json(prefix), "tags": dict(ann)}
-                for b, ann in zip(self.elements, self.annotations)
-            ],
+            "elements": elements,
         }
 
 

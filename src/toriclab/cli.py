@@ -4,7 +4,10 @@ Subcommands map onto the public API: the four set computations, a full
 analysis with optional brute-force cross-check, robustness checks, the
 generic matrix oracle, and corpus sweeps.  JSON output is canonical and
 byte-identical across reruns of the same command: ``_canonical_json`` writes
-exactly what ``json.dumps(report, sort_keys=True, indent=2)`` would.
+exactly what ``json.dumps(report, sort_keys=True, indent=2)`` would.  A
+report is a read-only view of the analysis: it holds the sets' element,
+exponent and tag objects themselves, a set and its subsets share them, and
+the encoder writes each shared one once, so nothing here changes a report.
 Wall-clock timings are printed to stderr in text mode only, so they never
 perturb the reports.
 
@@ -18,13 +21,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import math
 import sys
 import time
 from collections import Counter
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from sys import getrefcount
 
 from .bases import FiberBundle, GraphAnalysis, analyze_graph, fiber_bundle
 from .binomials import BasisSet
@@ -187,46 +193,157 @@ _SCALAR_JSON = {
 }
 
 
-def _canonical_json(obj, newline: str = "\n") -> str:
+_CONTAINERS = frozenset((dict, list, tuple))
+
+
+def _lone_refcount() -> int:
+    """What ``getrefcount`` reads, in the encoder's loops, for a container
+    that only its parent holds: the parent's slot, the loop variable and
+    the call's argument, as this interpreter counts them."""
+    for value in [[]]:
+        return getrefcount(value)
+
+
+_LONE_REFCOUNT = _lone_refcount()
+
+
+def _canonical_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
 
     Takes dicts with ``str`` keys, lists, tuples, ``str``, ``int``, ``float``,
     ``bool`` and ``None``, by exact type; anything else raises ``TypeError``.
-    ``newline`` is a line break followed by the indentation of ``obj``.
     CPython's ``json`` encodes with ``indent`` in pure Python; this builds each
-    container with one join and formats scalar children without recursing.
-    A nesting level costs one interpreter frame (plain loops, no
-    comprehensions), so a sidecar value as deep as the JSON reader accepts
-    still prints.
+    container with one join, formats scalar children without recursing, and
+    writes a container met more than once at one indentation from the text
+    of its first time.  A nesting level costs one interpreter frame (plain
+    loops, no comprehensions), so a sidecar value as deep as the JSON reader
+    accepts still prints.
     """
     fmt = _SCALAR_JSON.get(type(obj))
     if fmt is not None:
         return fmt(obj)
-    inner = newline + "  "
-    if type(obj) is dict:
-        if not obj:
-            return "{}"
-        parts = []
-        for key in sorted(obj):
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            value = obj[key]
-            fmt = _SCALAR_JSON.get(type(value))
-            parts.append(
-                encode_basestring_ascii(key)
-                + ": "
-                + (fmt(value) if fmt else _canonical_json(value, inner))
-            )
-        return "{" + inner + ("," + inner).join(parts) + newline + "}"
-    if type(obj) in (list, tuple):
-        if not obj:
-            return "[]"
-        parts = []
-        for value in obj:
-            fmt = _SCALAR_JSON.get(type(value))
-            parts.append(fmt(value) if fmt else _canonical_json(value, inner))
-        return "[" + inner + ("," + inner).join(parts) + newline + "]"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return _Document(obj).write(obj, "\n")
+
+
+def _repeated_nodes(obj) -> dict[tuple[int, int], int]:
+    """The containers written more than once at one line width (a line
+    break and the indentation), keyed by identity and width, with their
+    number of occurrences.
+
+    This walks ``obj`` one nesting level at a time with
+    ``gc.get_referents``, which lists a container's items (and a dict's
+    values), and goes below each container once per level, as the encoder
+    writes it once there.
+    """
+    repeats = {}
+    level = [obj]
+    width = 3  # the root's items: a line break and two spaces
+    while level:
+        refs = gc.get_referents(*level)
+        level = list(compress(refs, map(_CONTAINERS.__contains__, map(type, refs))))
+        unique = dict(zip(map(id, level), level))
+        if len(unique) < len(level):
+            for node, n in Counter(map(id, level)).items():
+                if n > 1:
+                    repeats[node, width] = n
+            level = list(unique.values())
+        width += 2
+    return repeats
+
+
+# bytes of text kept before the occurrences are counted: counting walks the
+# whole document, which a small one (a `check` report is about 2 KB) need
+# not pay for, and past it a text is kept only while its container recurs
+_UNCOUNTED_TEXT = 1 << 16
+
+
+class _Document:
+    """One top-level ``_canonical_json`` call.
+
+    A report is a DAG: the sets share element, tag and exponent objects.  A
+    container that something besides its parent holds may recur, so its
+    text is kept.  Once the kept texts pass ``_UNCOUNTED_TEXT`` bytes,
+    ``_repeated_nodes`` counts the occurrences of every container, and from
+    then on a text is kept only until its container's last occurrence.  The
+    report holds every container until the call returns, so no identity is
+    reused meanwhile.
+    """
+
+    def __init__(self, root) -> None:
+        self.root = root
+        self.memo: dict[tuple[int, int], str] = {}
+        self.kept = 0
+        # occurrences still to write, by (identity, line width), once counted
+        self.repeats: dict[tuple[int, int], int] | None = None
+
+    def keep(self, node: tuple[int, int], text: str) -> None:
+        """Count one occurrence of ``node`` written, and keep its text while
+        more may come."""
+        if self.repeats is not None:
+            left = self.repeats.get(node, 1) - 1
+            if left > 0:
+                self.repeats[node] = left
+                self.memo[node] = text
+            else:
+                self.memo.pop(node, None)
+        elif node not in self.memo:
+            self.memo[node] = text
+            self.kept += len(text)
+            if self.kept > _UNCOUNTED_TEXT:
+                # each kept text was written at least once; one that recurred
+                # already may stay kept past its last occurrence
+                self.repeats = _repeated_nodes(self.root)
+                for n in list(self.memo):
+                    if n in self.repeats:
+                        self.repeats[n] -= 1
+                    else:
+                        del self.memo[n]
+
+    def write(self, obj, newline: str) -> str:
+        """The text of the container ``obj`` at the indentation that
+        ``newline`` (a line break and the indentation) gives."""
+        inner = newline + "  "
+        if type(obj) is dict:
+            if not obj:
+                return "{}"
+            parts = []
+            for key in sorted(obj):
+                if type(key) is not str:
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                value = obj[key]
+                fmt = _SCALAR_JSON.get(type(value))
+                if fmt is not None:
+                    text = fmt(value)
+                elif getrefcount(value) > _LONE_REFCOUNT:
+                    node = (id(value), len(inner))
+                    text = self.memo.get(node) or self.write(value, inner)
+                    self.keep(node, text)
+                else:
+                    text = self.write(value, inner)
+                parts.append(f"{encode_basestring_ascii(key)}: {text}")
+            # one f-string copies the body once, where `+` would thrice
+            body = ("," + inner).join(parts)
+            return f"{{{inner}{body}{newline}}}"
+        if type(obj) in (list, tuple):
+            if not obj:
+                return "[]"
+            parts = []
+            for value in obj:
+                fmt = _SCALAR_JSON.get(type(value))
+                if fmt is not None:
+                    text = fmt(value)
+                elif getrefcount(value) > _LONE_REFCOUNT:
+                    node = (id(value), len(inner))
+                    text = self.memo.get(node) or self.write(value, inner)
+                    self.keep(node, text)
+                else:
+                    text = self.write(value, inner)
+                parts.append(text)
+            body = ("," + inner).join(parts)
+            return f"[{inner}{body}{newline}]"
+        raise TypeError(
+            f"Object of type {type(obj).__name__} is not JSON serializable"
+        )
 
 
 def _emit(report: dict, args: argparse.Namespace, timings: _Timings, renderer) -> None:

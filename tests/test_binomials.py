@@ -1,5 +1,6 @@
 """Binomial canonical forms, JSON and text output, basis set ordering."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +53,16 @@ def test_rejects_zero_and_negative():
         make_binomial((1, 0), (1, 0), total)
     with pytest.raises(BinomialError):
         make_binomial((-1, 1), (0, 0), total)
+
+
+@pytest.mark.parametrize("exponent", [1.0, True, np.int64(1), "1"])
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_rejects_exponents_that_are_not_int(side, exponent):
+    plus, minus = [exponent, 0], [0, 1]
+    if side == "minus":
+        plus, minus = minus, plus
+    with pytest.raises(BinomialError, match="exponents must be int"):
+        make_binomial(plus, minus, total)
 
 
 def test_rejects_degree_mismatch(graph_of):
