@@ -129,7 +129,8 @@ class BasisSet:
     runs over the same input serialize to identical bytes.  A subset built
     by ``subset`` shares its annotation dicts with this set, so they are
     read-only: copy one before changing it.  ``source`` is the set and the
-    indices of the elements a subset kept from it (None for any other set).
+    indices of the elements a subset kept from it, set by ``subset`` alone
+    (None for any other set, ``dataclasses.replace`` included).
     """
 
     kind: str
@@ -137,7 +138,7 @@ class BasisSet:
     elements: tuple[Binomial, ...]
     annotations: tuple[dict, ...]
     source: tuple[BasisSet, tuple[int, ...]] | None = field(
-        default=None, repr=False, compare=False
+        init=False, default=None, repr=False, compare=False
     )
 
     def __len__(self) -> int:
@@ -163,13 +164,17 @@ class BasisSet:
         if kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {kind!r}")
         flags = list(map(keep, self.elements, self.annotations))
-        return BasisSet(
+        result = BasisSet(
             kind,
             self.variables,
             tuple(compress(self.elements, flags)),
             tuple(compress(self.annotations, flags)),
-            (self, tuple(compress(range(len(flags)), flags))),
         )
+        # only here is ``source`` set, so it always matches the elements
+        object.__setattr__(
+            result, "source", (self, tuple(compress(range(len(flags)), flags)))
+        )
+        return result
 
     @cached_property
     def _json_elements(self) -> dict[str, list[dict]]:

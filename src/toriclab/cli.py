@@ -21,13 +21,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import gc
 import json
 import math
 import sys
 import time
 from collections import Counter
-from itertools import compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from sys import getrefcount
@@ -193,9 +191,6 @@ _SCALAR_JSON = {
 }
 
 
-_CONTAINERS = frozenset((dict, list, tuple))
-
-
 def _lone_refcount() -> int:
     """What ``getrefcount`` reads, in the encoder's loops, for a container
     that only its parent holds: the parent's slot, the loop variable and
@@ -222,39 +217,7 @@ def _canonical_json(obj) -> str:
     fmt = _SCALAR_JSON.get(type(obj))
     if fmt is not None:
         return fmt(obj)
-    return _Document(obj).write(obj, "\n")
-
-
-def _repeated_nodes(obj) -> dict[tuple[int, int], int]:
-    """The containers written more than once at one line width (a line
-    break and the indentation), keyed by identity and width, with their
-    number of occurrences.
-
-    This walks ``obj`` one nesting level at a time with
-    ``gc.get_referents``, which lists a container's items (and a dict's
-    values), and goes below each container once per level, as the encoder
-    writes it once there.
-    """
-    repeats = {}
-    level = [obj]
-    width = 3  # the root's items: a line break and two spaces
-    while level:
-        refs = gc.get_referents(*level)
-        level = list(compress(refs, map(_CONTAINERS.__contains__, map(type, refs))))
-        unique = dict(zip(map(id, level), level))
-        if len(unique) < len(level):
-            for node, n in Counter(map(id, level)).items():
-                if n > 1:
-                    repeats[node, width] = n
-            level = list(unique.values())
-        width += 2
-    return repeats
-
-
-# bytes of text kept before the occurrences are counted: counting walks the
-# whole document, which a small one (a `check` report is about 2 KB) need
-# not pay for, and past it a text is kept only while its container recurs
-_UNCOUNTED_TEXT = 1 << 16
+    return _Document().write(obj, "\n")
 
 
 class _Document:
@@ -262,42 +225,13 @@ class _Document:
 
     A report is a DAG: the sets share element, tag and exponent objects.  A
     container that something besides its parent holds may recur, so its
-    text is kept.  Once the kept texts pass ``_UNCOUNTED_TEXT`` bytes,
-    ``_repeated_nodes`` counts the occurrences of every container, and from
-    then on a text is kept only until its container's last occurrence.  The
-    report holds every container until the call returns, so no identity is
-    reused meanwhile.
+    text is kept, keyed by identity and line width, until the call returns.
+    The report holds every container until then, so no identity is reused
+    meanwhile.
     """
 
-    def __init__(self, root) -> None:
-        self.root = root
+    def __init__(self) -> None:
         self.memo: dict[tuple[int, int], str] = {}
-        self.kept = 0
-        # occurrences still to write, by (identity, line width), once counted
-        self.repeats: dict[tuple[int, int], int] | None = None
-
-    def keep(self, node: tuple[int, int], text: str) -> None:
-        """Count one occurrence of ``node`` written, and keep its text while
-        more may come."""
-        if self.repeats is not None:
-            left = self.repeats.get(node, 1) - 1
-            if left > 0:
-                self.repeats[node] = left
-                self.memo[node] = text
-            else:
-                self.memo.pop(node, None)
-        elif node not in self.memo:
-            self.memo[node] = text
-            self.kept += len(text)
-            if self.kept > _UNCOUNTED_TEXT:
-                # each kept text was written at least once; one that recurred
-                # already may stay kept past its last occurrence
-                self.repeats = _repeated_nodes(self.root)
-                for n in list(self.memo):
-                    if n in self.repeats:
-                        self.repeats[n] -= 1
-                    else:
-                        del self.memo[n]
 
     def write(self, obj, newline: str) -> str:
         """The text of the container ``obj`` at the indentation that
@@ -316,8 +250,9 @@ class _Document:
                     text = fmt(value)
                 elif getrefcount(value) > _LONE_REFCOUNT:
                     node = (id(value), len(inner))
-                    text = self.memo.get(node) or self.write(value, inner)
-                    self.keep(node, text)
+                    text = self.memo.get(node)
+                    if text is None:
+                        text = self.memo[node] = self.write(value, inner)
                 else:
                     text = self.write(value, inner)
                 parts.append(f"{encode_basestring_ascii(key)}: {text}")
@@ -334,8 +269,9 @@ class _Document:
                     text = fmt(value)
                 elif getrefcount(value) > _LONE_REFCOUNT:
                     node = (id(value), len(inner))
-                    text = self.memo.get(node) or self.write(value, inner)
-                    self.keep(node, text)
+                    text = self.memo.get(node)
+                    if text is None:
+                        text = self.memo[node] = self.write(value, inner)
                 else:
                     text = self.write(value, inner)
                 parts.append(text)

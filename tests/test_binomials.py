@@ -1,11 +1,14 @@
 """Binomial canonical forms, JSON and text output, basis set ordering."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toriclab.binomials import (
+    BasisSet,
     BinomialError,
     DegreeMismatchError,
     NonCoprimeError,
@@ -130,6 +133,21 @@ def test_subset_keeps_order_and_shares_annotations():
     assert len(s.subset("indispensable", lambda *_: False)) == 0
     with pytest.raises(ValueError):
         s.subset("mystery", lambda *_: True)
+
+
+def test_only_subset_sets_source():
+    b1 = make_binomial((1, 0, 0, 1), (0, 1, 1, 0), total)
+    b2 = make_binomial((1, 1, 0, 0), (0, 0, 1, 1), total)
+    s = make_basis_set("graver", 4, [(b1, {"n": 1}), (b2, {"n": 2})])
+    sub = s.subset("ugb", lambda *_: True)
+    assert sub.source == (s, (0, 1))
+    assert sub.to_json()["elements"] is s.to_json()["elements"]
+    with pytest.raises(TypeError):
+        BasisSet("ugb", 4, s.elements, s.annotations, (s, (0, 1)))
+    # a copy with other elements writes its own, not the parent's
+    other = dataclasses.replace(sub, elements=(b2,), annotations=({"n": 3},))
+    assert other.source is None
+    assert [e["tags"] for e in other.to_json()["elements"]] == [{"n": 3}]
 
 
 def test_basis_set_conflicting_tags_rejected():
