@@ -18,7 +18,9 @@ Each fiber is split into components from its own members alone: members
 that share a column lie in one component (``fiber_graphs``), so no degree
 depends on the moves found at another.  ``graver_bounded`` finds the
 kernel vectors in its box by a meet in the middle: two half-boxes, each row
-with a signed degree key, joined where the keys cancel.
+with a signed degree key, joined where the keys cancel.  numpy is imported
+inside the three functions that use it, so a process that reaches none of
+them never loads it.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from operator import lshift
 from typing import Sequence
-
-import numpy as np
 
 from .binomials import (
     BasisSet,
@@ -62,10 +62,14 @@ _WEIGHT_RANGE = (1, 100)
 #   degrees   3    5    8    9-10  11   12-16    20-26  41-119
 #   batch     2.9  1.9  1.2  1.04  0.98 0.9-0.7  0.55   0.45-0.28
 _BATCH_MIN_DEGREES = 11
-# The batch stores rows in the narrowest of these that holds every entry;
-# past int64 ``fibers`` falls back to ``fiber``, on Python integers.
-_BATCH_DTYPES = tuple(
-    (t, np.iinfo(t).max) for t in (np.int8, np.int16, np.int32, np.int64)
+# The numpy integer dtypes by name, each with its largest value.  The batch
+# stores rows in the narrowest of them that holds every entry; past int64
+# ``fibers`` falls back to ``fiber``, on Python integers.
+_DTYPES = (
+    ("int8", 2**7 - 1),
+    ("int16", 2**15 - 1),
+    ("int32", 2**31 - 1),
+    ("int64", 2**63 - 1),
 )
 # Degrees per numpy sweep.  Sweeping the 2,641 Graver degrees of a 24-edge
 # graph at once raised the peak RSS of ``check`` from 125 to 172 MB; in
@@ -266,19 +270,27 @@ def fibers(
     return {t: found.get(t, ()) for t in targets}
 
 
-def _batch_dtype(config: ToricConfig, degrees: list[tuple[int, ...]]):
-    """The narrowest of ``_BATCH_DTYPES`` that holds every entry of a batch
-    row, or None past int64.  Every entry lies in 0..limit: a multiplicity
-    k of column c takes k * c <= residual from each row c reaches."""
+def _narrowest_dtype(limit: int) -> str | None:
+    """The name of the narrowest of ``_DTYPES`` that holds 0..limit, or
+    None past int64."""
+    return next((name for name, top in _DTYPES if limit <= top), None)
+
+
+def _batch_dtype(config: ToricConfig, degrees: list[tuple[int, ...]]) -> str | None:
+    """The narrowest dtype that holds every entry of a batch row, or None
+    past int64.  Every entry lies in 0..limit: a multiplicity k of column c
+    takes k * c <= residual from each row c reaches."""
     limit = max(len(degrees), max(map(max, degrees), default=0), config.top)
-    return next((t for t, top in _BATCH_DTYPES if limit <= top), None)
+    return _narrowest_dtype(limit)
 
 
 def _fiber_batch(
-    config: ToricConfig, degrees: list[tuple[int, ...]], dtype: type
+    config: ToricConfig, degrees: list[tuple[int, ...]], dtype: str
 ) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """``fibers``'s numpy sweep over nonnegative degrees whose every entry,
     like every matrix entry and the number of degrees, fits in ``dtype``."""
+    import numpy as np
+
     # a row is [degree index, residual (nrows), prefix (ncols)]
     width = 1 + config.nrows + config.ncols
     rows = np.zeros((len(degrees), width), dtype=dtype)
@@ -337,6 +349,8 @@ def graver_bounded(config: ToricConfig, box: int) -> tuple[Binomial, ...]:
         # A nonzero column has no kernel; its half-box would hold 2 * box + 1
         # rows, more than its box.
         return ()
+    import numpy as np
+
     # The key of w is sum_j w_j * weight_j, its degree A·w in a balanced
     # mixed radix: matrix row r, of sum s, gives the digit of radix
     # 2 * box * s + 1, which lies in -box*s..box*s; the last row is the
@@ -350,7 +364,7 @@ def graver_bounded(config: ToricConfig, box: int) -> tuple[Binomial, ...]:
             weights[j] += a * radix
         radix *= 2 * box * sum(row) + 1
     key_dtype = np.int64 if (radix - 1) // 2 <= np.iinfo(np.int64).max else object
-    narrow, top = next((t, top) for t, top in _BATCH_DTYPES if 2 * box <= top)
+    narrow = np.dtype(_narrowest_dtype(2 * box))
     left_keys, left = _half_box(weights[:m // 2], box, key_dtype, narrow)
     right_keys, right = _half_box(weights[m // 2:], box, key_dtype, narrow)
 
@@ -390,8 +404,8 @@ def graver_bounded(config: ToricConfig, box: int) -> tuple[Binomial, ...]:
     # lie in 0..box, so the sign bit of each little-endian ``narrow`` field
     # is clear and serves as the guard.  A kept (u', v') divides (u, v)
     # straight when (u', v') <= (u, v) and crossed when (v', u') <= (u, v).
-    _, guard = _packing(2 * m, top)
-    field = np.dtype(narrow).newbyteorder("<")
+    _, guard = _packing(2 * m, np.iinfo(narrow).max)
+    field = narrow.newbyteorder("<")
     packed = pairs[ranking].astype(field).tobytes()
     size = 2 * m * field.itemsize  # bytes per (u, v)
     half = 4 * size  # bits of the fields of v
@@ -412,15 +426,15 @@ def graver_bounded(config: ToricConfig, box: int) -> tuple[Binomial, ...]:
     )
 
 
-def _half_box(
-    weights: list[int], box: int, key_dtype, narrow
-) -> tuple[np.ndarray, np.ndarray]:
-    """The keys and rows of {-box..box}^len(weights), the rows lex
-    ascending in ``narrow``, the key of w sum_j w_j * weights[j] in
-    ``key_dtype``."""
+def _half_box(weights: list[int], box: int, key_dtype, narrow):
+    """The keys and rows of {-box..box}^len(weights), as numpy arrays: the
+    rows lex ascending in the dtype ``narrow``, the key of w
+    sum_j w_j * weights[j] in ``key_dtype``."""
+    import numpy as np
+
     n = len(weights)
     rows = np.indices((2 * box + 1,) * n, dtype=narrow)
-    rows = rows.reshape(n, (2 * box + 1) ** n).T - narrow(box)
+    rows = rows.reshape(n, (2 * box + 1) ** n).T - narrow.type(box)
     return rows.astype(key_dtype) @ np.array(weights, dtype=key_dtype), rows
 
 

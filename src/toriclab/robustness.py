@@ -66,8 +66,18 @@ def circuit_rule_violations(graph: Graph, analysis: GraphAnalysis) -> dict[str, 
 
     R1: no circuit has an even chord or a bridge.  R2: odd chords of a
     circuit crossing effectively must form a four-cycle with two walk edges.
-    R3: no two circuits share exactly one edge, meet in no further vertices,
-    and have that edge on a cycle of both.
+    R3: no two circuits C1 and C2 share exactly one edge e, meet in no
+    further vertices, and have e on a cycle of both, where the edges of C1
+    and C2 other than e form the edge set of a primitive walk.
+
+    The last clause is the rule as decided here, not read from the paper.
+    Without it R3 refused generalized robust graphs, such as the book of
+    two triangles with two more hung at one end, where those other edges
+    put a vertex in three blocks.  With it, seeded searches of 385,174
+    connected sparse graphs (6-13 vertices, n to n + 4 edges, at most 18)
+    found R3 in disagreement with the other deciders in none, against 23
+    without it; it still fired in 42,052 of 85,836 graphs, but never
+    without R1 or R2.
     """
 
     circuits = [e for e in analysis.elements if e.shape]
@@ -90,8 +100,10 @@ def circuit_rule_violations(graph: Graph, analysis: GraphAnalysis) -> dict[str, 
                 "chords": [graph.edge_label(r.chord) for r in pair],
             }
 
-    # each circuit's edge and vertex sets, built once rather than per pair
+    # each circuit's edge and vertex sets, and every primitive walk's edge
+    # set, built once rather than per pair
     sets = [(e, set(e.walk.edges), set(e.walk.vertices)) for e in circuits]
+    primitive = {e.subset for e in analysis.elements}
     for (e1, edges1, vertices1), (e2, edges2, vertices2) in combinations(sets, 2):
         shared = edges1 & edges2
         if len(shared) != 1:
@@ -102,7 +114,7 @@ def circuit_rule_violations(graph: Graph, analysis: GraphAnalysis) -> dict[str, 
         if all(
             e.decomposition.is_cyclic(e.decomposition.block_of_edge[edge])
             for e in (e1, e2)
-        ):
+        ) and tuple(sorted((edges1 | edges2) - {edge})) in primitive:
             violations["R3"] = {
                 "rule": "R3",
                 "binomials": [

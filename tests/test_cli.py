@@ -681,6 +681,48 @@ def test_tied_integer_labels_ignore_hash_seed(tmp_path):
     assert len(outputs) == 1
 
 
+# Run in a fresh interpreter: check and analyze on small graphs reach no
+# numpy kernel, then the given call reaches one.
+NUMPY_ON_FIRST_USE = """
+import contextlib, io, json, sys
+from toriclab.cli import main
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        assert main(argv) == 0, argv
+
+run(["check", sys.argv[1]])
+run(["analyze", sys.argv[2]])
+cold = "numpy" in sys.modules
+run(json.loads(sys.argv[3]))
+print(json.dumps([cold, "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("kernel", ["fiber-batch", "oracle"])
+def test_numpy_loads_only_where_a_numpy_kernel_runs(kernel, tmp_path):
+    if kernel == "fiber-batch":
+        # 25 Graver degrees, past the batch's crossover of 11
+        path = tmp_path / "ladder.json"
+        path.write_text(json.dumps(graph_to_json(ladder_graph(8, 14))))
+        argv = ["analyze", str(path)]
+    else:
+        argv = ["analyze", "--oracle", "--samples", "1",
+                str(fixture_path("k4"))]
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_ON_FIRST_USE,
+         str(fixture_path("c4")), str(fixture_path("k4")),
+         json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, True]
+
+
 @pytest.mark.parametrize("max_edges", ["0", "1"])
 def test_suite_edge_budget_below_two_stops(max_edges):
     # no connected graph on 3 or more vertices has fewer than 2 edges, so

@@ -4,6 +4,7 @@ import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,8 @@ from toriclab.oracle import (
     OrderError,
     ToricConfig,
     WeightOrder,
+    _batch_dtype,
+    _narrowest_dtype,
     analyze_config,
     buchberger,
     candidate_degrees,
@@ -441,6 +444,28 @@ def test_fibers_reject_a_degree_of_the_wrong_length():
     degrees = [(1, 1), (2, 1), (0, 0), (1, 2), (1, 1, 1)]
     with pytest.raises(ConfigError):
         fibers(cfg, degrees)
+
+
+# Each boundary of the dtype table, and the dtype that holds it.
+DTYPE_BOUNDARIES = [
+    (127, "int8"), (128, "int16"),
+    (2**15 - 1, "int16"), (2**15, "int32"),
+    (2**31 - 1, "int32"), (2**31, "int64"),
+    (2**63 - 1, "int64"), (2**63, None),
+]
+
+
+@pytest.mark.parametrize("limit,name", DTYPE_BOUNDARIES)
+def test_dtype_table_picks_as_iinfo_does(limit, name):
+    # the narrowest signed integer dtype whose np.iinfo maximum holds limit
+    signed = (np.int8, np.int16, np.int32, np.int64)
+    fits = [np.dtype(t).name for t in signed if limit <= np.iinfo(t).max]
+    assert name == (fits[0] if fits else None)
+    # graver_bounded's choice for a box of limit / 2
+    assert _narrowest_dtype(limit) == name
+    # the batch's, where the limit is a matrix entry or a degree entry
+    assert _batch_dtype(config_from_rows([[limit, 1]]), [(0,)]) == name
+    assert _batch_dtype(config_from_rows([[1, 1]]), [(limit,), (0,)]) == name
 
 
 @pytest.mark.parametrize("big", [200, 2**40, 2**63 - 1, 2**63, 2**70])

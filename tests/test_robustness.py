@@ -203,10 +203,11 @@ def test_random_corpus_agrees_and_implies():
 
 # Two triangles on the edge a b (a book of two pages), with two more
 # triangles hung at a.  The sets, the fibers and the box oracle all say the
-# ideal is generalized robust; the circuit decider's rule R3 says it is not.
-# The books of three and four pages, and a 16-edge graph from a seeded
-# search, breach the same way.  Each is kept in the edge order whose input
-# digest ROADMAP item 1 quotes.
+# ideal is generalized robust.  Two circuits share the edge a b and meet in
+# no other vertex, but the rest of their union puts a in three blocks, so it
+# is no primitive walk and rule R3 must not fire.  The books of three and
+# four pages and a 16-edge graph from a seeded search are checked too.  Each
+# is kept in the edge order whose input digest ROADMAP item 1 quotes.
 R3_BREACHES = {
     "book_2_pages": "a b\na c\nb c\na d\nb d\na x\na y\nx y\na u\na v\nu v\n",
     "book_3_pages": "a b\na c\nb c\na d\nb d\na e\nb e\n"
@@ -218,11 +219,6 @@ R3_BREACHES = {
 }
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: rule R3 refuses this generalized robust graph, "
-    "so the three deciders disagree and check exits 4",
-)
 @pytest.mark.parametrize("name", list(R3_BREACHES))
 def test_book_with_hung_triangles_deciders_agree(name, tmp_path, capsys):
     text = R3_BREACHES[name]
