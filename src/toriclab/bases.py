@@ -214,9 +214,9 @@ def fiber_bundle(graph: Graph, analysis: GraphAnalysis) -> FiberBundle:
             f"fiber bundle of graph {graph.digest()}: universal Markov bases "
             "from fibers and from walks disagree"
         )
-    # markov_bundle puts every indispensable element in its universal Markov
-    # set too, and that set equals the walk one, so filtering the walk set
-    # finds each indispensable element with its walk tags
+    # markov_bundle's indispensable set is part of its universal Markov set,
+    # and that set equals the walk one, so filtering the walk set finds each
+    # indispensable element with its walk tags
     keys = bundle.indispensable.element_set()
     indispensable = analysis.universal_markov.subset(
         "indispensable", lambda b, _: (b.plus, b.minus) in keys

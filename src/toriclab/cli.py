@@ -801,6 +801,11 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return EXIT_SCALE
+    except MemoryError:
+        print(
+            "toriclab: error: input needs more memory than is free", file=sys.stderr
+        )
+        return EXIT_SCALE
     except InternalInvariantError as exc:
         print(f"toriclab: invariant breach: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

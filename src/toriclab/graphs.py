@@ -291,14 +291,6 @@ class BlockDecomposition:
         object.__setattr__(self, "blocks_of_vertex", at)
         object.__setattr__(self, "cyclic_blocks", tuple(cyclic))
 
-    @cached_property
-    def block_of_edge(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for bi, edges in enumerate(self.blocks):
-            for e in edges:
-                out[e] = bi
-        return out
-
     def is_cut_edge(self, block_index: int) -> bool:
         return len(self.blocks[block_index]) == 1
 
@@ -489,15 +481,16 @@ def primitive_block_trees(
     sides of it.  Such trees are grown, not searched for.  A state is (edge
     mask, vertex mask, free mask, attachments); the free mask holds the
     cycle vertices that host no attachment yet.  Each cycle seeds a state as
-    its root attachment, and a state grows at a free vertex ``v`` by a cycle
-    meeting it only at ``v``, or by a simple path out of ``v`` that avoids
-    it followed by a cycle meeting state and path only at the path's far
-    end.  That growth is one attachment: (cycle index, parent attachment,
-    path edge mask, cut-vertex mask), whose cut vertices are ``v`` and the
-    path's vertices.  An edge set fixes its block tree, so a seen-set of
-    edge masks expands each tree once.  Only a tree passing ``_odd_sides``
-    gets its sorted edge tuple and its ``BlockDecomposition``, assembled
-    from its cycles and path edges: the one ``block_decomposition`` finds.
+    its root attachment, and a state with an odd root grows at a free vertex
+    ``v`` by a cycle meeting it only at ``v``, or by a simple path out of
+    ``v`` that avoids it followed by a cycle meeting state and path only at
+    the path's far end.  That growth is one attachment: (cycle index,
+    parent attachment, path edge mask, cut-vertex mask), whose cut vertices
+    are ``v`` and the path's vertices.  An edge set fixes its block tree,
+    so a seen-set of edge masks expands each tree once.  Only a tree passing
+    ``_odd_sides`` gets its sorted edge tuple and its ``BlockDecomposition``,
+    assembled from its cycles and path edges: the one
+    ``block_decomposition`` finds.
     """
     adj = graph.adjacency
     cycles = simple_cycles(graph)
@@ -530,6 +523,11 @@ def primitive_block_trees(
             yield _bits(edge_mask), BlockDecomposition(
                 block_edges, block_vertices, _bits(cut)
             )
+        # A walk of two or more cycles has a leaf cycle, whose side at its
+        # one cut vertex is its own edges, so odd; growth from it reaches
+        # the whole tree, so a tree rooted at an even cycle need not grow.
+        if cycle_lengths[attachments[0][0]] % 2 == 0:
+            continue
         # the cycles through one or more, and through two or more, state vertices
         once = twice = 0
         state_rest = vertex_mask

@@ -549,7 +549,8 @@ def markov_bundle(config: ToricConfig, graver: Sequence[Binomial]) -> FiberBundl
     The universal Markov basis is every difference joining two distinct
     components of a Betti fiber.  A degree whose fiber has precisely two
     components, both singletons, forces its one such difference into every
-    minimal Markov basis: that element is indispensable.  Both sides of
+    minimal Markov basis: that element is indispensable, so the indispensable
+    set is the universal one's part at those degrees.  Both sides of
     every Graver element must be members of its degree's fiber, or an
     invariant error naming the degree is raised.
     """
@@ -562,27 +563,25 @@ def markov_bundle(config: ToricConfig, graver: Sequence[Binomial]) -> FiberBundl
                 f"a Graver side is missing from the fiber of degree {list(b.degree)}"
             )
     universal: list[tuple[Binomial, dict]] = []
-    indispensable: list[tuple[Binomial, dict]] = []
     for fg in graphs:
         if not fg.is_betti:
             continue
-        joins = [
+        universal += [
             (make_binomial(fg.fiber[iu], fg.fiber[iv], config.degree), {})
             for ci in range(len(fg.components))
             for cj in range(ci + 1, len(fg.components))
             for iu in fg.components[ci]
             for iv in fg.components[cj]
         ]
-        universal += joins
-        if fg.indispensable_degree:
-            indispensable += joins
+    markov = make_basis_set("markov", config.ncols, universal)
+    forcing = {fg.degree for fg in graphs if fg.indispensable_degree}
     return FiberBundle(
         config,
         tuple(graver),
         graphs,
         minimal,
-        make_basis_set("markov", config.ncols, universal),
-        make_basis_set("indispensable", config.ncols, indispensable),
+        markov,
+        markov.subset("indispensable", lambda b, _: b.degree in forcing),
     )
 
 

@@ -111,9 +111,9 @@ def circuit_rule_violations(graph: Graph, analysis: GraphAnalysis) -> dict[str, 
         edge = next(iter(shared))
         if vertices1 & vertices2 != set(graph.edges[edge]):
             continue
+        # a primitive walk traverses e once if e is on a cycle, else twice
         if all(
-            e.decomposition.is_cyclic(e.decomposition.block_of_edge[edge])
-            for e in (e1, e2)
+            len(e.walk.edge_occurrences[edge]) == 1 for e in (e1, e2)
         ) and tuple(sorted((edges1 | edges2) - {edge})) in primitive:
             violations["R3"] = {
                 "rule": "R3",

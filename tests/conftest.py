@@ -97,6 +97,34 @@ def wide_graphs(count, seed, edges=12, vertices=(7, 8)):
     return out
 
 
+def grid_graph(n):
+    """The 2×n grid: rows ``0..n-1`` and ``n..2n-1``, rungs ``i, n+i``."""
+    edges = [(i, i + 1) for i in range(n - 1)]
+    edges += [(n + i, n + i + 1) for i in range(n - 1)]
+    edges += [(i, n + i) for i in range(n)]
+    return Graph(2 * n, tuple(edges))
+
+
+def windmill_graph(k):
+    """k triangles sharing vertex 0: ``0 2i+1, 0 2i+2, 2i+1 2i+2``."""
+    edges = [
+        e
+        for i in range(k)
+        for e in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))
+    ]
+    return Graph(2 * k + 1, tuple(edges))
+
+
+def hung_cycle_graph(k):
+    """The cycle on ``0..2k-1`` with a triangle ``i 2k+2i, i 2k+2i+1,
+    2k+2i 2k+2i+1`` hung at each ``i < k``."""
+    m = 2 * k
+    edges = [(i, (i + 1) % m) for i in range(m)]
+    for i in range(k):
+        edges += [(i, m + 2 * i), (i, m + 2 * i + 1), (m + 2 * i, m + 2 * i + 1)]
+    return Graph(m + 2 * k, tuple(edges))
+
+
 @st.composite
 def connected_graphs(draw, max_vertices=8, max_edges=14):
     """A random spanning tree plus extra edges, at most ``max_edges`` in all."""

@@ -25,7 +25,13 @@ from toriclab.cli import main
 from toriclab.corpus import ladder_graph
 from toriclab.graphs import graph_to_json, load_graph
 
-from conftest import FIXTURES, fixture_path
+from conftest import (
+    FIXTURES,
+    fixture_path,
+    grid_graph,
+    hung_cycle_graph,
+    windmill_graph,
+)
 
 
 def run(capsys, *argv):
@@ -115,6 +121,22 @@ PINNED_REPORT_SHA256 = {
     ("triangle_per_corner", "check"): "394a36022a406fc878150fd5abcfeda4c85285c78e87c8186a7e299c19140395",
     ("ladder-8-16", "analyze"): "f840c95ebc00a09c800208aefd5bd75e35aa5e3185e92b50eb3ce07f25d9b0af",
     ("ladder-8-16", "analyze-text"): "301ec8d0cce4753dab104880050345a713ed194299b11e566cc37622578ef20f",
+    ("grid-2x8", "check-force"): "380bce424a07750fd05baaf5b693e2dfb4be98b501bc9c3efb36b19536c9c11d",
+    ("grid-2x12", "check-force"): "6b443db30b058bcfe89c56be3aa6e0944e853f16de69376e8b8995bf56a51dd6",
+    ("windmill-20", "check-force"): "58492e76c1247b36f78b0622eb872d74a64802ab2e4ac2e3549d98ee6d281b2d",
+    ("hung-cycle-6", "check-force"): "b97ec74054846aa546a413d3ca0a062646a5a33ab9579119b38cb24db0288972",
+}
+
+# Graphs built from a recipe rather than read from a fixture file.  Past the
+# unforced edge limit are the sparse structured families: grids (bipartite,
+# not generalized robust), a windmill of triangles (robust) and the 12-cycle
+# with a triangle hung at each of its first six vertices.
+_BUILT_GRAPHS = {
+    "ladder-8-16": lambda: ladder_graph(8, 16),
+    "grid-2x8": lambda: grid_graph(8),
+    "grid-2x12": lambda: grid_graph(12),
+    "windmill-20": lambda: windmill_graph(20),
+    "hung-cycle-6": lambda: hung_cycle_graph(6),
 }
 
 
@@ -123,14 +145,15 @@ _PINNED_ARGV = {
     "analyze-oracle": ("analyze", "--oracle", "--samples", "2", "--format", "json"),
     "analyze-text": ("analyze", "--format", "text"),
     "check": ("check", "--format", "json"),
+    "check-force": ("check", "--force", "--format", "json"),
 }
 
 
 @pytest.mark.parametrize("name,command", sorted(PINNED_REPORT_SHA256))
 def test_json_report_matches_pinned_digest(capsys, tmp_path, name, command):
-    if name == "ladder-8-16":
-        path = tmp_path / "ladder.json"
-        path.write_text(json.dumps(graph_to_json(ladder_graph(8, 16))))
+    if name in _BUILT_GRAPHS:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(graph_to_json(_BUILT_GRAPHS[name]())))
     else:
         path = fixture_path(name)
     code, out, _ = run(capsys, *_PINNED_ARGV[command], path)
@@ -440,6 +463,19 @@ def test_scale_guard_exit_code_and_force(capsys, tmp_path):
     code, out, _ = run(capsys, "markov", "--format", "json", "--force", str(path))
     assert code == 0
     assert json.loads(out)["set"]["count"] == 0
+
+
+def test_out_of_memory_exits_3_without_traceback(capsys, monkeypatch):
+    # numpy raises a subclass of MemoryError when an array cannot be allocated
+    def no_memory(graph, analysis):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "fiber_bundle", no_memory)
+    code, out, err = run(capsys, "check", fixture_path("c4"))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("toriclab: error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

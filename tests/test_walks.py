@@ -35,7 +35,14 @@ from toriclab.walks import (
     walk_from_primitive_subgraph,
 )
 
-from conftest import FIXTURES, STRUCTURAL, connected_graphs, wide_graphs
+from conftest import (
+    FIXTURES,
+    STRUCTURAL,
+    connected_graphs,
+    grid_graph,
+    wide_graphs,
+    windmill_graph,
+)
 
 # octagon rim plus the chords {1,5} and {2,8}: the chords are odd and cross
 # effectively but no 4-cycle completes them, so the rim walk fails exactly M2
@@ -413,6 +420,15 @@ def test_candidates_match_subset_oracle_on_fixtures(path):
     "graph", wide_graphs(8, seed=1212), ids=lambda g: g.digest()[:12]
 )
 def test_candidates_match_subset_oracle_on_12_edge_graphs(graph):
+    assert_trees_match_subset_oracle(graph)
+
+
+@pytest.mark.parametrize(
+    "graph", [grid_graph(5), windmill_graph(4)], ids=["grid-2x5", "windmill-4"]
+)
+def test_candidates_match_subset_oracle_on_structured_graphs(graph):
+    # a grid's primitive walks are its even cycles, whose trees never grow;
+    # a windmill's are its pairs of triangles, joined at the hub
     assert_trees_match_subset_oracle(graph)
 
 
