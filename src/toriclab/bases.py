@@ -3,16 +3,16 @@
 Everything is driven by closed even walks.  Primitive walks are built from
 their block trees: ``graphs.primitive_block_trees`` grows trees of cycles
 and cut-edge paths out of each cycle and yields the even cycles and the
-trees with odd sides at every cut vertex, each with the block tree it
-grew, so no walk's primitivity or blocks are worked out a second time.
-Each walk's circuit shape is read off its block tree once, on its element:
-the walks with one cyclic block (an even cycle) or two (odd cycles meeting
-in a vertex or joined by a path) are the circuits.  Every other fact of a
-walk is worked out once too, in ``primitive_elements``, and read from the
-table that ``walks`` names for it; the element keeps the block tree,
-chords, odd-chord crossings and F4s for the readers after it.  The
-universal Groebner and universal Markov members are primitive walks
-passing the mixedness and minimality filters.
+trees with odd sides at every cut vertex, each with its blocks in walk
+order, so no walk's primitivity, blocks or cycle order is worked out a
+second time.  Each walk's circuit shape is read off its blocks once, on
+its element: the walks with one cyclic block (an even cycle) or two (odd
+cycles meeting in a vertex or joined by a path) are the circuits.  Every
+other fact of a walk is worked out in one pass, ``walks.primitive_walk``;
+the element keeps the chords, odd-chord crossings and F4s for the readers
+after it, not the block tree, which no later stage reads.  The universal
+Groebner and universal Markov members are primitive walks passing the
+mixedness and minimality filters.
 ``fiber_bundle`` hands the walk-derived Graver set to
 ``oracle.markov_bundle``; the universal Markov basis read off its fiber
 graphs must match the walk one, an internal consistency check.
@@ -25,25 +25,9 @@ from dataclasses import dataclass, field, replace
 
 from .binomials import BasisSet, Binomial, make_basis_set
 from .errors import InternalInvariantError, ScaleGuardError
-from .graphs import (
-    BlockDecomposition,
-    Graph,
-    primitive_block_trees,
-)
+from .graphs import Graph, primitive_block_trees
 from .oracle import FiberBundle, ToricConfig, markov_bundle
-from .walks import (
-    ChordReport,
-    ClosedEvenWalk,
-    F4Record,
-    classify_chords,
-    crossing_pairs,
-    cyclic_parities,
-    find_F4s,
-    is_mixed,
-    minimality_failures,
-    walk_binomial,
-    walk_from_primitive_subgraph,
-)
+from .walks import ChordReport, ClosedEvenWalk, F4Record, primitive_walk
 
 # Edge-count ceiling for exhaustive enumeration unless the caller forces it.
 MAX_EDGES_UNFORCED = 20
@@ -69,10 +53,10 @@ def graph_config(graph: Graph) -> ToricConfig:
 class PrimitiveElement:
     """One primitive walk with its binomial and classification tags.
 
-    ``decomposition``, ``chords``, ``crossings`` and ``f4s`` are the walk's
-    block tree, chord reports, odd-chord crossing scan and F4s, and
-    ``shape`` its circuit shape (None for a walk that is no circuit), worked
-    out once here for every later reader.
+    ``chords``, ``crossings`` and ``f4s`` are the walk's chord reports,
+    odd-chord crossing scan and F4s, and ``shape`` its circuit shape (None
+    for a walk that is no circuit), worked out once here for every later
+    reader.
     """
 
     subset: tuple[int, ...]
@@ -80,7 +64,6 @@ class PrimitiveElement:
     binomial: Binomial
     mixed: bool
     minimality_failures: tuple[str, ...]
-    decomposition: BlockDecomposition = field(repr=False, compare=False)
     chords: tuple[ChordReport, ...] = field(repr=False, compare=False)
     crossings: tuple[tuple[ChordReport, ChordReport], ...] = field(
         repr=False, compare=False
@@ -99,41 +82,30 @@ def primitive_elements(graph: Graph) -> tuple[PrimitiveElement, ...]:
     A graph's circuits are its even cycles, pairs of odd cycles meeting in
     exactly one vertex, and pairs of vertex-disjoint odd cycles joined by a
     path (whose edges enter squared).  Each is a primitive walk, and its
-    block tree tells them apart: one cyclic block is an even cycle; two
-    cyclic blocks and nothing else share a vertex; two cyclic blocks plus
-    cut edges are path-joined.  A primitive walk with three or more cyclic
-    blocks is no circuit.
-
-    Each fact of a walk is worked out once, in this order, and every later
-    stage reads it: the walk with its positions table, the chord reports,
-    the odd-chord crossing scan, the F4s, the cyclic-parity table, then the
-    binomial, the mixed test and the minimality codes.
+    blocks tell them apart: one block is an even cycle; two cyclic blocks
+    and nothing else share a vertex; two cyclic blocks plus cut edges are
+    path-joined.  A primitive walk with three or more cyclic blocks is no
+    circuit.  Every other fact of a walk comes from ``walks.primitive_walk``.
     """
 
     out = []
-    for subset, dec in primitive_block_trees(graph):
-        cyclic = len(dec.cyclic_blocks)
-        if cyclic == 1:
+    for subset, blocks in primitive_block_trees(graph):
+        if len(blocks) == 1:
             shape = "even-cycle"
-        elif cyclic == 2:
-            shape = "shared-vertex" if len(dec.blocks) == 2 else "path-joined"
+        elif sum(len(edges) > 2 for _, edges in blocks) == 2:
+            shape = "shared-vertex" if len(blocks) == 2 else "path-joined"
         else:
             shape = None
-        walk = walk_from_primitive_subgraph(graph, dec)
-        chords = classify_chords(graph, walk, dec)
-        crossings = crossing_pairs(chords)
-        f4s = find_F4s(graph, walk, crossings)
-        parities = cyclic_parities(graph, walk, dec)
+        walk, binomial, mixed, failures, chords, crossings, f4s = primitive_walk(
+            graph, blocks
+        )
         out.append(
             PrimitiveElement(
                 subset=subset,
                 walk=walk,
-                binomial=walk_binomial(graph, walk),
-                mixed=is_mixed(parities),
-                minimality_failures=minimality_failures(
-                    graph, dec, parities, chords, crossings, f4s
-                ),
-                decomposition=dec,
+                binomial=binomial,
+                mixed=mixed,
+                minimality_failures=failures,
                 chords=chords,
                 crossings=crossings,
                 f4s=f4s,

@@ -454,6 +454,12 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# A block of a primitive walk in walk order: (vertices, edges), edge k
+# joining vertex k to vertex k + 1 cyclically; a cut edge e = {u, v} is
+# ((u, v), (e, e)).
+Block = tuple[tuple[int, ...], tuple[int, ...]]
+
+
 def _odd_sides(attachments: tuple, cycle_lengths: list[int]) -> bool:
     """Whether a tree of cycles has an odd side at every cut vertex.
 
@@ -462,7 +468,7 @@ def _odd_sides(attachments: tuple, cycle_lengths: list[int]) -> bool:
     every non-root attachment's subtree holds an odd number of them.  A
     parent precedes its children, so one backward pass sums the subtrees.
     """
-    sizes = [cycle_lengths[cycle] for cycle, _, _, _ in attachments]
+    sizes = [cycle_lengths[cycle] for cycle, _, _ in attachments]
     for a in range(len(attachments) - 1, 0, -1):
         if sizes[a] % 2 == 0:
             return False
@@ -472,7 +478,7 @@ def _odd_sides(attachments: tuple, cycle_lengths: list[int]) -> bool:
 
 def primitive_block_trees(
     graph: Graph,
-) -> Iterator[tuple[tuple[int, ...], BlockDecomposition]]:
+) -> Iterator[tuple[tuple[int, ...], tuple[Block, ...]]]:
     """Yield every primitive walk's edge set, once, with its block tree.
 
     The subgraph of a primitive walk is an even cycle, or a tree of cycles
@@ -485,25 +491,40 @@ def primitive_block_trees(
     ``v`` by a cycle meeting it only at ``v``, or by a simple path out of
     ``v`` that avoids it followed by a cycle meeting state and path only at
     the path's far end.  That growth is one attachment: (cycle index,
-    parent attachment, path edge mask, cut-vertex mask), whose cut vertices
-    are ``v`` and the path's vertices.  An edge set fixes its block tree,
-    so a seen-set of edge masks expands each tree once.  Only a tree passing
-    ``_odd_sides`` gets its sorted edge tuple and its ``BlockDecomposition``,
-    assembled from its cycles and path edges: the one
-    ``block_decomposition`` finds.
+    parent attachment, path edge mask).  An edge set fixes its block tree,
+    so a seen-set of edge masks expands each tree once.
+
+    Only a tree passing ``_odd_sides`` is yielded, as its sorted edge tuple
+    and its blocks in walk order: each block a (vertices, edges) pair in
+    which edge k joins vertex k to vertex k + 1, cyclically.  A cycle's pair
+    is the order ``simple_cycles`` found it in, worked out once per graph; a
+    cut edge {u, v} is the pair ((u, v), (e, e)), out and back.  The cycles
+    come first, in attachment order, then the cut edges.  A vertex in two
+    blocks is a cut vertex; the blocks are the ones ``block_decomposition``
+    finds.
     """
     adj = graph.adjacency
+    index = graph.edge_index
     cycles = simple_cycles(graph)
     # through[v]: bitmask over the indices of the cycles through v
     through = [0] * graph.vertex_count
     for i, (verts, _, _) in enumerate(cycles):
         for v in verts:
             through[v] |= 1 << i
-    # each cycle as a block: (sorted edge tuple, sorted vertex tuple)
-    cycle_blocks = [(_bits(edges), _bits(verts)) for _, edges, verts in cycles]
+    # each cycle as a block in walk order
+    cycle_blocks = [
+        (
+            verts,
+            tuple(
+                index[(a, b) if a < b else (b, a)]
+                for a, b in zip(verts, verts[1:] + verts[:1])
+            ),
+        )
+        for verts, _, _ in cycles
+    ]
     cycle_lengths = [len(verts) for verts, _, _ in cycles]
     states = [
-        (edges, verts, verts, ((i, -1, 0, 0),))
+        (edges, verts, verts, ((i, -1, 0),))
         for i, (_, edges, verts) in enumerate(cycles)
     ]
     seen = {edge_mask for edge_mask, _, _, _ in states}
@@ -512,17 +533,11 @@ def primitive_block_trees(
     while states:
         edge_mask, vertex_mask, free, attachments = states.pop()
         if _odd_sides(attachments, cycle_lengths):
-            blocks = [cycle_blocks[cycle] for cycle, _, _, _ in attachments]
-            cut = 0
-            for _, _, path_edges, joints in attachments:
-                cut |= joints
+            blocks = [cycle_blocks[cycle] for cycle, _, _ in attachments]
+            for _, _, path_edges in attachments:
                 if path_edges:
-                    blocks.extend(((e,), graph.edges[e]) for e in _bits(path_edges))
-            blocks.sort()
-            block_edges, block_vertices = zip(*blocks)
-            yield _bits(edge_mask), BlockDecomposition(
-                block_edges, block_vertices, _bits(cut)
-            )
+                    blocks.extend((graph.edges[e], (e, e)) for e in _bits(path_edges))
+            yield _bits(edge_mask), tuple(blocks)
         # A walk of two or more cycles has a leaf cycle, whose side at its
         # one cut vertex is its own edges, so odd; growth from it reaches
         # the whole tree, so a tree rooted at an even cycle need not grow.
@@ -537,7 +552,7 @@ def primitive_block_trees(
             twice |= once & through[low.bit_length() - 1]
             once |= through[low.bit_length() - 1]
         # a free vertex lies on exactly one attachment's cycle, its parent
-        for parent, (cycle, _, _, _) in enumerate(attachments):
+        for parent, (cycle, _, _) in enumerate(attachments):
             rest = free & cycles[cycle][2]
             while rest:
                 bit = rest & -rest
@@ -569,8 +584,7 @@ def primitive_block_trees(
                                 grown,
                                 taken | cycle_verts,
                                 still_free | (cycle_verts ^ end_bit),
-                                attachments
-                                + ((new, parent, path_edges, bit | path_verts),),
+                                attachments + ((new, parent, path_edges),),
                             ))
                     # a step to w pays only if w and two more vertices are untaken
                     if (everything & ~taken).bit_count() < 3:

@@ -9,18 +9,19 @@ reads the minimal and universal Markov bases and the indispensable elements
 off the fiber graphs at a Graver set's degrees; the graph pipeline
 (``bases.fiber_bundle``, on the walk-derived Graver set) and the matrix
 oracle (``analyze_config``, on the bounded Graver set) both go through it.
-A fiber is enumerated by a sweep over the columns, the fibers at 11 or
+A fiber is enumerated by a sweep over the columns, the fibers at 16 or
 more degrees (the measured crossover, see ``_BATCH_MIN_DEGREES``) by one
 batched numpy sweep; none of it recurses.  The sweep's residuals are
 packed into one Python integer each, a guarded field per row
 (``_packing``), so an entrywise comparison is one subtraction and a mask.
 Each fiber is split into components from its own members alone: members
 that share a column lie in one component (``fiber_graphs``), so no degree
-depends on the moves found at another.  ``graver_bounded`` finds the
+depends on the moves found at another; the batch labels the components of
+its rows itself.  ``graver_bounded`` finds the
 kernel vectors in its box by a meet in the middle: two half-boxes, each row
 with a signed degree key, joined where the keys cancel.  numpy is imported
-inside the three functions that use it, so a process that reaches none of
-them never loads it.
+inside the functions that use it, so a process that reaches none of them
+never loads it.
 """
 
 from __future__ import annotations
@@ -54,14 +55,16 @@ _MAX_JOIN_MATCHES = 2_000_000
 # Inclusive range of the random weights sample_groebner draws.
 _WEIGHT_RANGE = (1, 100)
 
-# Distinct degrees from which ``fibers`` sweeps them in one numpy batch.  On
-# the benchmark's graphs (median over the graphs with that many Graver
-# degrees of the best of five calls), the batch takes this multiple of the
-# time of one packed ``fiber`` call per degree:
+# Distinct degrees from which ``fibers`` sweeps them in one numpy batch, and
+# the batch labels the components of ``fiber_graphs``.  On the ``corpus``
+# and ``oracle`` benchmark graphs and 100 seeded 11-13-edge graphs (median
+# over the graphs with that many Graver degrees of the best of nine
+# ``fiber_graphs`` calls), the batch takes this multiple of the time of one
+# packed ``fiber`` call and one union-find per degree:
 #
-#   degrees   3    5    8    9-10  11   12-16    20-26  41-119
-#   batch     2.9  1.9  1.2  1.04  0.98 0.9-0.7  0.55   0.45-0.28
-_BATCH_MIN_DEGREES = 11
+#   degrees   8     9-10  11    12    13    14    15    16    17-19      20-24
+#   batch     1.54  1.45  1.34  1.25  1.10  1.05  1.01  0.98  0.85-0.94  0.71-0.79
+_BATCH_MIN_DEGREES = 16
 # The numpy integer dtypes by name, each with its largest value.  The batch
 # stores rows in the narrowest of them that holds every entry; past int64
 # ``fibers`` falls back to ``fiber``, on Python integers.
@@ -254,6 +257,16 @@ def fibers(
     ``fiber`` one by one, whose packed sweep is faster than the batch's
     fixed numpy cost there.
     """
+    return {t: members for t, (members, _) in _sweep(config, degrees).items()}
+
+
+def _sweep(
+    config: ToricConfig, degrees: Sequence[Sequence[int]]
+) -> dict[tuple[int, ...], tuple[tuple[tuple[int, ...], ...], tuple]]:
+    """``fibers``, each degree's members paired with their components as
+    ``fiber_graphs`` defines them.  The numpy batch labels the components
+    of its rows itself; the fibers swept one by one are split by
+    ``_components``."""
     targets = {tuple(int(x) for x in d): None for d in degrees}
     if any(len(t) != config.nrows for t in targets):
         raise ConfigError(f"degree must have {config.nrows} entries")
@@ -262,12 +275,13 @@ def fibers(
     if len(targets) >= _BATCH_MIN_DEGREES:
         dtype = _batch_dtype(config, live)
     if dtype is None:
-        return {t: fiber(config, t) for t in targets}
-    found = {}
+        found = {t: fiber(config, t) for t in targets}
+        return {t: (members, _components(members)) for t, members in found.items()}
+    swept = {}
     for start in range(0, len(live), _BATCH_MAX_DEGREES):
         chunk = live[start:start + _BATCH_MAX_DEGREES]
-        found.update(_fiber_batch(config, chunk, dtype))
-    return {t: found.get(t, ()) for t in targets}
+        swept.update(_fiber_batch(config, chunk, dtype))
+    return {t: swept.get(t, ((), ())) for t in targets}
 
 
 def _narrowest_dtype(limit: int) -> str | None:
@@ -286,8 +300,8 @@ def _batch_dtype(config: ToricConfig, degrees: list[tuple[int, ...]]) -> str | N
 
 def _fiber_batch(
     config: ToricConfig, degrees: list[tuple[int, ...]], dtype: str
-) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """``fibers``'s numpy sweep over nonnegative degrees whose every entry,
+) -> dict[tuple[int, ...], tuple[tuple[tuple[int, ...], ...], tuple]]:
+    """``_sweep``'s numpy batch over nonnegative degrees whose every entry,
     like every matrix entry and the number of degrees, fits in ``dtype``."""
     import numpy as np
 
@@ -315,10 +329,86 @@ def _fiber_batch(
     # degree reuse the memory of the last instead of fragmenting the heap
     prefixes = rows[:, 1 + config.nrows:]
     bounds = np.searchsorted(rows[:, 0], np.arange(len(degrees) + 1)).tolist()
-    return {
-        t: tuple(map(tuple, prefixes[bounds[i]:bounds[i + 1]].tolist()))
-        for i, t in enumerate(degrees)
-    }
+    split = _batch_components(prefixes, rows[:, 0], bounds)
+    out = {}
+    for i, t in enumerate(degrees):
+        lo, hi = bounds[i], bounds[i + 1]
+        members = tuple(map(tuple, prefixes[lo:hi].tolist()))
+        if i in split:
+            out[t] = (members, split[i])
+        else:
+            out[t] = (members, (tuple(range(hi - lo)),) if hi > lo else ())
+    return out
+
+
+def _batch_components(prefixes, degree_index, bounds: list[int]) -> dict:
+    """The components of the batch's degrees that have more than one, keyed
+    by degree index, as ``fiber_graphs`` defines them.
+
+    A node is a (degree, column) pair.  Each member's support columns are
+    labelled with the least label among them, and labels follow their own
+    labels, until nothing changes: then the columns that members link share
+    one label, the least node among them.  A member's label is its first
+    support column's; the zero vector, the zero degree's one member, has
+    none and gets -1.
+    """
+    import numpy as np
+
+    ncols = prefixes.shape[1]
+    member, column = np.nonzero(prefixes)  # by member, columns ascending
+    node = degree_index[member].astype(np.intp) * ncols + column
+    # starts[k]: where member k's support begins among the nonzero entries
+    counts = np.bincount(member, minlength=len(prefixes))
+    starts = np.cumsum(counts) - counts
+    held = counts > 0
+    label = np.arange((len(bounds) - 1) * ncols)
+    while node.size:
+        low = np.minimum.reduceat(label[node], starts[held])
+        spread = label.copy()
+        np.minimum.at(spread, node, np.repeat(low, counts[held]))
+        spread = spread[spread]
+        if np.array_equal(spread, label):
+            break
+        label = spread
+    of_member = np.full(len(prefixes), -1)
+    of_member[held] = label[node[starts[held]]]
+    # the degrees whose members do not all share their first member's label
+    firsts = np.array(bounds[:-1])
+    nonempty = firsts < bounds[1:]
+    first_label = np.zeros(len(firsts), dtype=of_member.dtype)
+    first_label[nonempty] = of_member[firsts[nonempty]]
+    split = np.zeros(len(firsts), dtype=bool)
+    split[degree_index[of_member != first_label[degree_index]]] = True
+    out = {}
+    for i in np.flatnonzero(split).tolist():
+        classes: dict[int, list[int]] = {}
+        for k, lab in enumerate(of_member[bounds[i]:bounds[i + 1]].tolist()):
+            classes.setdefault(lab, []).append(k)
+        out[i] = tuple(map(tuple, classes.values()))
+    return out
+
+
+def _components(
+    members: Sequence[tuple[int, ...]],
+) -> tuple[tuple[int, ...], ...]:
+    """The components of one fiber's members, as ``fiber_graphs`` defines
+    them: a union-find over the columns merges each member's support, and a
+    member's component is the class of its first support column, -1 for
+    the zero vector, which has none.  Components come in the order of
+    their least members."""
+    if not members:
+        return ()
+    supports = [[j for j, x in enumerate(u) if x] for u in members]
+    label = list(range(len(members[0])))
+    for support in supports:
+        merged = {label[j] for j in support}
+        if len(merged) > 1:
+            root = label[support[0]]
+            label = [root if k in merged else k for k in label]
+    classes: dict[int, list[int]] = {}
+    for i, support in enumerate(supports):
+        classes.setdefault(label[support[0]] if support else -1, []).append(i)
+    return tuple(map(tuple, classes.values()))
 
 
 def graver_bounded(config: ToricConfig, box: int) -> tuple[Binomial, ...]:
@@ -484,36 +574,23 @@ def fiber_graphs(
     links them in which each consecutive pair shares a column: sharing
     column i puts u - e_i and v - e_i in the smaller fiber at b - a_i (no
     column is zero), and a move of smaller degree keeps a nonzero common
-    part of a member and its image.  So a union-find over the columns
-    merges each member's support, and a member's component is the class of
-    its first support column.  Components come in the order of their least
-    members.  Each fiber with more than one component contributes a star
+    part of a member and its image.  So a member's component is the class
+    of its first support column once each member's support is merged: by
+    ``_components``' union-find over the columns for a fiber swept alone,
+    by ``_batch_components``' labels for the numpy batch.  Components come
+    in the order of their least members.  Each fiber with more than one component contributes a star
     from its least member to the least member of each other component;
     these edges form a minimal Markov basis.
     """
 
-    found = fibers(config, degrees)
+    found = _sweep(config, degrees)
     minimal: list[Binomial] = []
     graphs: list[FiberGraph] = []
     for deg in sorted(found, key=_degree_sort_key):
-        members = found[deg]
+        members, components = found[deg]
         if not members:
             continue
-        supports = [[j for j, x in enumerate(u) if x] for u in members]
-        label = list(range(config.ncols))
-        for support in supports:
-            merged = {label[j] for j in support}
-            if len(merged) > 1:
-                root = label[support[0]]
-                label = [root if k in merged else k for k in label]
-        classes: dict[int, list[int]] = {}
-        for i, support in enumerate(supports):
-            # the zero degree's one member has no support
-            classes.setdefault(label[support[0]] if support else -1, []).append(i)
-        components = list(classes.values())
-        graphs.append(
-            FiberGraph(deg, members, tuple(tuple(c) for c in components))
-        )
+        graphs.append(FiberGraph(deg, members, components))
         first = components[0][0]
         for comp in components[1:]:
             minimal.append(

@@ -13,17 +13,16 @@ bridge. The remaining chords have endpoints occurring exactly once each, so
 splitting the walk at the chord is unambiguous: the chord is odd when the two
 pieces are odd, even when both are even.
 
-Each fact of a walk is worked out once and read from one table:
+The facts of a walk are defined stage by stage, each read from one table:
 
 - the positions table of ``ClosedEvenWalk`` (``vertex_positions`` and
   ``edge_occurrences``), built on construction in one pass over the
   canonical form; that pass also checks that no edge is traversed more
   than twice.  The chords and their occurrence pairs, the F4 search and the
   cyclic-parity table read it.
-- the block tree (``graphs.BlockDecomposition``), handed over by the
-  generator with each vertex's blocks and the cyclic blocks worked out on
-  construction.  The tour, the bridge test of the chords, the cyclic-parity
-  table and the sink search read it.
+- the block tree (``graphs.BlockDecomposition``), with each vertex's blocks
+  and the cyclic blocks worked out on construction.  The bridge test of the
+  chords, the cyclic-parity table and the sink search read it.
 - the cyclic-parity table (``cyclic_parities``): the position parity of
   every edge of each cyclic block.  The mixed test and the sink search
   read it.
@@ -31,8 +30,14 @@ Each fact of a walk is worked out once and read from one table:
   crossing pair of odd chords.  The F4 search and the M2 test read it.
 - the F4 records, whose two sides the M3 test reads.
 
-The binomial is counted off the edge sequence by position parity.  The
-tour steps around each cyclic block by a table of that block's own edges.
+The pipeline derives them all in one pass instead, ``primitive_walk``, from
+the blocks in walk order that ``graphs.primitive_block_trees`` yields: one
+map of the blocks through each vertex serves the tour and the bridge test,
+and one read of the positions table serves the chords, the F4 search and
+the cyclic-parity table, whose mixed test and sink search run in the same
+loop.  It makes every check the stages make; the tests hold the two to the
+same facts.  The binomial is counted off the edge sequence by position
+parity.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from typing import Sequence
 from .binomials import Binomial, make_binomial
 from .errors import InternalInvariantError
 from .graphs import (
+    Block,
     BlockDecomposition,
     Graph,
     block_decomposition,
@@ -560,36 +566,28 @@ def walk_from_primitive_subgraph(
     graph: Graph, dec: BlockDecomposition
 ) -> ClosedEvenWalk:
     """Reconstruct the closed even walk of a primitive subgraph from its block
-    tree ``dec``.
+    tree ``dec``, the decomposition of a passing ``is_primitive_subgraph``
+    verdict.
 
-    The block tree is toured depth first from the block holding the smallest
-    edge: cycle blocks are traversed once around with branches visited inline
-    at their cut vertices, cut edges are crossed on the way out and back.
-    Each cycle edge appears once and each cut edge twice. ``dec`` is a
-    primitive walk's block tree: one that ``graphs.primitive_block_trees``
-    yields, or the decomposition of a passing ``is_primitive_subgraph``
-    verdict.  The tour keeps an explicit stack of blocks, so a deep block
-    tree costs no interpreter depth.
+    Each cyclic block is put in walk order by stepping around it from its
+    least vertex, and the tour of ``_tour`` follows; the walk is the one
+    ``primitive_walk`` finds for the same edge set.
     """
-    cut = set(dec.cut_vertices)
     ends = graph.edges
-
-    def steps(bi: int, entry: int) -> list[tuple[int, int]]:
-        """One tour of block bi from entry, as (edge, vertex reached) steps."""
-        block = dec.blocks[bi]
+    blocks = []
+    for block in dec.blocks:
         if len(block) == 1:  # a cut edge
-            e = block[0]
-            u, w = ends[e]
-            return [(e, w if u == entry else u), (e, entry)]
+            blocks.append((ends[block[0]], block * 2))
+            continue
         around: dict[int, list[tuple[int, int]]] = {}  # vertex -> (neighbour, edge)
         for e in block:
             u, w = ends[e]
             around.setdefault(u, []).append((w, e))
             around.setdefault(w, []).append((u, e))
-        prev = entry
-        cur, e = min(around[entry])
-        out = [(e, cur)]
-        while cur != entry:
+        start = prev = min(around)
+        cur, e = min(around[start])
+        verts, edges = [start], [e]
+        while cur != start:
             pairs = around[cur]
             if len(pairs) != 2:
                 raise InternalInvariantError(
@@ -599,28 +597,69 @@ def walk_from_primitive_subgraph(
             (a, ea), (b, eb) = pairs
             if a == prev:
                 a, ea = b, eb
-            prev, cur, e = cur, a, ea
-            out.append((e, cur))
-        return out
+            verts.append(cur)
+            edges.append(ea)
+            prev, cur = cur, a
+        blocks.append((tuple(verts), tuple(edges)))
+    return _tour(graph, blocks, _blocks_at(blocks))
 
+
+def _blocks_at(blocks: Sequence[Block]) -> dict[int, list[Block]]:
+    """The blocks through each vertex, in block order; a cut vertex has two."""
+    at: dict[int, list[Block]] = {}
+    for block in blocks:
+        for v in block[0]:
+            if v in at:
+                at[v].append(block)
+            else:
+                at[v] = [block]
+    return at
+
+
+def _around(block: Block, entry: int):
+    """One tour of ``block`` from ``entry``, as (edge, vertex reached)
+    steps, first toward the smaller of the entry's two neighbours."""
+    verts, edges = block
+    i = verts.index(entry)
+    if verts[i - 1] < verts[(i + 1) % len(verts)]:
+        return zip(edges[:i][::-1] + edges[i:][::-1], verts[:i][::-1] + verts[i:][::-1])
+    return zip(edges[i:] + edges[:i], verts[i + 1:] + verts[:i + 1])
+
+
+def _tour(
+    graph: Graph, blocks: Sequence[Block], at: dict[int, list[Block]]
+) -> ClosedEvenWalk:
+    """The closed even walk of a primitive walk's blocks, in walk order, with
+    ``at`` the blocks through each vertex.
+
+    The block tree is toured depth first from the block holding the smallest
+    edge, entered at its least vertex: each block is stepped around once by
+    ``_around``, with the other block at each cut vertex it reaches toured
+    inline, so each cycle edge appears once and each cut edge twice.  A lone
+    cycle is its own tour.  The tour keeps an explicit stack of blocks, so a
+    deep block tree costs no interpreter depth.
+    """
+    if len(blocks) == 1:
+        verts, edges = blocks[0]
+        return make_walk(graph, edges, verts)
     # Each step's edge is followed by the tour of whatever hangs at the
     # vertex it reaches: the other block there, if that vertex is a cut
     # vertex and the step does not lead back to its own block's entry.  The
     # root block has no parent, so what hangs at its entry comes last.
-    root = 0  # blocks are sorted by smallest edge, so block 0 holds it
-    entry = min(dec.block_vertices[root])
+    root = min(blocks, key=lambda block: min(block[1]))
+    entry = min(root[0])
     seq: list[int] = []
     reached: list[int] = []
-    frames = [(root, entry, iter(steps(root, entry)))]
+    frames = [(root, entry, _around(root, entry))]
     while frames:
-        bi, block_entry, tour = frames[-1]
+        block, block_entry, tour = frames[-1]
         for e, v in tour:
             seq.append(e)
             reached.append(v)
-            if v in cut and (v != block_entry or bi == root):
-                bs = dec.blocks_of_vertex[v]
-                nb = bs[0] if bs[1] == bi else bs[1]
-                frames.append((nb, v, iter(steps(nb, v))))
+            hung = at[v]
+            if len(hung) > 1 and (v != block_entry or block is root):
+                nb = hung[1] if hung[0] is block else hung[0]
+                frames.append((nb, v, _around(nb, v)))
                 break
         else:
             frames.pop()
@@ -631,3 +670,121 @@ def walk_from_primitive_subgraph(
             "not close up"
         )
     return make_walk(graph, seq, [entry, *reached[:-1]])
+
+
+def primitive_walk(graph: Graph, blocks: Sequence[Block]) -> tuple:
+    """The walk of a primitive block tree and every fact of it, in one pass.
+
+    ``blocks`` are the walk's blocks in walk order, as
+    ``graphs.primitive_block_trees`` yields them.  Returns (walk, binomial,
+    mixed, minimality codes, chord reports, odd-chord crossings, F4s), each
+    as the stage-by-stage functions above define it.  One map of the blocks
+    through each vertex serves the tour and the bridge test; the chords,
+    the crossing scan, the cyclic-parity table with the mixed test and the
+    sink search, and the codes are worked out here, as by
+    ``classify_chords``, ``crossing_pairs``, ``cyclic_parities``,
+    ``is_mixed``, ``sinks_and_strong_primitivity`` and
+    ``minimality_failures``, with every check they make.  The F4 search,
+    M2 and M3 call ``find_F4s``, ``uncompleted_crossing`` and
+    ``chord_crosses_F4``.
+    """
+    at = _blocks_at(blocks)
+    walk = _tour(graph, blocks, at)
+    ends = graph.edges
+    positions = walk.vertex_positions
+    on_walk = walk.edge_occurrences
+
+    # the chord reports; a chord is a bridge unless both ends lie in one
+    # block and in no other
+    chords = []
+    odd = []
+    for f, (a, b) in enumerate(ends):
+        if f in on_walk or a not in positions or b not in positions:
+            continue
+        pos_a, pos_b = positions[a], positions[b]
+        if len(pos_a) == 1 == len(pos_b):
+            i, j = pos_a[0], pos_b[0]
+            pairs = ((i, j),) if i < j else ((j, i),)
+        else:
+            pairs = tuple([(i, j) if i < j else (j, i) for i in pos_a for j in pos_b])
+        blocks_a = at[a]
+        if len(blocks_a) > 1 or blocks_a != at[b]:
+            chords.append(ChordReport(f, "bridge", pairs))
+            continue
+        s, t = pairs[0]
+        if len(pairs) > 1 and len({(t - s) % 2 for s, t in pairs}) != 1:
+            raise ChordClassificationError(
+                f"chord classification of graph {graph.digest()}: chord "
+                f"{graph.edge_label(f)} has occurrence pairs of mixed parity"
+            )
+        if (t - s) % 2:
+            chords.append(ChordReport(f, "even", pairs))
+        else:
+            report = ChordReport(f, "odd", pairs)
+            chords.append(report)
+            odd.append(report)
+
+    # the odd-chord crossing scan, as by cross_effectively
+    crossings = []
+    for k, r1 in enumerate(odd):
+        s, j = r1.positions[0]
+        for r2 in odd[k + 1:]:
+            s2, j2 = r2.positions[0]
+            if (s2 - s) % 2 == 1 and (s < s2 < j < j2 or s2 < s < j2 < j):
+                crossings.append((r1, r2))
+
+    f4s = find_F4s(graph, walk, crossings)
+
+    # the cyclic-parity table, read by the mixed test and the sink search
+    mixed = strongly = True
+    for verts, edges in blocks:
+        if len(edges) < 3:  # a cut edge
+            continue
+        ones = 0
+        meeting: dict[int, list[int]] = {}  # vertex -> parities of its block edges
+        for e in edges:
+            occ = on_walk[e]
+            if len(occ) != 1:
+                raise _not_once(graph, e, len(occ), "cyclic parity table")
+            p = occ[0] & 1
+            ones += p
+            for v in ends[e]:
+                if v in meeting:
+                    meeting[v].append(p)
+                else:
+                    meeting[v] = [p]
+        mixed = mixed and 0 < ones < len(edges)
+        sinks = set()
+        for v in verts:
+            met = meeting.get(v, ())
+            if len(met) != 2:
+                raise InternalInvariantError(
+                    f"sink search of graph {graph.digest()}: vertex "
+                    f"{graph.labels[v]} has {len(met)} edges in a cyclic block"
+                )
+            if met[0] == met[1]:
+                sinks.add(v)
+        if len(sinks) > 1 and any(
+            ends[e][0] in sinks and ends[e][1] in sinks for e in edges
+        ):
+            strongly = False
+
+    # the minimality codes, as by minimality_failures
+    failures = []
+    if len(odd) != len(chords):
+        failures.append("M1")
+    if uncompleted_crossing(crossings, f4s) is not None:
+        failures.append("M2")
+    if f4s and any(chord_crosses_F4(graph, r, rec) for rec in f4s for r in odd):
+        failures.append("M3")
+    if not strongly:
+        failures.append("M4")
+    return (
+        walk,
+        walk_binomial(graph, walk),
+        mixed,
+        tuple(failures),
+        tuple(chords),
+        tuple(crossings),
+        f4s,
+    )

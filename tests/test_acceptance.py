@@ -12,7 +12,7 @@ import pytest
 
 from toriclab.bases import analyze_graph, fiber_bundle, graph_config
 from toriclab.corpus import random_connected_graphs
-from toriclab.graphs import load_graph
+from toriclab.graphs import block_decomposition, load_graph
 from toriclab.binomials import make_basis_set
 from toriclab.oracle import (
     analyze_config,
@@ -257,7 +257,7 @@ def test_criterion_7_structural_witnesses():
         element.binomial.plus[cut_edge] == 2
         or element.binomial.minus[cut_edge] == 2
     )
-    dec = element.decomposition
+    dec = block_decomposition(g, element.subset)
     sinks = sinks_and_strong_primitivity(
         g, dec, cyclic_parities(g, element.walk, dec)
     )

@@ -143,8 +143,9 @@ def test_random_graphs_keep_inclusions_and_cross_checks():
 def test_primitive_elements_take_their_block_trees_from_the_generator(
     graph_of, monkeypatch
 ):
-    # The generator decides primitivity and hands over each block tree, so
-    # the general-subset test and the block search stay off the hot path.
+    # The generator decides primitivity and hands over each block tree with
+    # its cycles in walk order, so the general-subset test, the block search
+    # and the tour that orders a block tree's cycles stay off the hot path.
     expected = {name: primitive_elements(graph_of(name)) for name in STRUCTURAL}
 
     def refuse(*args, **kwargs):
@@ -152,30 +153,33 @@ def test_primitive_elements_take_their_block_trees_from_the_generator(
 
     for name, module in list(sys.modules.items()):
         if name == "toriclab" or name.startswith("toriclab."):
-            for fn in ("is_primitive_subgraph", "block_decomposition"):
+            for fn in (
+                "is_primitive_subgraph",
+                "block_decomposition",
+                "walk_from_primitive_subgraph",
+            ):
                 if hasattr(module, fn):
                     monkeypatch.setattr(module, fn, refuse)
     for name, elements in expected.items():
-        got = primitive_elements(graph_of(name))
-        assert got == elements
-        assert [e.decomposition for e in got] == [
-            e.decomposition for e in elements
-        ]
+        assert primitive_elements(graph_of(name)) == elements
 
 
 def _without_top_member(monkeypatch, pick):
-    """Make ``oracle.fibers`` drop ``pick(members)`` from its largest fiber."""
-    complete = toriclab.oracle.fibers
+    """Make the fiber sweep drop ``pick(members)`` from its largest fiber,
+    whose components are split again from the members left."""
+    complete = toriclab.oracle._sweep
 
     def one_short(config, degrees):
         found = complete(config, degrees)
         top = max(found, key=lambda d: (sum(d), d))
-        assert len(found[top]) > 1
-        dropped = pick(found[top])
-        found[top] = tuple(u for u in found[top] if u != dropped)
+        members = found[top][0]
+        assert len(members) > 1
+        dropped = pick(members)
+        kept = tuple(u for u in members if u != dropped)
+        found[top] = (kept, toriclab.oracle._components(kept))
         return found
 
-    monkeypatch.setattr(toriclab.oracle, "fibers", one_short)
+    monkeypatch.setattr(toriclab.oracle, "_sweep", one_short)
 
 
 def test_fiber_side_breach_names_the_graph(graph_of, monkeypatch):
@@ -296,12 +300,12 @@ def test_shape_marks_exactly_the_circuits(graph_of, family):
 
 
 def test_walk_layer_runs_once_per_element(graph_of, monkeypatch):
-    # The tracer times the walk layer through its first three functions, so
-    # ``primitive_elements`` must call each of them once per element.  The
-    # cyclic-parity table and the odd-chord crossing scan are built once per
-    # element too, wherever in the package they are called from.
+    # ``primitive_elements`` derives every fact of a walk in one call of
+    # ``primitive_walk`` per element.  The stage-by-stage functions, the
+    # reference the tests check that pass against, are not called at all.
     calls = {}
     for fn in (
+        "primitive_walk",
         "walk_from_primitive_subgraph",
         "classify_chords",
         "minimality_failures",
@@ -320,13 +324,7 @@ def test_walk_layer_runs_once_per_element(graph_of, monkeypatch):
                     monkeypatch.setattr(module, fn, counted)
     elements = primitive_elements(graph_of("triangle_per_corner"))
     assert len(elements) == 10
-    assert calls == {
-        "walk_from_primitive_subgraph": 10,
-        "classify_chords": 10,
-        "minimality_failures": 10,
-        "cyclic_parities": 10,
-        "crossing_pairs": 10,
-    }
+    assert calls == {"primitive_walk": 10}
 
 
 def test_ladder_graph_reproduces_the_8_20_rung():

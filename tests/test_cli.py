@@ -1,6 +1,7 @@
 """End-to-end command line behaviour: formats, exit codes, determinism."""
 
 import copy
+import gc
 import hashlib
 import json
 import math
@@ -23,6 +24,7 @@ from toriclab.bases import graph_config
 from toriclab.binomials import make_basis_set
 from toriclab.cli import main
 from toriclab.corpus import ladder_graph
+from toriclab.errors import InternalInvariantError
 from toriclab.graphs import graph_to_json, load_graph
 
 from conftest import (
@@ -463,6 +465,38 @@ def test_scale_guard_exit_code_and_force(capsys, tmp_path):
     code, out, _ = run(capsys, "markov", "--format", "json", "--force", str(path))
     assert code == 0
     assert json.loads(out)["set"]["count"] == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_analyze_leaves_the_collector_as_it_found_it(capsys, monkeypatch, enabled):
+    # the pipeline pauses the cyclic collector and then restores the state
+    # it found, also when a stage raises
+    found = gc.isenabled()
+    real = cli.fiber_bundle
+    seen = []
+
+    def watched(graph, analysis):
+        seen.append(gc.isenabled())
+        return real(graph, analysis)
+
+    def breach(graph, analysis):
+        raise InternalInvariantError("fiber bundle: planted breach")
+
+    try:
+        gc.enable() if enabled else gc.disable()
+        monkeypatch.setattr(cli, "fiber_bundle", watched)
+        code, _, _ = run(capsys, "analyze", "--format", "json", fixture_path("k4"))
+        assert code == 0
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+        monkeypatch.setattr(cli, "fiber_bundle", breach)
+        code, out, err = run(capsys, "analyze", fixture_path("k4"))
+        assert code == 4
+        assert out == "" and "planted breach" in err
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if found else gc.disable()
 
 
 def test_out_of_memory_exits_3_without_traceback(capsys, monkeypatch):

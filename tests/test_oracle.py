@@ -439,6 +439,18 @@ def test_batched_fibers_match_reference_on_random_configs(case):
         }
 
 
+@given(_batch_cases())
+@settings(max_examples=200, deadline=None)
+def test_batched_components_match_the_union_find_on_random_configs(case):
+    # degrees may be zero (one member, no support) or negative (no members)
+    cfg, degrees = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(toriclab.oracle, "_BATCH_MIN_DEGREES", len(degrees) + 1)
+        one_by_one = fiber_graphs(cfg, degrees)
+        patch.setattr(toriclab.oracle, "_BATCH_MIN_DEGREES", 1)
+        assert fiber_graphs(cfg, degrees) == one_by_one
+
+
 def test_fibers_reject_a_degree_of_the_wrong_length():
     cfg = config_from_rows([[1, 1, 0], [0, 1, 1]])
     degrees = [(1, 1), (2, 1), (0, 0), (1, 2), (1, 1, 1)]
@@ -483,21 +495,48 @@ def test_batched_fibers_take_wide_entries(big, monkeypatch):
     assert fibers(small, degrees) == {d: fiber(small, d) for d in degrees}
 
 
+def _complete_graph(n):
+    return Graph(n, tuple(itertools.combinations(range(n), 2)))
+
+
+# The benchmark's dense stratum, seeded here: K6, two 8-vertex 14-edge
+# graphs, six 8-vertex and two 7-vertex 15-edge graphs.
+DENSE_STRATUM = (
+    [_complete_graph(6)]
+    + wide_graphs(2, seed=1414, edges=14, vertices=(8,))
+    + wide_graphs(6, seed=1515, edges=15, vertices=(8,))
+    + wide_graphs(2, seed=715, edges=15, vertices=(7,))
+)
+# K5: ten Graver degrees, four of whose fibers have three components
+K5 = _complete_graph(5)
+
+
 @pytest.mark.parametrize(
-    "graph", wide_graphs(8, seed=1212), ids=lambda g: g.digest()[:12]
+    "graph",
+    wide_graphs(8, seed=1212) + DENSE_STRATUM + [K5],
+    ids=lambda g: g.digest()[:12],
 )
 def test_fiber_graphs_do_not_depend_on_the_sweep(graph, monkeypatch):
-    # the 12-edge graphs have dozens of Graver degrees, so ``fibers`` sweeps
-    # them in one batch; sweeps of 5 degrees, and one ``fiber`` call per
-    # degree, must give the same
+    # one numpy batch, which labels the components itself, sweeps of 5
+    # degrees, and one ``fiber`` call per degree split by the union-find
+    # must give the same fiber graphs
     cfg = graph_config(graph)
     degrees = candidate_degrees(analyze_graph(graph).graver.elements)
     assert len(degrees) > 5
+    monkeypatch.setattr(toriclab.oracle, "_BATCH_MIN_DEGREES", 1)
     batched = fiber_graphs(cfg, degrees)
     monkeypatch.setattr(toriclab.oracle, "_BATCH_MAX_DEGREES", 5)
     assert fiber_graphs(cfg, degrees) == batched
     monkeypatch.setattr(toriclab.oracle, "_BATCH_MIN_DEGREES", len(degrees) + 1)
     assert fiber_graphs(cfg, degrees) == batched
+
+
+def test_sweep_comparison_meets_fibers_of_three_components():
+    # the comparison above sees more than a two-way split
+    for graph in (K5, DENSE_STRATUM[0]):
+        degrees = candidate_degrees(analyze_graph(graph).graver.elements)
+        graphs, _ = fiber_graphs(graph_config(graph), degrees)
+        assert max(len(fg.components) for fg in graphs) == 3
 
 
 def _keys(binomials):

@@ -1,6 +1,8 @@
 """Walk layer: candidate generation, canonical walks, chords, F4s, sinks,
 minimality codes."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from toriclab.bases import analyze_graph
 from toriclab.binomials import BinomialError
 from toriclab.errors import InternalInvariantError
 from toriclab.graphs import (
+    BlockDecomposition,
     DisconnectedGraphError,
     Graph,
     block_decomposition,
@@ -18,6 +21,7 @@ from toriclab.graphs import (
     primitive_block_trees,
 )
 from toriclab.walks import (
+    ClosedEvenWalk,
     WalkError,
     _canonicalize,
     chord_crosses_F4,
@@ -30,6 +34,7 @@ from toriclab.walks import (
     is_primitive_subgraph,
     make_walk,
     minimality_failures,
+    primitive_walk,
     sinks_and_strong_primitivity,
     walk_binomial,
     walk_from_primitive_subgraph,
@@ -60,18 +65,19 @@ def element_on(analysis, subset):
 
 def checked_facts(graph, element):
     """Block tree, cyclic-parity table, chords, odd-chord crossings and F4s
-    of the element's walk, worked out anew.
+    of the element's walk, worked out anew, stage by stage.
 
     Each stored one is checked against the element, and so are the stored
-    mixedness and minimality codes.
+    binomial, mixedness and minimality codes.
     """
     walk = element.walk
-    dec = block_decomposition(graph, walk.edges)
+    dec = block_decomposition(graph, element.subset)
     parities = cyclic_parities(graph, walk, dec)
     chords = classify_chords(graph, walk, dec)
     crossings = crossing_pairs(chords)
     f4s = find_F4s(graph, walk, crossings)
-    assert element.decomposition == dec
+    assert walk == walk_from_primitive_subgraph(graph, dec)
+    assert element.binomial == walk_binomial(graph, walk)
     assert element.chords == chords
     assert element.crossings == crossings
     assert element.f4s == f4s
@@ -80,6 +86,28 @@ def checked_facts(graph, element):
         graph, dec, parities, chords, crossings, f4s
     )
     return dec, parities, chords, crossings, f4s
+
+
+@pytest.mark.parametrize("name", STRUCTURAL)
+def test_one_pass_matches_the_stage_by_stage_facts(analysis_of, graph_of, name):
+    # every fact ``primitive_walk`` derives in one pass, on every fixture walk
+    for element in analysis_of(name).elements:
+        checked_facts(graph_of(name), element)
+
+
+def test_one_pass_refuses_a_cycle_edge_traversed_twice(graph_of, monkeypatch):
+    # the square has no chords, so the cyclic-parity table is the first
+    # reader of the positions table to see the doubled edges
+    c4 = graph_of("c4")
+    ((_, blocks),) = primitive_block_trees(c4)
+    monkeypatch.setattr(
+        ClosedEvenWalk,
+        "edge_occurrences",
+        property(lambda walk: {e: (1, 2) for e in walk.edges}),
+    )
+    with pytest.raises(InternalInvariantError, match="cyclic parity table") as err:
+        primitive_walk(c4, blocks)
+    assert c4.digest() in str(err.value)
 
 
 def test_walk_canonical_under_rotation_and_reflection(graph_of):
@@ -162,10 +190,9 @@ def test_cut_edge_appears_squared(analysis_of):
     # e4 = {3, 4} is the cut edge; the walk passes it twice with one parity
     assert b.plus[3] == 2
     g = load_graph("tests/fixtures/tri_edge_tri.txt")
+    dec = block_decomposition(g, element.subset)
     report = sinks_and_strong_primitivity(
-        g,
-        element.decomposition,
-        cyclic_parities(g, element.walk, element.decomposition),
+        g, dec, cyclic_parities(g, element.walk, dec)
     )
     assert report.strongly_primitive
     assert sorted(v for block in report.sinks for v in block) == [2, 3]
@@ -383,19 +410,43 @@ def test_deep_block_tree_without_recursion():
     far = 2 + length
     edges += [(far, far + 1), (far + 1, far + 2), (far, far + 2)]
     g = Graph(far + 3, tuple(edges))
-    ((subset, dec),) = primitive_block_trees(g)
+    ((subset, blocks),) = primitive_block_trees(g)
     assert subset == tuple(range(len(edges)))
+    dec = tree_decomposition(g, blocks)
     assert dec == block_decomposition(g, subset)
     assert len(dec.blocks) == length + 2
     assert dec.cut_vertices == tuple(range(2, far + 1))
-    walk = walk_from_primitive_subgraph(g, dec)
+    walk = primitive_walk(g, blocks)[0]
+    assert walk == walk_from_primitive_subgraph(g, dec)
     assert walk.length == 2 * length + 6
     assert walk_binomial(g, walk).total_degree == length + 3
 
 
+def tree_decomposition(graph, blocks):
+    """The block tree of blocks as ``primitive_block_trees`` yields them,
+    after checking that each is in walk order: distinct vertices, and edge k
+    joining vertex k to vertex k + 1, cyclically."""
+    for verts, edges in blocks:
+        assert len(verts) == len(edges) >= 2
+        assert len(set(verts)) == len(verts)
+        for k, e in enumerate(edges):
+            a, b = verts[k], verts[(k + 1) % len(verts)]
+            assert graph.edges[e] == (min(a, b), max(a, b))
+    ordered = sorted(
+        (tuple(sorted(set(edges))), tuple(sorted(verts))) for verts, edges in blocks
+    )
+    through = Counter(v for verts, _ in blocks for v in verts)
+    return BlockDecomposition(
+        tuple(edges for edges, _ in ordered),
+        tuple(verts for _, verts in ordered),
+        tuple(sorted(v for v, n in through.items() if n > 1)),
+    )
+
+
 def assert_trees_match_subset_oracle(graph):
     """The generator yields exactly the primitive connected edge subsets,
-    each once, each with the block tree the block search finds."""
+    each once, each with the block tree the block search finds, and the
+    tour of its blocks is the one of that block tree."""
     trees = list(primitive_block_trees(graph))
     subsets = [s for s, _ in trees]
     assert len(subsets) == len(set(subsets)), "an edge set came twice"
@@ -404,9 +455,13 @@ def assert_trees_match_subset_oracle(graph):
         for s in connected_edge_subsets(graph)
         if is_primitive_subgraph(graph, s).ok
     }
-    for subset, dec in trees:
+    for subset, blocks in trees:
+        dec = tree_decomposition(graph, blocks)
         assert dec == block_decomposition(graph, subset)
         assert dec == is_primitive_subgraph(graph, subset).decomposition
+        assert primitive_walk(graph, blocks)[0] == walk_from_primitive_subgraph(
+            graph, dec
+        )
 
 
 @pytest.mark.parametrize(
