@@ -5,12 +5,10 @@ their block trees: ``graphs.primitive_block_trees`` grows trees of cycles
 and cut-edge paths out of each cycle and yields the even cycles and the
 trees with odd sides at every cut vertex, each with its blocks in walk
 order, so no walk's primitivity, blocks or cycle order is worked out a
-second time.  Each walk's circuit shape is read off its blocks once, on
-its element: the walks with one cyclic block (an even cycle) or two (odd
-cycles meeting in a vertex or joined by a path) are the circuits.  Every
-other fact of a walk is worked out in one pass, ``walks.primitive_walk``;
-the element keeps the chords, odd-chord crossings and F4s for the readers
-after it, not the block tree, which no later stage reads.  The universal
+second time.  ``walks.primitive_walk`` turns each into its finished
+element in one pass: walk, binomial, chords, odd-chord crossings, F4s,
+minimality codes and circuit shape, not the block tree, which no later
+stage reads; this module only sorts them and reads them.  The universal
 Groebner and universal Markov members are primitive walks passing the
 mixedness and minimality filters.
 ``fiber_bundle`` hands the walk-derived Graver set to
@@ -21,13 +19,13 @@ graphs must match the walk one, an internal consistency check.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .binomials import BasisSet, Binomial, make_basis_set
+from .binomials import BasisSet, make_basis_set
 from .errors import InternalInvariantError, ScaleGuardError
 from .graphs import Graph, primitive_block_trees
 from .oracle import FiberBundle, ToricConfig, markov_bundle
-from .walks import ChordReport, ClosedEvenWalk, F4Record, primitive_walk
+from .walks import PrimitiveElement, primitive_walk
 
 # Edge-count ceiling for exhaustive enumeration unless the caller forces it.
 MAX_EDGES_UNFORCED = 20
@@ -49,71 +47,15 @@ def graph_config(graph: Graph) -> ToricConfig:
     )
 
 
-@dataclass(frozen=True)
-class PrimitiveElement:
-    """One primitive walk with its binomial and classification tags.
-
-    ``chords``, ``crossings`` and ``f4s`` are the walk's chord reports,
-    odd-chord crossing scan and F4s, and ``shape`` its circuit shape (None
-    for a walk that is no circuit), worked out once here for every later
-    reader.
-    """
-
-    subset: tuple[int, ...]
-    walk: ClosedEvenWalk
-    binomial: Binomial
-    mixed: bool
-    minimality_failures: tuple[str, ...]
-    chords: tuple[ChordReport, ...] = field(repr=False, compare=False)
-    crossings: tuple[tuple[ChordReport, ChordReport], ...] = field(
-        repr=False, compare=False
-    )
-    f4s: tuple[F4Record, ...] = field(repr=False, compare=False)
-    shape: str | None = field(repr=False, compare=False)
-
-    @property
-    def minimal(self) -> bool:
-        return not self.minimality_failures
-
-
 def primitive_elements(graph: Graph) -> tuple[PrimitiveElement, ...]:
-    """Every primitive walk of the graph, sorted by binomial.
-
-    A graph's circuits are its even cycles, pairs of odd cycles meeting in
-    exactly one vertex, and pairs of vertex-disjoint odd cycles joined by a
-    path (whose edges enter squared).  Each is a primitive walk, and its
-    blocks tell them apart: one block is an even cycle; two cyclic blocks
-    and nothing else share a vertex; two cyclic blocks plus cut edges are
-    path-joined.  A primitive walk with three or more cyclic blocks is no
-    circuit.  Every other fact of a walk comes from ``walks.primitive_walk``.
-    """
-
-    out = []
-    for subset, blocks in primitive_block_trees(graph):
-        if len(blocks) == 1:
-            shape = "even-cycle"
-        elif sum(len(edges) > 2 for _, edges in blocks) == 2:
-            shape = "shared-vertex" if len(blocks) == 2 else "path-joined"
-        else:
-            shape = None
-        walk, binomial, mixed, failures, chords, crossings, f4s = primitive_walk(
-            graph, blocks
-        )
-        out.append(
-            PrimitiveElement(
-                subset=subset,
-                walk=walk,
-                binomial=binomial,
-                mixed=mixed,
-                minimality_failures=failures,
-                chords=chords,
-                crossings=crossings,
-                f4s=f4s,
-                shape=shape,
-            )
-        )
-    out.sort(key=lambda e: e.binomial.sort_key())
-    return tuple(out)
+    """Every primitive walk of the graph, as its element from
+    ``walks.primitive_walk``, sorted by binomial."""
+    elements = [
+        primitive_walk(graph, subset, blocks)
+        for subset, blocks in primitive_block_trees(graph)
+    ]
+    elements.sort(key=lambda e: e.binomial.sort_key())
+    return tuple(elements)
 
 
 def circuit_walks(

@@ -3,7 +3,9 @@
 Vertices are dense 0-based integers internally; the original input labels are
 kept for rendering. Edge index i refers to the i-th input edge and doubles as
 the variable index of the edge ring K[e1, ..., em], so every exponent vector
-in this package is a length-m tuple aligned with ``Graph.edges``.
+in this package is a length-m tuple aligned with ``Graph.edges``.  The
+cycle search and the primitive block trees hand out their blocks in walk
+order (``Block``), the form ``walks`` tours; no other module reads it.
 """
 
 from __future__ import annotations
@@ -394,8 +396,15 @@ def has_four_cycle(graph: Graph) -> bool:
     return False
 
 
-def simple_cycles(graph: Graph) -> list[tuple[tuple[int, ...], int, int]]:
-    """Every simple cycle once, as (vertex tuple, edge mask, vertex mask).
+# A block of a primitive walk in walk order: (vertices, edges), edge k
+# joining vertex k to vertex k + 1 cyclically; a cut edge e = {u, v} is
+# ((u, v), (e, e)).
+Block = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def simple_cycles(graph: Graph) -> list[tuple[Block, int, int]]:
+    """Every simple cycle once, as ((vertices, edges), edge mask, vertex
+    mask), edge k joining vertex k to vertex k + 1, cyclically.
 
     A cycle is listed from its least vertex, in the one direction whose
     second vertex is smaller than its last.  An explicit stack of neighbour
@@ -419,7 +428,7 @@ def simple_cycles(graph: Graph) -> list[tuple[tuple[int, ...], int, int]]:
     out = []
     for s in range(graph.vertex_count):
         path = [s]
-        path_edges = [0]  # edge mask of each path prefix
+        path_edges: list[int] = []  # edge k joins path[k] to path[k + 1]
         on_path = 1 << s
         stack = [iter(adj[s])]
         within = 0  # the block of the path's first edge
@@ -427,20 +436,22 @@ def simple_cycles(graph: Graph) -> list[tuple[tuple[int, ...], int, int]]:
             for w, e in stack[-1]:
                 if w == s:
                     if len(path) >= 3 and path[1] < path[-1]:
-                        out.append((tuple(path), path_edges[-1] | 1 << e, on_path))
+                        edges = (*path_edges, e)
+                        mask = sum(1 << f for f in edges)
+                        out.append(((tuple(path), edges), mask, on_path))
                 elif w > s and not on_path >> w & 1:
                     if len(path) == 1:
                         within = block[e]
                     if within >> e & 1:
                         path.append(w)
-                        path_edges.append(path_edges[-1] | 1 << e)
+                        path_edges.append(e)
                         on_path |= 1 << w
                         stack.append(iter(adj[w]))
                         break
             else:
                 stack.pop()
                 on_path &= ~(1 << path.pop())
-                path_edges.pop()
+                del path_edges[-1:]  # none left when the start is popped
     return out
 
 
@@ -452,12 +463,6 @@ def _bits(mask: int) -> tuple[int, ...]:
         mask ^= low
         out.append(low.bit_length() - 1)
     return tuple(out)
-
-
-# A block of a primitive walk in walk order: (vertices, edges), edge k
-# joining vertex k to vertex k + 1 cyclically; a cut edge e = {u, v} is
-# ((u, v), (e, e)).
-Block = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _odd_sides(attachments: tuple, cycle_lengths: list[int]) -> bool:
@@ -497,32 +502,19 @@ def primitive_block_trees(
     Only a tree passing ``_odd_sides`` is yielded, as its sorted edge tuple
     and its blocks in walk order: each block a (vertices, edges) pair in
     which edge k joins vertex k to vertex k + 1, cyclically.  A cycle's pair
-    is the order ``simple_cycles`` found it in, worked out once per graph; a
-    cut edge {u, v} is the pair ((u, v), (e, e)), out and back.  The cycles
-    come first, in attachment order, then the cut edges.  A vertex in two
-    blocks is a cut vertex; the blocks are the ones ``block_decomposition``
-    finds.
+    is the one ``simple_cycles`` yields; a cut edge {u, v} is the pair
+    ((u, v), (e, e)), out and back.  The cycles come first, in attachment
+    order, then the cut edges.  A vertex in two blocks is a cut vertex; the
+    blocks are the ones ``block_decomposition`` finds.
     """
     adj = graph.adjacency
-    index = graph.edge_index
     cycles = simple_cycles(graph)
     # through[v]: bitmask over the indices of the cycles through v
     through = [0] * graph.vertex_count
-    for i, (verts, _, _) in enumerate(cycles):
+    for i, ((verts, _), _, _) in enumerate(cycles):
         for v in verts:
             through[v] |= 1 << i
-    # each cycle as a block in walk order
-    cycle_blocks = [
-        (
-            verts,
-            tuple(
-                index[(a, b) if a < b else (b, a)]
-                for a, b in zip(verts, verts[1:] + verts[:1])
-            ),
-        )
-        for verts, _, _ in cycles
-    ]
-    cycle_lengths = [len(verts) for verts, _, _ in cycles]
+    cycle_lengths = [len(verts) for (verts, _), _, _ in cycles]
     states = [
         (edges, verts, verts, ((i, -1, 0),))
         for i, (_, edges, verts) in enumerate(cycles)
@@ -533,7 +525,7 @@ def primitive_block_trees(
     while states:
         edge_mask, vertex_mask, free, attachments = states.pop()
         if _odd_sides(attachments, cycle_lengths):
-            blocks = [cycle_blocks[cycle] for cycle, _, _ in attachments]
+            blocks = [cycles[cycle][0] for cycle, _, _ in attachments]
             for _, _, path_edges in attachments:
                 if path_edges:
                     blocks.extend((graph.edges[e], (e, e)) for e in _bits(path_edges))

@@ -14,14 +14,14 @@ more degrees (the measured crossover, see ``_BATCH_MIN_DEGREES``) by one
 batched numpy sweep; none of it recurses.  The sweep's residuals are
 packed into one Python integer each, a guarded field per row
 (``_packing``), so an entrywise comparison is one subtraction and a mask.
-Each fiber is split into components from its own members alone: members
-that share a column lie in one component (``fiber_graphs``), so no degree
-depends on the moves found at another; the batch labels the components of
-its rows itself.  ``graver_bounded`` finds the
-kernel vectors in its box by a meet in the middle: two half-boxes, each row
-with a signed degree key, joined where the keys cancel.  numpy is imported
-inside the functions that use it, so a process that reaches none of them
-never loads it.
+``fibers`` gives each degree's members with their components, split from
+its own members alone: members that share a column lie in one component
+(``fiber_graphs``), so no degree depends on the moves found at another;
+the batch labels the components of its rows itself.  ``graver_bounded``
+finds the kernel vectors in its box by a meet in the middle: two
+half-boxes, each row with a signed degree key, joined where the keys
+cancel.  numpy is imported inside the functions that use it, so a process
+that reaches none of them never loads it.
 """
 
 from __future__ import annotations
@@ -244,8 +244,10 @@ def _pack(vector: Sequence[int], shifts: list[int]) -> int:
 
 def fibers(
     config: ToricConfig, degrees: Sequence[Sequence[int]]
-) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """``fiber`` at each distinct degree, keyed by the degree as a tuple.
+) -> dict[tuple[int, ...], tuple[tuple[tuple[int, ...], ...], tuple]]:
+    """``fiber`` at each distinct degree, keyed by the degree as a tuple,
+    its members paired with their components as ``fiber_graphs`` defines
+    them.
 
     From ``_BATCH_MIN_DEGREES`` distinct degrees on, and while every entry
     fits in int64, a numpy sweep runs ``fiber``'s column sweep for up to
@@ -253,20 +255,11 @@ def fibers(
     residual, prefix); each column repeats every row once per multiplicity,
     ascending, and drops the rows that leave a row it closes nonzero.  Rows
     stay grouped by degree and lex ascending within it, so each degree's
-    members come out in ``fiber``'s order.  Fewer degrees go through
-    ``fiber`` one by one, whose packed sweep is faster than the batch's
-    fixed numpy cost there.
+    members come out in ``fiber``'s order, and the batch labels the
+    components of its rows itself.  Fewer degrees go through ``fiber`` one
+    by one, whose packed sweep is faster than the batch's fixed numpy cost
+    there, and each fiber is split by ``_components``.
     """
-    return {t: members for t, (members, _) in _sweep(config, degrees).items()}
-
-
-def _sweep(
-    config: ToricConfig, degrees: Sequence[Sequence[int]]
-) -> dict[tuple[int, ...], tuple[tuple[tuple[int, ...], ...], tuple]]:
-    """``fibers``, each degree's members paired with their components as
-    ``fiber_graphs`` defines them.  The numpy batch labels the components
-    of its rows itself; the fibers swept one by one are split by
-    ``_components``."""
     targets = {tuple(int(x) for x in d): None for d in degrees}
     if any(len(t) != config.nrows for t in targets):
         raise ConfigError(f"degree must have {config.nrows} entries")
@@ -301,7 +294,7 @@ def _batch_dtype(config: ToricConfig, degrees: list[tuple[int, ...]]) -> str | N
 def _fiber_batch(
     config: ToricConfig, degrees: list[tuple[int, ...]], dtype: str
 ) -> dict[tuple[int, ...], tuple[tuple[tuple[int, ...], ...], tuple]]:
-    """``_sweep``'s numpy batch over nonnegative degrees whose every entry,
+    """``fibers``' numpy batch over nonnegative degrees whose every entry,
     like every matrix entry and the number of degrees, fits in ``dtype``."""
     import numpy as np
 
@@ -583,7 +576,7 @@ def fiber_graphs(
     these edges form a minimal Markov basis.
     """
 
-    found = _sweep(config, degrees)
+    found = fibers(config, degrees)
     minimal: list[Binomial] = []
     graphs: list[FiberGraph] = []
     for deg in sorted(found, key=_degree_sort_key):

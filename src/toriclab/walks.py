@@ -31,13 +31,14 @@ The facts of a walk are defined stage by stage, each read from one table:
 - the F4 records, whose two sides the M3 test reads.
 
 The pipeline derives them all in one pass instead, ``primitive_walk``, from
-the blocks in walk order that ``graphs.primitive_block_trees`` yields: one
-map of the blocks through each vertex serves the tour and the bridge test,
-and one read of the positions table serves the chords, the F4 search and
-the cyclic-parity table, whose mixed test and sink search run in the same
-loop.  It makes every check the stages make; the tests hold the two to the
-same facts.  The binomial is counted off the edge sequence by position
-parity.
+the blocks in walk order that ``graphs.primitive_block_trees`` yields, and
+returns the finished ``PrimitiveElement``: one map of the blocks through
+each vertex serves the tour and the bridge test, and one read of the
+positions table serves the chords, the F4 search and the cyclic-parity
+table, whose loop over the cyclic blocks also runs the mixed test and the
+sink search and counts the blocks for the circuit shape.  It makes every
+check the stages make; the tests hold the two to the same facts.  The
+binomial is counted off the edge sequence by position parity.
 """
 
 from __future__ import annotations
@@ -79,10 +80,12 @@ class ClosedEvenWalk:
 
     edges: tuple[int, ...]
     vertices: tuple[int, ...]
-    _vertex_at: dict[int, tuple[int, ...]] = field(
+    # 1-based walk positions of each vertex
+    vertex_positions: dict[int, tuple[int, ...]] = field(
         init=False, repr=False, compare=False
     )
-    _edge_at: dict[int, tuple[int, ...]] = field(
+    # 1-based walk positions of each edge
+    edge_occurrences: dict[int, tuple[int, ...]] = field(
         init=False, repr=False, compare=False
     )
 
@@ -102,22 +105,12 @@ class ClosedEvenWalk:
                 at_edge[e] += (k,)
             else:
                 raise WalkError(f"edge index {e} traversed more than twice")
-        object.__setattr__(self, "_vertex_at", at_vertex)
-        object.__setattr__(self, "_edge_at", at_edge)
+        object.__setattr__(self, "vertex_positions", at_vertex)
+        object.__setattr__(self, "edge_occurrences", at_edge)
 
     @property
     def length(self) -> int:
         return len(self.edges)
-
-    @property
-    def vertex_positions(self) -> dict[int, tuple[int, ...]]:
-        """1-based walk positions of each vertex."""
-        return self._vertex_at
-
-    @property
-    def edge_occurrences(self) -> dict[int, tuple[int, ...]]:
-        """1-based walk positions of each edge."""
-        return self._edge_at
 
 
 def _canonicalize(
@@ -672,21 +665,55 @@ def _tour(
     return make_walk(graph, seq, [entry, *reached[:-1]])
 
 
-def primitive_walk(graph: Graph, blocks: Sequence[Block]) -> tuple:
-    """The walk of a primitive block tree and every fact of it, in one pass.
+@dataclass(frozen=True)
+class PrimitiveElement:
+    """One primitive walk with its binomial and classification tags.
 
-    ``blocks`` are the walk's blocks in walk order, as
-    ``graphs.primitive_block_trees`` yields them.  Returns (walk, binomial,
-    mixed, minimality codes, chord reports, odd-chord crossings, F4s), each
-    as the stage-by-stage functions above define it.  One map of the blocks
-    through each vertex serves the tour and the bridge test; the chords,
-    the crossing scan, the cyclic-parity table with the mixed test and the
-    sink search, and the codes are worked out here, as by
-    ``classify_chords``, ``crossing_pairs``, ``cyclic_parities``,
-    ``is_mixed``, ``sinks_and_strong_primitivity`` and
+    ``chords``, ``crossings`` and ``f4s`` are the walk's chord reports,
+    odd-chord crossing scan and F4s, and ``shape`` its circuit shape (None
+    for a walk that is no circuit), worked out once by ``primitive_walk``
+    for every later reader.
+    """
+
+    subset: tuple[int, ...]
+    walk: ClosedEvenWalk
+    binomial: Binomial
+    mixed: bool
+    minimality_failures: tuple[str, ...]
+    chords: tuple[ChordReport, ...] = field(repr=False, compare=False)
+    crossings: tuple[tuple[ChordReport, ChordReport], ...] = field(
+        repr=False, compare=False
+    )
+    f4s: tuple[F4Record, ...] = field(repr=False, compare=False)
+    shape: str | None = field(repr=False, compare=False)
+
+    @property
+    def minimal(self) -> bool:
+        return not self.minimality_failures
+
+
+def primitive_walk(
+    graph: Graph, subset: tuple[int, ...], blocks: Sequence[Block]
+) -> PrimitiveElement:
+    """The element of a primitive walk, every fact of it in one pass.
+
+    ``subset`` and ``blocks`` are the walk's sorted edge tuple and its
+    blocks in walk order, as ``graphs.primitive_block_trees`` yields them.
+    One map of the blocks through each vertex serves the tour and the
+    bridge test; the chords, the crossing scan, the cyclic-parity table
+    with the mixed test and the sink search, and the codes are worked out
+    here, as by ``classify_chords``, ``crossing_pairs``,
+    ``cyclic_parities``, ``is_mixed``, ``sinks_and_strong_primitivity`` and
     ``minimality_failures``, with every check they make.  The F4 search,
     M2 and M3 call ``find_F4s``, ``uncompleted_crossing`` and
     ``chord_crosses_F4``.
+
+    The circuits of a graph are its even cycles and its pairs of odd
+    cycles, meeting in one vertex or vertex-disjoint and joined by a path
+    whose edges enter squared.  The loop over the cyclic blocks counts them
+    for the shape: a lone block is an even cycle, two cyclic blocks alone
+    share a vertex, and two with cut edges are path-joined; a walk with
+    three or more cyclic blocks is no circuit.
     """
     at = _blocks_at(blocks)
     walk = _tour(graph, blocks, at)
@@ -737,9 +764,11 @@ def primitive_walk(graph: Graph, blocks: Sequence[Block]) -> tuple:
 
     # the cyclic-parity table, read by the mixed test and the sink search
     mixed = strongly = True
+    cyclic = 0
     for verts, edges in blocks:
         if len(edges) < 3:  # a cut edge
             continue
+        cyclic += 1
         ones = 0
         meeting: dict[int, list[int]] = {}  # vertex -> parities of its block edges
         for e in edges:
@@ -779,7 +808,14 @@ def primitive_walk(graph: Graph, blocks: Sequence[Block]) -> tuple:
         failures.append("M3")
     if not strongly:
         failures.append("M4")
-    return (
+    if len(blocks) == 1:
+        shape = "even-cycle"
+    elif cyclic == 2:
+        shape = "shared-vertex" if len(blocks) == 2 else "path-joined"
+    else:
+        shape = None
+    return PrimitiveElement(
+        subset,
         walk,
         walk_binomial(graph, walk),
         mixed,
@@ -787,4 +823,5 @@ def primitive_walk(graph: Graph, blocks: Sequence[Block]) -> tuple:
         tuple(chords),
         tuple(crossings),
         f4s,
+        shape,
     )

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+import toriclab.walks
 from toriclab.bases import analyze_graph, fiber_bundle
 from toriclab.binomials import make_binomial
 from toriclab.graphs import Graph, GraphError, load_graph
@@ -50,6 +51,21 @@ def support_minimal(elements) -> set:
         for key, support in supports.items()
         if not any(other < support for other in supports.values())
     }
+
+
+def double_every_walk_edge(monkeypatch):
+    """Make every walk that ``walks.make_walk`` returns list each of its
+    edges at positions 1 and 2, a positions table no walk can have."""
+    real = toriclab.walks.make_walk
+
+    def doubled(*args):
+        walk = real(*args)
+        object.__setattr__(
+            walk, "edge_occurrences", {e: (1, 2) for e in walk.edges}
+        )
+        return walk
+
+    monkeypatch.setattr(toriclab.walks, "make_walk", doubled)
 
 
 def is_connected_subset(graph, edge_subset):

@@ -167,7 +167,7 @@ def test_primitive_elements_take_their_block_trees_from_the_generator(
 def _without_top_member(monkeypatch, pick):
     """Make the fiber sweep drop ``pick(members)`` from its largest fiber,
     whose components are split again from the members left."""
-    complete = toriclab.oracle._sweep
+    complete = toriclab.oracle.fibers
 
     def one_short(config, degrees):
         found = complete(config, degrees)
@@ -179,7 +179,7 @@ def _without_top_member(monkeypatch, pick):
         found[top] = (kept, toriclab.oracle._components(kept))
         return found
 
-    monkeypatch.setattr(toriclab.oracle, "_sweep", one_short)
+    monkeypatch.setattr(toriclab.oracle, "fibers", one_short)
 
 
 def test_fiber_side_breach_names_the_graph(graph_of, monkeypatch):

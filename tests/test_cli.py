@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 import toriclab
 import toriclab.cli as cli
-import toriclab.walks
 from toriclab.bases import graph_config
 from toriclab.binomials import make_basis_set
 from toriclab.cli import main
@@ -29,6 +28,7 @@ from toriclab.graphs import graph_to_json, load_graph
 
 from conftest import (
     FIXTURES,
+    double_every_walk_edge,
     fixture_path,
     grid_graph,
     hung_cycle_graph,
@@ -995,11 +995,7 @@ def test_fiber_bundle_breach_names_the_graph(capsys, monkeypatch):
 def test_walk_side_breach_names_the_graph(capsys, monkeypatch):
     # a walk whose every edge occurs twice breaks the position lookup of the
     # chord calculus; the breach names the stage and the graph's digest
-    monkeypatch.setattr(
-        toriclab.walks.ClosedEvenWalk,
-        "edge_occurrences",
-        property(lambda walk: {e: (1, 2) for e in walk.edges}),
-    )
+    double_every_walk_edge(monkeypatch)
     path = fixture_path("k4")
     code, _, err = run(capsys, "check", path)
     assert code == 4

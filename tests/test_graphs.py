@@ -238,11 +238,16 @@ def test_simple_cycles_are_the_connected_two_regular_subsets(graph):
         for s in connected_edge_subsets(graph, max_vertex_degree=2)
         if set(subset_degrees(graph, s).values()) == {2}
     }
-    for verts, edges, vertex_mask in cycles:
+    for (verts, walk_edges), edges, vertex_mask in cycles:
         assert verts[0] == min(verts) and verts[1] < verts[-1]
         assert vertex_mask == sum(1 << v for v in verts)
-        steps = zip(verts, verts[1:] + verts[:1])
-        assert edges == sum(1 << graph.edges.index(tuple(sorted(s))) for s in steps)
+        # edge k joins vertex k to vertex k + 1, cyclically, and the edges
+        # are the ones of the mask
+        assert len(walk_edges) == len(verts)
+        for k, e in enumerate(walk_edges):
+            step = (verts[k], verts[(k + 1) % len(verts)])
+            assert graph.edges[e] == tuple(sorted(step))
+        assert edges == sum(1 << e for e in walk_edges)
 
 
 def test_has_four_cycle(graph_of):

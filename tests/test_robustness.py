@@ -1,13 +1,16 @@
 """Robustness verdicts, rule witnesses and structural implications."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
+import toriclab.robustness
 from toriclab.bases import analyze_graph, fiber_bundle
 from toriclab.binomials import make_basis_set, make_binomial
 from toriclab.cli import main
 from toriclab.corpus import random_connected_graphs
+from toriclab.errors import InternalInvariantError
 from toriclab.graphs import parse_graph
 from toriclab.robustness import (
     _division_free_witness,
@@ -235,3 +238,55 @@ def test_book_with_hung_triangles_deciders_agree(name, tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert verdicts == {True}
+
+
+@pytest.mark.parametrize("rule", ["R1", "R2", "M1", "M2"])
+def test_decider_rule_is_load_bearing(
+    rule, graph_of, analysis_of, bundle_of, monkeypatch
+):
+    # With one rule taken out of the circuit decider (R1, R2) or the chord
+    # decider (M1, M2), the deciders must split on some graph: a rule whose
+    # loss no graph notices is not tested by the agreement gate.  Dropping
+    # R1 splits 2 fixtures and M1 splits 5; R2 and M2 split only the M2
+    # octagon.  Dropping R3 splits no graph tried (ROADMAP item 3).
+    if rule.startswith("R"):
+        circuit_rules = circuit_rule_violations
+
+        def without(graph, analysis):
+            found = circuit_rules(graph, analysis)
+            found.pop(rule, None)
+            return found
+
+        monkeypatch.setattr(toriclab.robustness, "circuit_rule_violations", without)
+    else:
+        chord_conditions = check_generalized_robust_conditions
+
+        def without(analysis):
+            elements = tuple(
+                replace(
+                    e,
+                    minimality_failures=tuple(
+                        c for c in e.minimality_failures if c != rule
+                    ),
+                )
+                for e in analysis.elements
+            )
+            return chord_conditions(replace(analysis, elements=elements))
+
+        monkeypatch.setattr(
+            toriclab.robustness, "check_generalized_robust_conditions", without
+        )
+    octagon = parse_graph(M2_GRAPH)
+    octagon_analysis = analyze_graph(octagon)
+    cases = [(graph_of(n), analysis_of(n), bundle_of(n)) for n in EXPECTED_VERDICTS]
+    cases.append(
+        (octagon, octagon_analysis, fiber_bundle(octagon, octagon_analysis))
+    )
+    split = 0
+    for graph, analysis, bundle in cases:
+        try:
+            robustness_verdict(graph, analysis, bundle)
+        except InternalInvariantError as exc:
+            assert "checkers disagree" in str(exc)
+            split += 1
+    assert split

@@ -21,7 +21,6 @@ from toriclab.graphs import (
     primitive_block_trees,
 )
 from toriclab.walks import (
-    ClosedEvenWalk,
     WalkError,
     _canonicalize,
     chord_crosses_F4,
@@ -44,6 +43,7 @@ from conftest import (
     FIXTURES,
     STRUCTURAL,
     connected_graphs,
+    double_every_walk_edge,
     grid_graph,
     wide_graphs,
     windmill_graph,
@@ -99,14 +99,10 @@ def test_one_pass_refuses_a_cycle_edge_traversed_twice(graph_of, monkeypatch):
     # the square has no chords, so the cyclic-parity table is the first
     # reader of the positions table to see the doubled edges
     c4 = graph_of("c4")
-    ((_, blocks),) = primitive_block_trees(c4)
-    monkeypatch.setattr(
-        ClosedEvenWalk,
-        "edge_occurrences",
-        property(lambda walk: {e: (1, 2) for e in walk.edges}),
-    )
+    ((subset, blocks),) = primitive_block_trees(c4)
+    double_every_walk_edge(monkeypatch)
     with pytest.raises(InternalInvariantError, match="cyclic parity table") as err:
-        primitive_walk(c4, blocks)
+        primitive_walk(c4, subset, blocks)
     assert c4.digest() in str(err.value)
 
 
@@ -416,7 +412,7 @@ def test_deep_block_tree_without_recursion():
     assert dec == block_decomposition(g, subset)
     assert len(dec.blocks) == length + 2
     assert dec.cut_vertices == tuple(range(2, far + 1))
-    walk = primitive_walk(g, blocks)[0]
+    walk = primitive_walk(g, subset, blocks).walk
     assert walk == walk_from_primitive_subgraph(g, dec)
     assert walk.length == 2 * length + 6
     assert walk_binomial(g, walk).total_degree == length + 3
@@ -459,8 +455,8 @@ def assert_trees_match_subset_oracle(graph):
         dec = tree_decomposition(graph, blocks)
         assert dec == block_decomposition(graph, subset)
         assert dec == is_primitive_subgraph(graph, subset).decomposition
-        assert primitive_walk(graph, blocks)[0] == walk_from_primitive_subgraph(
-            graph, dec
+        assert primitive_walk(graph, subset, blocks).walk == (
+            walk_from_primitive_subgraph(graph, dec)
         )
 
 
