@@ -76,22 +76,38 @@ class GraphAnalysis:
     universal_markov: BasisSet
 
 
-def _tags(element: PrimitiveElement, circuit: bool) -> dict:
-    return {
-        "circuit": circuit,
-        "primitive": True,
-        "mixed": element.mixed,
-        "minimal": element.minimal,
-        "minimality_failures": list(element.minimality_failures),
-    }
+def _tags(
+    pool: dict[tuple, dict], element: PrimitiveElement, shape: str | None = None
+) -> dict:
+    """The element's tags, with ``shape`` for a circuit's, from ``pool``.
+
+    Tags are a few booleans and the minimality codes, so one analysis has
+    few distinct tag sets: elements with equal tags share one dict, built
+    on first use, and the report encoder writes its text once.
+    """
+    key = (bool(element.shape), element.mixed, element.minimality_failures, shape)
+    tags = pool.get(key)
+    if tags is None:
+        tags = pool[key] = {
+            "circuit": key[0],
+            "primitive": True,
+            "mixed": element.mixed,
+            "minimal": element.minimal,
+            "minimality_failures": list(element.minimality_failures),
+        }
+        if shape is not None:
+            tags["shape"] = shape
+    return tags
 
 
 def analyze_graph(graph: Graph, force: bool = False) -> GraphAnalysis:
     ensure_tractable(graph, force)
     elements = primitive_elements(graph)
     m = len(graph.edges)
+    # one pool per analysis, so no tags outlive the sets that hold them
+    pool: dict[tuple, dict] = {}
     graver = make_basis_set(
-        "graver", m, [(e.binomial, _tags(e, bool(e.shape))) for e in elements]
+        "graver", m, [(e.binomial, _tags(pool, e)) for e in elements]
     )
     return GraphAnalysis(
         elements,
@@ -99,7 +115,7 @@ def analyze_graph(graph: Graph, force: bool = False) -> GraphAnalysis:
             "circuits",
             m,
             [
-                (e.binomial, {**_tags(e, True), "shape": shape})
+                (e.binomial, _tags(pool, e, shape))
                 for e, shape in circuit_walks(elements)
             ],
         ),

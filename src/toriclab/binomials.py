@@ -8,7 +8,7 @@ were produced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import compress
 from operator import mul
 from typing import Callable, Sequence
@@ -55,26 +55,29 @@ class Binomial:
         """
         body = self._json_bodies.get(prefix)
         if body is None:
+            names = _variable_names(prefix, len(self.plus))
             body = self._json_bodies[prefix] = {
-                "plus": {
-                    f"{prefix}{i + 1}": k for i, k in enumerate(self.plus) if k
-                },
-                "minus": {
-                    f"{prefix}{i + 1}": k for i, k in enumerate(self.minus) if k
-                },
+                "plus": {n: k for n, k in zip(names, self.plus) if k},
+                "minus": {n: k for n, k in zip(names, self.minus) if k},
                 "degree": list(self.degree),
                 "text": self.render(prefix),
             }
         return body
 
 
+@cache
+def _variable_names(prefix: str, count: int) -> tuple[str, ...]:
+    """``prefix1``, ..., ``prefix<count>``, built once per prefix and count."""
+    return tuple(f"{prefix}{i}" for i in range(1, count + 1))
+
+
 def render_monomial(exponents: Sequence[int], prefix: str = "e") -> str:
     parts = []
-    for i, k in enumerate(exponents):
+    for name, k in zip(_variable_names(prefix, len(exponents)), exponents):
         if k == 1:
-            parts.append(f"{prefix}{i + 1}")
+            parts.append(name)
         elif k > 1:
-            parts.append(f"{prefix}{i + 1}^{k}")
+            parts.append(f"{name}^{k}")
     return "*".join(parts) if parts else "1"
 
 
@@ -126,8 +129,10 @@ class BasisSet:
 
     ``annotations[i]`` is a JSON-ready dict of per-element tags (may be empty).
     Elements are sorted by (total degree, plus vector, minus vector), so two
-    runs over the same input serialize to identical bytes.  A subset built
-    by ``subset`` shares its annotation dicts with this set, so they are
+    runs over the same input serialize to identical bytes.  The annotation
+    dicts are the ones given to ``make_basis_set``, not copies, elements
+    with equal tags may share one (``bases.analyze_graph``'s do), and a
+    subset built by ``subset`` shares them with this set, so they are
     read-only: copy one before changing it.  ``source`` is the set and the
     indices of the elements a subset kept from it, set by ``subset`` alone
     (None for any other set, ``dataclasses.replace`` included).
@@ -216,6 +221,12 @@ def make_basis_set(
     variables: int,
     items: Sequence[tuple[Binomial, dict]],
 ) -> BasisSet:
+    """The distinct binomials of ``items``, sorted, each with its annotation.
+
+    Each annotation dict is kept as given, not copied, so items with equal
+    tags may pass one shared dict; the set's annotations are read-only.  A
+    binomial given twice must carry equal tags, and is kept once.
+    """
     if kind not in BASIS_KINDS:
         raise ValueError(f"unknown basis kind {kind!r}")
     seen: dict[tuple, tuple[Binomial, dict]] = {}
@@ -229,7 +240,7 @@ def make_basis_set(
                     f"duplicate element {binomial.render()} with conflicting tags"
                 )
             continue
-        seen[key] = (binomial, dict(ann))
+        seen[key] = (binomial, ann)
     ordered = sorted(seen.values(), key=lambda pair: pair[0].sort_key())
     return BasisSet(
         kind,

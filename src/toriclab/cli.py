@@ -9,7 +9,9 @@ report is a read-only view of the analysis: it holds the sets' element,
 exponent and tag objects themselves, a set and its subsets share them, and
 the encoder writes each shared one once, so nothing here changes a report.
 Wall-clock timings are printed to stderr in text mode only, so they never
-perturb the reports.
+perturb the reports.  ``main`` pauses the cyclic garbage collector while a
+command runs, from its first stage until its report is written, and leaves
+it as it found it.
 
 Exit codes: 0 success, 2 unreadable input (a graph, matrix or sidecar file
 that does not decode or parse, nests too deeply, or holds an integer past
@@ -105,23 +107,15 @@ def _pipeline(
 ) -> tuple[GraphAnalysis, FiberBundle, RobustnessVerdict, ImplicationSuite]:
     """Walk analysis, fiber bundle, verdict and implications of one graph.
 
-    The cyclic garbage collector is paused meanwhile and then left as it
-    was found: the elements hold no reference cycles, yet each collection
-    would traverse all of them again as they age.
+    It runs with the cyclic garbage collector paused by ``main``.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with timings.stage("walk enumeration"):
-            analysis = analyze_graph(graph, force=force)
-        with timings.stage("fiber graphs"):
-            bundle = fiber_bundle(graph, analysis)
-        with timings.stage("robustness"):
-            verdict = robustness_verdict(graph, analysis, bundle)
-            suite = implication_suite(graph, analysis, bundle)
-    finally:
-        if enabled:
-            gc.enable()
+    with timings.stage("walk enumeration"):
+        analysis = analyze_graph(graph, force=force)
+    with timings.stage("fiber graphs"):
+        bundle = fiber_bundle(graph, analysis)
+    with timings.stage("robustness"):
+        verdict = robustness_verdict(graph, analysis, bundle)
+        suite = implication_suite(graph, analysis, bundle)
     return analysis, bundle, verdict, suite
 
 
@@ -794,11 +788,21 @@ _PARSER: argparse.ArgumentParser | None = None
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    The command runs with the cyclic garbage collector paused, from the
+    first stage until its report is written, and the collector is left as
+    it was found on every exit: the elements, reports and their text hold
+    no reference cycles, yet each collection would traverse all of them
+    again as they age.
+    """
     # Building the parser costs far more than parsing, so build it once.
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except NegativeEntryError as exc:
@@ -824,6 +828,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"toriclab: error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -2,10 +2,13 @@
 
 import hashlib
 import itertools
+import json
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toriclab.bases
 import toriclab.oracle
@@ -22,8 +25,9 @@ from toriclab.corpus import ladder_graph, random_connected_graphs
 from toriclab.errors import InternalInvariantError, ScaleGuardError
 from toriclab.graphs import Graph, GraphError, parse_graph
 from toriclab.oracle import markov_bundle
+from toriclab.robustness import robustness_verdict
 
-from conftest import STRUCTURAL, support_minimal, wide_graphs
+from conftest import STRUCTURAL, connected_graphs, support_minimal, wide_graphs
 
 # circuits, graver, universal Groebner, universal Markov, indispensable
 EXPECTED_COUNTS = {
@@ -96,6 +100,24 @@ def test_annotations_record_minimality(analysis_of):
     failures = {tuple(ann["minimality_failures"]) for ann in a.graver.annotations}
     assert ("M1",) in failures
     assert any("M4" in f for f in failures)
+
+
+def test_equal_tags_share_one_dict_within_an_analysis(graph_of):
+    # each distinct tag set is built once per analysis, so the report
+    # encoder writes its text once; a second analysis builds its own
+    k6 = Graph(6, tuple(itertools.combinations(range(6), 2)))
+    for g in [graph_of(name) for name in STRUCTURAL] + [k6]:
+        a = analyze_graph(g)
+        for s in (a.graver, a.circuits):
+            distinct = {json.dumps(ann, sort_keys=True) for ann in s.annotations}
+            assert len({id(ann) for ann in s.annotations}) == len(distinct)
+    first, again = analyze_graph(k6), analyze_graph(k6)
+    # K6 has 125 Graver elements under a handful of tag sets
+    assert len({id(ann) for ann in first.graver.annotations}) < len(first.graver) // 5
+    ids = {id(ann) for s in (first.graver, first.circuits) for ann in s.annotations}
+    assert ids.isdisjoint(
+        id(ann) for s in (again.graver, again.circuits) for ann in s.annotations
+    )
 
 
 def test_analysis_is_deterministic(graph_of):
@@ -342,9 +364,9 @@ def test_ladder_graph_refuses_sizes_no_connected_graph_has(vertices, edges):
 
 @pytest.mark.parametrize("family", ["fixtures", "12-edge"])
 def test_filtered_subsets_match_a_fresh_basis_set(graph_of, family):
-    # ``BasisSet.subset`` skips make_basis_set's copying, duplicate check and
-    # sort; over a canonical set it must build the same set, element by
-    # element and annotation by annotation
+    # ``BasisSet.subset`` skips make_basis_set's duplicate check and sort;
+    # over a canonical set it must build the same set, element by element
+    # and annotation by annotation
     graphs = {
         "fixtures": lambda: [graph_of(name) for name in STRUCTURAL],
         "12-edge": lambda: wide_graphs(8, seed=1212),
@@ -367,3 +389,55 @@ def test_filtered_subsets_match_a_fresh_basis_set(graph_of, family):
                 subset.kind, len(g.edges), [pair for pair in items if keep(*pair)]
             )
             assert subset == fresh
+
+
+def _through(key, perm):
+    """A ``(plus, minus)`` key with entry j read from entry ``perm[j]``, the
+    larger vector again on the plus side."""
+    plus, minus = (tuple(side[i] for i in perm) for side in key)
+    return (plus, minus) if plus > minus else (minus, plus)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_relabelling_maps_every_set_through_the_edge_permutation(data):
+    # the sets, tags and verdict are facts of the graph, not of its labels:
+    # renaming the vertices and listing the edges in another order maps
+    # every set through the edge permutation and leaves the rest alone
+    g = data.draw(connected_graphs())
+    sigma = data.draw(st.permutations(range(g.vertex_count)))
+    perm = data.draw(st.permutations(range(len(g.edges))))
+    # edge j of h is edge perm[j] of g with its ends renamed
+    h = Graph(
+        g.vertex_count,
+        tuple((sigma[g.edges[i][0]], sigma[g.edges[i][1]]) for i in perm),
+    )
+    results = []
+    for graph in (g, h):
+        a = analyze_graph(graph)
+        bundle = fiber_bundle(graph, a)
+        results.append((a, bundle, robustness_verdict(graph, a, bundle)))
+    (a, bundle, verdict), (b, bundle_h, verdict_h) = results
+    for mine, theirs in (
+        (a.circuits, b.circuits),
+        (a.graver, b.graver),
+        (a.universal_groebner, b.universal_groebner),
+        (a.universal_markov, b.universal_markov),
+        (bundle.indispensable, bundle_h.indispensable),
+    ):
+        assert {_through(key, perm) for key in mine.element_set()} == (
+            theirs.element_set()
+        )
+    for mine, theirs in ((a.graver, b.graver), (a.circuits, b.circuits)):
+        tagged = {
+            _through((e.plus, e.minus), perm): ann
+            for e, ann in zip(mine.elements, mine.annotations)
+        }
+        assert tagged == dict(
+            zip(((e.plus, e.minus) for e in theirs.elements), theirs.annotations)
+        )
+    assert (verdict.generalized_robust, verdict.robust) == (
+        verdict_h.generalized_robust,
+        verdict_h.robust,
+    )
+    assert [c.holds for c in verdict.criteria] == [c.holds for c in verdict_h.criteria]

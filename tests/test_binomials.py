@@ -150,6 +150,16 @@ def test_only_subset_sets_source():
     assert [e["tags"] for e in other.to_json()["elements"]] == [{"n": 3}]
 
 
+def test_basis_set_keeps_the_annotation_it_is_given():
+    # no copy: elements with equal tags can share one dict
+    b1 = make_binomial((1, 1, 0, 0), (0, 0, 1, 1), total)
+    b2 = make_binomial((1, 0, 1, 0), (0, 1, 0, 1), total)
+    shared = {"a": 1}
+    s = make_basis_set("graver", 4, [(b1, shared), (b2, shared), (b1, {"a": 1})])
+    assert len(s) == 2
+    assert all(ann is shared for ann in s.annotations)
+
+
 def test_basis_set_conflicting_tags_rejected():
     b = make_binomial((1, 0), (0, 1), total)
     with pytest.raises(BinomialError):

@@ -468,33 +468,50 @@ def test_scale_guard_exit_code_and_force(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
-def test_analyze_leaves_the_collector_as_it_found_it(capsys, monkeypatch, enabled):
-    # the pipeline pauses the cyclic collector and then restores the state
-    # it found, also when a stage raises
+def test_analyze_leaves_the_collector_as_it_found_it(
+    capsys, monkeypatch, tmp_path, enabled
+):
+    # main pauses the cyclic collector from the command's first stage until
+    # its report is written, and then restores the state it found, also on
+    # an exit for unreadable input (2) or for a breach (4)
     found = gc.isenabled()
-    real = cli.fiber_bundle
+    real_bundle, real_json = cli.fiber_bundle, cli._canonical_json
     seen = []
 
-    def watched(graph, analysis):
-        seen.append(gc.isenabled())
-        return real(graph, analysis)
+    def watched_bundle(graph, analysis):
+        seen.append(("fiber_bundle", gc.isenabled()))
+        return real_bundle(graph, analysis)
+
+    def watched_json(obj):
+        seen.append(("_canonical_json", gc.isenabled()))
+        return real_json(obj)
 
     def breach(graph, analysis):
         raise InternalInvariantError("fiber bundle: planted breach")
 
+    unreadable = tmp_path / "unreadable.txt"
+    unreadable.write_bytes(b"\xff\xfe not a graph")
     try:
         gc.enable() if enabled else gc.disable()
-        monkeypatch.setattr(cli, "fiber_bundle", watched)
-        code, _, _ = run(capsys, "analyze", "--format", "json", fixture_path("k4"))
-        assert code == 0
-        assert seen == [False]
-        assert gc.isenabled() is enabled
+        for command in ("analyze", "check"):
+            seen.clear()
+            monkeypatch.setattr(cli, "fiber_bundle", watched_bundle)
+            monkeypatch.setattr(cli, "_canonical_json", watched_json)
+            code, _, _ = run(capsys, command, "--format", "json", fixture_path("k4"))
+            assert code == 0
+            assert seen == [("fiber_bundle", False), ("_canonical_json", False)]
+            assert gc.isenabled() is enabled
 
-        monkeypatch.setattr(cli, "fiber_bundle", breach)
-        code, out, err = run(capsys, "analyze", fixture_path("k4"))
-        assert code == 4
-        assert out == "" and "planted breach" in err
-        assert gc.isenabled() is enabled
+            code, out, err = run(capsys, command, str(unreadable))
+            assert code == 2
+            assert out == "" and err.startswith("toriclab: error:")
+            assert gc.isenabled() is enabled
+
+            monkeypatch.setattr(cli, "fiber_bundle", breach)
+            code, out, err = run(capsys, command, fixture_path("k4"))
+            assert code == 4
+            assert out == "" and "planted breach" in err
+            assert gc.isenabled() is enabled
     finally:
         gc.enable() if found else gc.disable()
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import toriclab.oracle
 from toriclab.bases import analyze_graph, fiber_bundle, graph_config
 from toriclab.binomials import make_basis_set, make_binomial
+from toriclab.corpus import random_connected_graphs
 from toriclab.errors import ScaleGuardError
 from toriclab.graphs import Graph, load_graph
 from toriclab.oracle import (
@@ -38,8 +39,11 @@ from conftest import (
     FIXTURES,
     binomial_from_vector,
     fixture_path,
+    grid_graph,
+    hung_cycle_graph,
     support_minimal,
     wide_graphs,
+    windmill_graph,
 )
 
 N5_ROWS = json.loads(
@@ -135,6 +139,20 @@ def test_graver_bounded_matches_walk_enumeration(graph_of, analysis_of):
         oracle = {(b.plus, b.minus) for b in graver_bounded(cfg, box=2)}
         walks = analysis_of(name).graver.element_set()
         assert oracle == walks
+
+
+def test_graver_bounded_matches_walk_enumeration_past_the_corpus_cap():
+    # box 2 is exact for graphs, so the brute-force Graver set must equal
+    # the walk one past the acceptance corpus's 11 edges: on 60 corpus-
+    # generator graphs of 12-14 edges on 7-9 vertices and three family graphs
+    drawn = random_connected_graphs(400, seed=1214, max_vertices=9, max_edges=14)
+    sample = [g for g in drawn if len(g.edges) >= 12 and g.vertex_count >= 7][:60]
+    assert len(sample) == 60
+    assert {len(g.edges) for g in sample} == {12, 13, 14}
+    assert {g.vertex_count for g in sample} == {7, 8, 9}
+    for g in sample + [grid_graph(5), windmill_graph(4), hung_cycle_graph(2)]:
+        oracle = {(b.plus, b.minus) for b in graver_bounded(graph_config(g), 2)}
+        assert analyze_graph(g).graver.element_set() == oracle, g.digest()
 
 
 def test_graver_box_one_n5():
