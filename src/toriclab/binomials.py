@@ -2,12 +2,15 @@
 
 The canonical orientation puts the lexicographically larger exponent vector
 on the plus side, so equal binomials compare equal regardless of how they
-were produced.
+were produced.  ``Binomial.to_json`` and ``BasisSet.to_json`` build fresh
+dicts on every call and keep none; which parts the sets of one report share
+is decided where the report is built, in ``cli``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from copy import deepcopy
+from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress
 from operator import mul
@@ -42,27 +45,15 @@ class Binomial:
     def render(self, prefix: str = "e") -> str:
         return f"{render_monomial(self.plus, prefix)} - {render_monomial(self.minus, prefix)}"
 
-    @cached_property
-    def _json_bodies(self) -> dict[str, dict]:
-        return {}
-
     def to_json(self, prefix: str = "e") -> dict:
-        """Exponents, degree and text, with variables named ``prefix1``, ...
-
-        The dict is built on the first call for each prefix and every later
-        call returns that same dict, so the sets that share an element share
-        its body.  It is read-only: copy it before changing it.
-        """
-        body = self._json_bodies.get(prefix)
-        if body is None:
-            names = _variable_names(prefix, len(self.plus))
-            body = self._json_bodies[prefix] = {
-                "plus": {n: k for n, k in zip(names, self.plus) if k},
-                "minus": {n: k for n, k in zip(names, self.minus) if k},
-                "degree": list(self.degree),
-                "text": self.render(prefix),
-            }
-        return body
+        """Exponents, degree and text, with variables named ``prefix1``, ..."""
+        names = _variable_names(prefix, len(self.plus))
+        return {
+            "plus": {n: k for n, k in zip(names, self.plus) if k},
+            "minus": {n: k for n, k in zip(names, self.minus) if k},
+            "degree": list(self.degree),
+            "text": self.render(prefix),
+        }
 
 
 @cache
@@ -130,21 +121,15 @@ class BasisSet:
     ``annotations[i]`` is a JSON-ready dict of per-element tags (may be empty).
     Elements are sorted by (total degree, plus vector, minus vector), so two
     runs over the same input serialize to identical bytes.  The annotation
-    dicts are the ones given to ``make_basis_set``, not copies, elements
+    dicts are the ones given to ``make_basis_set``, not copies: elements
     with equal tags may share one (``bases.analyze_graph``'s do), and a
-    subset built by ``subset`` shares them with this set, so they are
-    read-only: copy one before changing it.  ``source`` is the set and the
-    indices of the elements a subset kept from it, set by ``subset`` alone
-    (None for any other set, ``dataclasses.replace`` included).
+    subset built by ``subset`` shares them with this set.
     """
 
     kind: str
     variables: int
     elements: tuple[Binomial, ...]
     annotations: tuple[dict, ...]
-    source: tuple[BasisSet, tuple[int, ...]] | None = field(
-        init=False, default=None, repr=False, compare=False
-    )
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -159,60 +144,28 @@ class BasisSet:
 
     def subset(self, kind: str, keep: Callable[[Binomial, dict], bool]) -> BasisSet:
         """The elements for which ``keep(binomial, annotation)`` holds, in this
-        set's order and with its annotation dicts, as a set of ``kind``.
-
-        Its ``to_json`` reuses this set's element dicts, and this set's list
-        of them when every element is kept, so a report holding both sets
-        holds each shared element once.  Those are read-only, as this set's
-        ``to_json`` says.
-        """
+        set's order and with its annotation dicts, as a set of ``kind``."""
         if kind not in BASIS_KINDS:
             raise ValueError(f"unknown basis kind {kind!r}")
         flags = list(map(keep, self.elements, self.annotations))
-        result = BasisSet(
+        return BasisSet(
             kind,
             self.variables,
             tuple(compress(self.elements, flags)),
             tuple(compress(self.annotations, flags)),
         )
-        # only here is ``source`` set, so it always matches the elements
-        object.__setattr__(
-            result, "source", (self, tuple(compress(range(len(flags)), flags)))
-        )
-        return result
-
-    @cached_property
-    def _json_elements(self) -> dict[str, list[dict]]:
-        return {}
 
     def to_json(self, prefix: str = "e") -> dict:
         """Kind, variable count, element count and the elements: each
-        binomial's ``to_json`` entries with ``"tags"``, its annotation dict.
-
-        The result is a read-only view of the set, not a copy: the element
-        list is built on the first call for each prefix and returned by
-        every later one (and by a subset's that keeps every element), and
-        its dicts hold the binomials' body entries and the annotation dicts
-        themselves.  Copy what you change.
-        """
-        elements = self._json_elements.get(prefix)
-        if elements is None:
-            if self.source is None:
-                elements = [
-                    {**b.to_json(prefix), "tags": ann}
-                    for b, ann in zip(self.elements, self.annotations)
-                ]
-            else:
-                parent, kept = self.source
-                elements = parent.to_json(prefix)["elements"]
-                if len(kept) < len(elements):
-                    elements = [elements[i] for i in kept]
-            self._json_elements[prefix] = elements
+        binomial's ``to_json`` with ``"tags"``, a copy of its annotation."""
         return {
             "kind": self.kind,
             "variables": self.variables,
             "count": len(self.elements),
-            "elements": elements,
+            "elements": [
+                {**b.to_json(prefix), "tags": deepcopy(ann)}
+                for b, ann in zip(self.elements, self.annotations)
+            ],
         }
 
 
@@ -224,8 +177,8 @@ def make_basis_set(
     """The distinct binomials of ``items``, sorted, each with its annotation.
 
     Each annotation dict is kept as given, not copied, so items with equal
-    tags may pass one shared dict; the set's annotations are read-only.  A
-    binomial given twice must carry equal tags, and is kept once.
+    tags may pass one shared dict.  A binomial given twice must carry equal
+    tags, and is kept once.
     """
     if kind not in BASIS_KINDS:
         raise ValueError(f"unknown basis kind {kind!r}")

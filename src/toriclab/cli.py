@@ -4,10 +4,9 @@ Subcommands map onto the public API: the four set computations, a full
 analysis with optional brute-force cross-check, robustness checks, the
 generic matrix oracle, and corpus sweeps.  JSON output is canonical and
 byte-identical across reruns of the same command: ``_canonical_json`` writes
-exactly what ``json.dumps(report, sort_keys=True, indent=2)`` would.  A
-report is a read-only view of the analysis: it holds the sets' element,
-exponent and tag objects themselves, a set and its subsets share them, and
-the encoder writes each shared one once, so nothing here changes a report.
+exactly what ``json.dumps(report, sort_keys=True, indent=2)`` would.  What
+the sets of a report share is decided here alone, by ``_sets_json``, and
+the encoder writes each container that recurs in a report once.
 Wall-clock timings are printed to stderr in text mode only, so they never
 perturb the reports.  ``main`` pauses the cyclic garbage collector while a
 command runs, from its first stage until its report is written, and leaves
@@ -29,6 +28,7 @@ import math
 import sys
 import time
 from collections import Counter
+from collections.abc import Sequence
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from sys import getrefcount
@@ -69,6 +69,9 @@ _SUITE_TALLIES = (
     "generalized-not-robust",
     "unique-gen-not-robust",
 )
+
+# the verdict flags a `suite` sidecar may state, besides its "counts"
+_SIDECAR_FLAGS = ("generalized_robust", "robust")
 
 _SET_ATTRS = {
     "circuits": "circuits",
@@ -128,6 +131,39 @@ def _sets(analysis: GraphAnalysis, bundle: FiberBundle) -> dict[str, BasisSet]:
         "universal_markov": analysis.universal_markov,
         "indispensable": bundle.indispensable,
     }
+
+
+def _sets_json(sets: Sequence[BasisSet], prefix: str = "e") -> list[dict]:
+    """Each set's ``to_json``, with one body per binomial and one element
+    dict per binomial and annotation dict, and the annotation dicts as tags.
+
+    So a subset's elements are its parent's dicts, and a circuit's element
+    holds its Graver element's exponents.  The tables are keyed by identity
+    and dropped on return: only what recurs in the report is held twice,
+    and the encoder keeps the text of nothing else.
+    """
+    bodies: dict[int, dict] = {}
+    elements: dict[tuple[int, int], dict] = {}
+    reports = []
+    for s in sets:
+        items = []
+        for b, ann in zip(s.elements, s.annotations):
+            element = elements.get((id(b), id(ann)))
+            if element is None:
+                body = bodies.get(id(b))
+                if body is None:
+                    body = bodies[id(b)] = b.to_json(prefix)
+                element = elements[id(b), id(ann)] = {**body, "tags": ann}
+            items.append(element)
+        reports.append(
+            {
+                "kind": s.kind,
+                "variables": s.variables,
+                "count": len(s),
+                "elements": items,
+            }
+        )
+    return reports
 
 
 def _counts(analysis: GraphAnalysis, bundle: FiberBundle) -> dict:
@@ -353,7 +389,7 @@ def _cmd_set(args: argparse.Namespace) -> int:
         "schema": 1,
         "command": args.set_name,
         "input": _input_json(graph),
-        "set": basis.to_json(),
+        "set": _sets_json([basis])[0],
     }
 
     def render(rep: dict) -> None:
@@ -391,14 +427,20 @@ def _oracle_section(
             "box >= 2 is exact for graphs"
         )
     if args.samples:
-        section["groebner"] = _groebner_section(
-            config,
-            analysis.universal_markov.elements,
-            args,
-            "within_universal_groebner",
-            analysis.universal_groebner.element_set(),
-            "e",
-        )
+        try:
+            section["groebner"] = _groebner_section(
+                config,
+                analysis.universal_markov.elements,
+                args,
+                "within_universal_groebner",
+                analysis.universal_groebner.element_set(),
+                "e",
+            )
+        except InternalInvariantError as exc:
+            raise InternalInvariantError(
+                f"oracle cross-check of graph {graph.digest()}: Groebner "
+                f"sample: {exc}"
+            ) from exc
         if not section["groebner"]["within_universal_groebner"]:
             raise InternalInvariantError(
                 f"oracle cross-check of graph {graph.digest()}: a sampled "
@@ -412,13 +454,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     timings = _Timings()
     graph = load_graph(args.path)
     analysis, bundle, verdict, suite = _pipeline(graph, args.force, timings)
+    sets = _sets(analysis, bundle)
     report = {
         "schema": 1,
         "command": "analyze",
         "input": _input_json(graph),
-        "sets": {
-            key: s.to_json() for key, s in _sets(analysis, bundle).items()
-        },
+        "sets": dict(zip(sets, _sets_json(sets.values()))),
         "betti": [fg.to_json() for fg in bundle.graphs if fg.is_betti],
         "minimal_markov_size": len(bundle.minimal_markov),
         "verdict": verdict.to_json(),
@@ -512,7 +553,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             "graver": [b.to_json("x") for b in oracle.graver],
             "fibers": [g.to_json() for g in oracle.graphs if g.is_betti],
             "minimal_markov": [b.to_json("x") for b in oracle.minimal_markov],
-            "universal_markov": oracle.universal_markov.to_json("x"),
+            "universal_markov": _sets_json([oracle.universal_markov], "x")[0],
             # each indispensable degree holds exactly one element
             "indispensable": {
                 "degrees": [list(d) for d in candidate_degrees(indispensable)],
@@ -598,22 +639,23 @@ def _instance_record(
         "robust": verdict.robust,
         "implications_ok": suite.ok,
     }
-    mismatches = {}
-    if expect:
-        for key in ("generalized_robust", "robust"):
-            if key in expect and expect[key] != record[key]:
-                mismatches[key] = {
-                    "expected": expect[key],
-                    "actual": record[key],
-                }
-        for key, wanted in expect.get("counts", {}).items():
-            # every count is an int, so None marks a key with no count
-            actual = record["counts"].get(key)
-            if actual is None or actual != wanted:
-                mismatches[f"counts.{key}"] = {
-                    "expected": wanted,
-                    "actual": actual,
-                }
+    # a flag must be a JSON boolean and a count an integer, so a value of
+    # another type mismatches even where Python's == would let it pass; a
+    # key with no value in the record is read as null
+    expect = expect or {}
+    expected = [
+        (key, wanted, record[key] if key in _SIDECAR_FLAGS else None, bool)
+        for key, wanted in expect.items()
+        if key != "counts"
+    ] + [
+        (f"counts.{key}", wanted, record["counts"].get(key), int)
+        for key, wanted in expect.get("counts", {}).items()
+    ]
+    mismatches = {
+        key: {"expected": wanted, "actual": actual}
+        for key, wanted, actual, kind in expected
+        if type(wanted) is not kind or wanted != actual
+    }
     if mismatches:
         record["expect_mismatch"] = mismatches
     record["ok"] = suite.ok and not mismatches

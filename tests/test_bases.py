@@ -27,7 +27,13 @@ from toriclab.graphs import Graph, GraphError, parse_graph
 from toriclab.oracle import markov_bundle
 from toriclab.robustness import robustness_verdict
 
-from conftest import STRUCTURAL, connected_graphs, support_minimal, wide_graphs
+from conftest import (
+    STRUCTURAL,
+    connected_graphs,
+    grid_graph,
+    support_minimal,
+    wide_graphs,
+)
 
 # circuits, graver, universal Groebner, universal Markov, indispensable
 EXPECTED_COUNTS = {
@@ -441,3 +447,40 @@ def test_relabelling_maps_every_set_through_the_edge_permutation(data):
         verdict_h.robust,
     )
     assert [c.holds for c in verdict.criteria] == [c.holds for c in verdict_h.criteria]
+
+
+def bipartite_graphs(count, seed, max_edges=20):
+    """Seeded connected bipartite graphs with a cycle and at most
+    ``max_edges`` edges: parts of 2-5 vertices, each pair across them an
+    edge with a probability drawn from 0.5-0.9."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a, b = rng.randint(2, 5), rng.randint(2, 5)
+        p = rng.uniform(0.5, 0.9)
+        edges = tuple(
+            (u, a + v) for u in range(a) for v in range(b) if rng.random() < p
+        )
+        if not a + b <= len(edges) <= max_edges:
+            continue
+        try:
+            out.append(Graph(a + b, edges))
+        except GraphError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [grid_graph(n) for n in range(2, 8)] + bipartite_graphs(12, seed=1995),
+    ids=[f"grid{n}" for n in range(2, 8)] + [f"draw{i}" for i in range(12)],
+)
+def test_bipartite_graver_basis_is_its_circuits(graph):
+    # a bipartite graph has no odd cycle, so every primitive walk is an even
+    # cycle (Villarreal, 1995): circuits, Graver and universal Groebner
+    # bases coincide
+    a = analyze_graph(graph)
+    assert a.circuits.element_set() == a.graver.element_set()
+    assert a.graver.element_set() == a.universal_groebner.element_set()
+    shapes = {ann["shape"] for ann in a.circuits.annotations}
+    assert shapes == {"even-cycle"}

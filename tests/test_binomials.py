@@ -1,14 +1,11 @@
 """Binomial canonical forms, JSON and text output, basis set ordering."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toriclab.binomials import (
-    BasisSet,
     BinomialError,
     DegreeMismatchError,
     NonCoprimeError,
@@ -86,16 +83,22 @@ def test_json_round_trip():
     assert obj["text"] == b.render("x")
 
 
-def test_json_body_is_built_once_per_prefix():
+def test_to_json_builds_fresh_dicts_per_prefix():
     b = make_binomial((0, 2, 0, 1), (1, 0, 2, 0), total)
     e, x = b.to_json("e"), b.to_json("x")
-    assert b.to_json("e") is e and b.to_json("x") is x
-    assert e is not x
     assert e["plus"] == {"e1": 1, "e3": 2} and x["plus"] == {"x1": 1, "x3": 2}
     assert e["text"] == b.render("e") and x["text"] == b.render("x")
-    # the cache is not a field: equal binomials still compare and hash equal
-    again = make_binomial((0, 2, 0, 1), (1, 0, 2, 0), total)
-    assert again == b and hash(again) == hash(b)
+    again = b.to_json("e")
+    assert again == e and again is not e and again["plus"] is not e["plus"]
+    # a set's JSON is fresh too, down to the tags: changing it changes no set
+    shared = {"failures": ["M1"]}
+    s = make_basis_set("graver", 4, [(b, shared)])
+    obj = s.to_json()
+    assert obj == s.to_json() and obj["elements"] is not s.to_json()["elements"]
+    obj["elements"][0]["tags"]["failures"].append("M2")
+    obj["elements"][0]["plus"].clear()
+    assert shared == {"failures": ["M1"]}
+    assert s.to_json()["elements"][0]["plus"] == {"e1": 1, "e3": 2}
 
 
 def test_basis_set_sorted_and_deduplicated():
@@ -133,21 +136,6 @@ def test_subset_keeps_order_and_shares_annotations():
     assert len(s.subset("indispensable", lambda *_: False)) == 0
     with pytest.raises(ValueError):
         s.subset("mystery", lambda *_: True)
-
-
-def test_only_subset_sets_source():
-    b1 = make_binomial((1, 0, 0, 1), (0, 1, 1, 0), total)
-    b2 = make_binomial((1, 1, 0, 0), (0, 0, 1, 1), total)
-    s = make_basis_set("graver", 4, [(b1, {"n": 1}), (b2, {"n": 2})])
-    sub = s.subset("ugb", lambda *_: True)
-    assert sub.source == (s, (0, 1))
-    assert sub.to_json()["elements"] is s.to_json()["elements"]
-    with pytest.raises(TypeError):
-        BasisSet("ugb", 4, s.elements, s.annotations, (s, (0, 1)))
-    # a copy with other elements writes its own, not the parent's
-    other = dataclasses.replace(sub, elements=(b2,), annotations=({"n": 3},))
-    assert other.source is None
-    assert [e["tags"] for e in other.to_json()["elements"]] == [{"n": 3}]
 
 
 def test_basis_set_keeps_the_annotation_it_is_given():

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -1020,6 +1021,22 @@ def test_walk_side_breach_names_the_graph(capsys, monkeypatch):
     assert load_graph(path).digest() in err
 
 
+def test_groebner_sample_breach_names_the_graph(capsys, monkeypatch):
+    # a breach inside the sampled Buchberger runs is raised again naming
+    # the stage and the graph's digest, as the other oracle breaches are
+    def collapse(*args):
+        raise InternalInvariantError("tail reduction collapsed a basis element")
+
+    monkeypatch.setattr(cli, "sample_groebner", collapse)
+    path = fixture_path("bowtie")
+    code, out, err = run(capsys, "analyze", "--oracle", "--samples", "2", path)
+    assert code == 4 and out == ""
+    assert (
+        f"invariant breach: oracle cross-check of graph {load_graph(path).digest()}"
+        ": Groebner sample: tail reduction collapsed a basis element"
+    ) in err
+
+
 def test_suite_text_tallies_match_json_records():
     command = [sys.executable, "-m", "toriclab", "suite", "--count", "10",
                "--max-edges", "8"]
@@ -1236,6 +1253,45 @@ def test_json_output_of_every_command_is_canonical(capsys, argv):
     _assert_canonical(out)
 
 
+def test_suite_sidecar_values_must_have_their_json_type(capsys, tmp_path):
+    # == lets 1, 1.0 and true stand for one another; a sidecar may not: a
+    # flag must be a boolean and a count an integer that is not a boolean
+    shutil.copy(fixture_path("c4"), tmp_path / "c4.txt")
+    sidecar = tmp_path / "c4.expect.json"
+    sidecar.write_text(
+        '{"robust": 1, "generalized_robust": 1.0,'
+        ' "counts": {"graver": true, "circuits": 1.0}}'
+    )
+    code, out, _ = run(capsys, "suite", "--format", "json", tmp_path)
+    assert code == 4
+    (record,) = json.loads(out)["instances"]
+    assert record["expect_mismatch"] == {
+        "robust": {"expected": 1, "actual": True},
+        "generalized_robust": {"expected": 1.0, "actual": True},
+        "counts.graver": {"expected": True, "actual": 1},
+        "counts.circuits": {"expected": 1.0, "actual": 1},
+    }
+    # an unknown top-level key is a mismatch with actual null, as an
+    # unknown count key is
+    sidecar.write_text(
+        '{"robust": true, "generalized_robust": true, "robustness": true,'
+        ' "counts": {"graver": 1, "circuits": 1, "cycles": 1}}'
+    )
+    code, out, _ = run(capsys, "suite", "--format", "json", tmp_path)
+    assert code == 4
+    (record,) = json.loads(out)["instances"]
+    assert record["expect_mismatch"] == {
+        "robustness": {"expected": True, "actual": None},
+        "counts.cycles": {"expected": 1, "actual": None},
+    }
+    sidecar.write_text(
+        '{"robust": true, "generalized_robust": true,'
+        ' "counts": {"graver": 1, "circuits": 1}}'
+    )
+    code, out, _ = run(capsys, "suite", "--format", "json", tmp_path)
+    assert code == 0 and "expect_mismatch" not in out
+
+
 def test_suite_echoes_sidecar_values_canonically(capsys, tmp_path):
     # The encoder takes one interpreter frame per nesting level, so a value
     # nested about as deep as the JSON reader goes still prints.
@@ -1254,10 +1310,23 @@ def test_suite_echoes_sidecar_values_canonically(capsys, tmp_path):
     assert '"expected": "\\u00e9"' in out and '"counts.deep"' in out
 
 
+def _captured_reports(monkeypatch) -> list[dict]:
+    """Every report that ``cli._emit`` is handed, in call order."""
+    reports = []
+    real = cli._emit
+
+    def emit(report, *rest):
+        reports.append(report)
+        return real(report, *rest)
+
+    monkeypatch.setattr(cli, "_emit", emit)
+    return reports
+
+
 def test_reports_from_one_analysis_are_identical(capsys, monkeypatch):
-    # the report is a read-only view of the analysis: the sets share each
-    # element's JSON body, element dicts and annotation dicts, and emitting
-    # JSON or text must change none of them
+    # the sets of one report share their element dicts, each binomial's
+    # exponents and the annotation dicts themselves, and emitting JSON or
+    # text must change none of the annotation dicts
     path = fixture_path("domino")
     analysis = toriclab.analyze_graph(load_graph(path))
     sets = (
@@ -1268,6 +1337,7 @@ def test_reports_from_one_analysis_are_identical(capsys, monkeypatch):
     )
     annotations = copy.deepcopy([s.annotations for s in sets])
     monkeypatch.setattr(cli, "analyze_graph", lambda graph, force=False: analysis)
+    reports = _captured_reports(monkeypatch)
     argv = ("analyze", "--oracle", "--samples", "2", "--format", "json", path)
     first = run(capsys, *argv)
     run(capsys, "analyze", path)
@@ -1275,13 +1345,55 @@ def test_reports_from_one_analysis_are_identical(capsys, monkeypatch):
     assert first == second and first[0] == 0
     _assert_canonical(first[1])
     assert [s.annotations for s in sets] == annotations
-    graver = analysis.graver.to_json()["elements"]
-    body = analysis.graver.elements[0].to_json()
-    assert graver[0]["plus"] is body["plus"]
-    assert graver[0]["tags"] is analysis.graver.annotations[0]
-    # the universal Groebner basis keeps every Graver element of the domino,
-    # so it shares the Graver set's list; the universal Markov basis keeps
-    # two of three, each the Graver set's element dict
-    assert analysis.universal_groebner.to_json()["elements"] is graver
-    markov = analysis.universal_markov.to_json()["elements"]
+    report = {key: obj["elements"] for key, obj in reports[0]["sets"].items()}
+    graver = report["graver"]
+    assert all(
+        el["tags"] is ann for el, ann in zip(graver, analysis.graver.annotations)
+    )
+    # the universal Groebner basis keeps every Graver element of the domino
+    # in a list of its own; the universal Markov basis keeps two of three,
+    # and the indispensable set both of those
+    assert report["universal_groebner"] is not graver
+    ugb = report["universal_groebner"]
+    assert all(u is g for u, g in zip(ugb, graver, strict=True))
+    markov = report["universal_markov"]
     assert len(markov) == 2 and all(any(m is g for g in graver) for m in markov)
+    assert all(i is m for i, m in zip(report["indispensable"], markov, strict=True))
+    # a circuit's tags carry its shape, so its element dict is its own, but
+    # it holds its Graver element's exponent and degree objects
+    by_text = {g["text"]: g for g in graver}
+    for c in report["circuits"]:
+        g = by_text[c["text"]]
+        assert c is not g and c["tags"]["shape"]
+        assert all(c[k] is g[k] for k in ("plus", "minus", "degree"))
+    # nothing is shared between two reports
+    assert reports[2]["sets"]["graver"]["elements"][0] is not graver[0]
+
+
+def test_encoder_keeps_no_set_list(capsys, monkeypatch):
+    # the sets share element dicts, never a list, so the encoder's memo
+    # keeps no set's element list; each Graver element of the domino recurs
+    # in the universal Groebner basis, so its text is kept
+    documents = []
+
+    class Document(cli._Document):
+        def __init__(self):
+            super().__init__()
+            documents.append(self)
+
+    monkeypatch.setattr(cli, "_Document", Document)
+    reports = _captured_reports(monkeypatch)
+    code, out, _ = run(capsys, "analyze", "--format", "json", fixture_path("domino"))
+    assert code == 0
+    _assert_canonical(out)
+    ((report,), (document,)) = reports, documents
+    kept = {node for node, _ in document.memo}
+    sets = report["sets"]
+    assert not kept & {id(obj["elements"]) for obj in sets.values()}
+    graver = sets["graver"]["elements"]
+    for key in ("universal_groebner", "universal_markov"):
+        assert all(any(el is g for g in graver) for el in sets[key]["elements"])
+    assert {id(g) for g in graver} <= kept
+    # an element dict that only one set holds is not kept
+    held = Counter(id(el) for obj in sets.values() for el in obj["elements"])
+    assert all(held[node] > 1 for node in kept & held.keys())

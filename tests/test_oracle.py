@@ -804,3 +804,33 @@ def test_candidate_degree_order_is_linear_extension(seed):
     for i, d in enumerate(degrees):
         for later in degrees[i + 1 :]:
             assert not all(x <= y for x, y in zip(later, d))
+
+
+@pytest.mark.parametrize(
+    "name", ["c4", "k4", "bowtie", "domino", "tri_edge_tri", "hexchord"]
+)
+def test_lawrence_lifting_bases_are_the_lifted_graver_basis(
+    graph_of, analysis_of, name
+):
+    # Sturmfels, Groebner Bases and Convex Polytopes, Thm 7.1: the Graver
+    # basis of the Lawrence lifting [[A, 0], [I, I]] is A's Graver basis
+    # lifted, u+ - u- to x^(u+, u-) - x^(u-, u+), and it is also the
+    # universal Markov basis, every minimal one, and the indispensable set
+    rows = graph_config(graph_of(name)).rows
+    m = len(rows[0])
+    lifted = config_from_rows(
+        [list(row) + [0] * m for row in rows]
+        + [[int(i == j) for j in range(m)] * 2 for i in range(m)]
+    )
+    expected = {
+        (b.plus, b.minus)
+        for b in (
+            make_binomial(g.plus + g.minus, g.minus + g.plus, lifted.degree)
+            for g in analysis_of(name).graver.elements
+        )
+    }
+    bundle = analyze_config(lifted, 2)
+    assert {(b.plus, b.minus) for b in bundle.graver} == expected
+    assert bundle.universal_markov.element_set() == expected
+    assert bundle.indispensable.element_set() == expected
+    assert {(b.plus, b.minus) for b in bundle.minimal_markov} == expected
