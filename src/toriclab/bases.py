@@ -2,10 +2,11 @@
 
 Everything is driven by closed even walks.  Primitive walks are built from
 their block trees: ``graphs.primitive_block_trees`` grows trees of cycles
-and cut-edge paths out of each cycle and yields the even cycles and the
-trees with odd sides at every cut vertex, each with its blocks in walk
-order, so no walk's primitivity, blocks or cycle order is worked out a
-second time.  ``walks.primitive_walk`` turns each into its finished
+and cut-edge paths out of each cycle and returns, in one list, the even
+cycles and the trees with odd sides at every cut vertex, each with its
+blocks in walk order, so no walk's primitivity, blocks or cycle order is
+worked out a second time.  Every tree is grown before the first walk is
+derived.  ``walks.primitive_walk`` turns each into its finished
 element in one pass: walk, binomial, chords, odd-chord crossings, F4s,
 minimality codes and circuit shape, not the block tree, which no later
 stage reads; this module only sorts them and reads them.  The universal
@@ -49,7 +50,8 @@ def graph_config(graph: Graph) -> ToricConfig:
 
 def primitive_elements(graph: Graph) -> tuple[PrimitiveElement, ...]:
     """Every primitive walk of the graph, as its element from
-    ``walks.primitive_walk``, sorted by binomial."""
+    ``walks.primitive_walk``, sorted by binomial.  Every block tree is
+    grown before the first walk is derived from one."""
     elements = [
         primitive_walk(graph, subset, blocks)
         for subset, blocks in primitive_block_trees(graph)

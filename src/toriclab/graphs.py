@@ -6,6 +6,8 @@ the variable index of the edge ring K[e1, ..., em], so every exponent vector
 in this package is a length-m tuple aligned with ``Graph.edges``.  The
 cycle search and the primitive block trees hand out their blocks in walk
 order (``Block``), the form ``walks`` tours; no other module reads it.
+``primitive_block_trees`` grows the trees from states that carry their
+cycle masks and side parities, and returns every tree in one list.
 """
 
 from __future__ import annotations
@@ -465,47 +467,59 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _odd_sides(attachments: tuple, cycle_lengths: list[int]) -> bool:
-    """Whether a tree of cycles has an odd side at every cut vertex.
-
-    Every cut vertex splits the tree into one attachment's subtree and the
-    rest, so that holds exactly when the cycle edges are even in number and
-    every non-root attachment's subtree holds an odd number of them.  A
-    parent precedes its children, so one backward pass sums the subtrees.
-    """
-    sizes = [cycle_lengths[cycle] for cycle, _, _ in attachments]
-    for a in range(len(attachments) - 1, 0, -1):
-        if sizes[a] % 2 == 0:
-            return False
-        sizes[attachments[a][1]] += sizes[a]
-    return sizes[0] % 2 == 0
+def _meet(
+    through: list[int], verts: int, once: int, twice: int
+) -> tuple[int, int]:
+    """``once`` and ``twice``, the cycles through one or more and through
+    two or more vertices of a state, after the vertices of the mask
+    ``verts`` join it; ``through[v]`` is the mask of the cycles through v."""
+    while verts:
+        low = verts & -verts
+        verts ^= low
+        at = through[low.bit_length() - 1]
+        twice |= once & at
+        once |= at
+    return once, twice
 
 
 def primitive_block_trees(
     graph: Graph,
-) -> Iterator[tuple[tuple[int, ...], tuple[Block, ...]]]:
-    """Yield every primitive walk's edge set, once, with its block tree.
+) -> list[tuple[tuple[int, ...], tuple[Block, ...]]]:
+    """Every primitive walk's edge set, once, with its block tree.
 
     The subgraph of a primitive walk is an even cycle, or a tree of cycles
     joined at shared vertices or by paths of cut edges, with every cut
     vertex in exactly two blocks and an odd number of cycle edges on both
-    sides of it.  Such trees are grown, not searched for.  A state is (edge
-    mask, vertex mask, free mask, attachments); the free mask holds the
-    cycle vertices that host no attachment yet.  Each cycle seeds a state as
-    its root attachment, and a state with an odd root grows at a free vertex
-    ``v`` by a cycle meeting it only at ``v``, or by a simple path out of
-    ``v`` that avoids it followed by a cycle meeting state and path only at
-    the path's far end.  That growth is one attachment: (cycle index,
-    parent attachment, path edge mask).  An edge set fixes its block tree,
-    so a seen-set of edge masks expands each tree once.
+    sides of it.  Such trees are grown, not searched for.  Each cycle seeds
+    a state as its root attachment, and a state with an odd root grows at a
+    free vertex ``v`` by a cycle meeting it only at ``v``, or by a simple
+    path out of ``v`` that avoids it followed by a cycle meeting state and
+    path only at the path's far end.  That growth is one attachment:
+    (cycle index, path edge mask, ancestor mask), the last holding the
+    attachment's own bit and its ancestors'.  An edge set fixes its block
+    tree, so a seen-set of edge masks expands each tree once.
 
-    Only a tree passing ``_odd_sides`` is yielded, as its sorted edge tuple
-    and its blocks in walk order: each block a (vertices, edges) pair in
-    which edge k joins vertex k to vertex k + 1, cyclically.  A cycle's pair
-    is the one ``simple_cycles`` yields; a cut edge {u, v} is the pair
-    ((u, v), (e, e)), out and back.  The cycles come first, in attachment
-    order, then the cut edges.  A vertex in two blocks is a cut vertex; the
-    blocks are the ones ``block_decomposition`` finds.
+    A state is (edge mask, vertex mask, free mask, attachments, once,
+    twice, sides), each part updated from what an attachment adds.  The
+    free mask holds the cycle vertices that host no attachment yet;
+    ``once`` and ``twice`` the cycles through one or more, and through two
+    or more, state vertices; bit ``a`` of ``sides`` is set when attachment
+    ``a``'s subtree holds an odd number of cycle edges, so an odd cycle's
+    attachment flips the bits of its ancestor mask.  Every cut vertex
+    splits the tree into one attachment's subtree and the rest, so the tree
+    has an odd side at every cut vertex exactly when every bit of
+    ``sides`` but the root's is set.  Paths grow only while some cycle
+    misses the state and three vertices are untaken, and a path extends
+    only while some cycle misses state and path.
+
+    The trees with odd sides are listed in the order their states are
+    popped, each as its sorted edge tuple and its blocks in walk order:
+    each block a (vertices, edges) pair in which edge k joins vertex k to
+    vertex k + 1, cyclically.  A cycle's pair is the one ``simple_cycles``
+    yields; a cut edge {u, v} is the pair ((u, v), (e, e)), out and back.
+    The cycles come first, in attachment order, then the cut edges.  A
+    vertex in two blocks is a cut vertex; the blocks are the ones
+    ``block_decomposition`` finds.
     """
     adj = graph.adjacency
     cycles = simple_cycles(graph)
@@ -514,79 +528,94 @@ def primitive_block_trees(
     for i, ((verts, _), _, _) in enumerate(cycles):
         for v in verts:
             through[v] |= 1 << i
-    cycle_lengths = [len(verts) for (verts, _), _, _ in cycles]
+    odd = [len(verts) % 2 for (verts, _), _, _ in cycles]
+    everything = (1 << graph.vertex_count) - 1
+    all_cycles = (1 << len(cycles)) - 1
     states = [
-        (edges, verts, verts, ((i, -1, 0),))
+        (edges, verts, verts, ((i, 0, 1),), *_meet(through, verts, 0, 0), odd[i])
         for i, (_, edges, verts) in enumerate(cycles)
     ]
-    seen = {edge_mask for edge_mask, _, _, _ in states}
-    everything = (1 << graph.vertex_count) - 1
+    seen = {edge_mask for edge_mask, *_ in states}
+    trees = []
 
     while states:
-        edge_mask, vertex_mask, free, attachments = states.pop()
-        if _odd_sides(attachments, cycle_lengths):
+        edge_mask, vertex_mask, free, attachments, once, twice, sides = states.pop()
+        if sides == (1 << len(attachments)) - 2:
             blocks = [cycles[cycle][0] for cycle, _, _ in attachments]
-            for _, _, path_edges in attachments:
+            for _, path_edges, _ in attachments:
                 if path_edges:
                     blocks.extend((graph.edges[e], (e, e)) for e in _bits(path_edges))
-            yield _bits(edge_mask), tuple(blocks)
+            trees.append((_bits(edge_mask), tuple(blocks)))
         # A walk of two or more cycles has a leaf cycle, whose side at its
         # one cut vertex is its own edges, so odd; growth from it reaches
         # the whole tree, so a tree rooted at an even cycle need not grow.
-        if cycle_lengths[attachments[0][0]] % 2 == 0:
+        if not odd[attachments[0][0]]:
             continue
-        # the cycles through one or more, and through two or more, state vertices
-        once = twice = 0
-        state_rest = vertex_mask
-        while state_rest:
-            low = state_rest & -state_rest
-            state_rest ^= low
-            twice |= once & through[low.bit_length() - 1]
-            once |= through[low.bit_length() - 1]
+        single = once & ~twice  # the cycles meeting the state at one vertex
+        paths_pay = bool(all_cycles & ~once) and (
+            (everything & ~vertex_mask).bit_count() >= 3
+        )
+        if not (single or paths_pay):
+            continue
+        born = 1 << len(attachments)
         # a free vertex lies on exactly one attachment's cycle, its parent
-        for parent, (cycle, _, _) in enumerate(attachments):
+        for cycle, _, ancestors in attachments:
             rest = free & cycles[cycle][2]
             while rest:
                 bit = rest & -rest
                 rest ^= bit
                 v = bit.bit_length() - 1
-                still_free = free ^ bit
-                # Simple paths out of v that avoid the state, as (far end,
-                # edge mask, vertex mask, cycles through a taken vertex other
-                # than the far end); the empty path attaches a cycle at v
-                # itself, and a cycle through v meets another state vertex if
-                # it meets two.
-                paths = [(v, 0, 0, twice)]
+                if not (through[v] & single or paths_pay):
+                    continue
+                # (joint, path edge mask, path vertex mask, cycles to attach
+                # at the joint), first the cycles meeting the state at v only
+                openings = [(bit, 0, 0, through[v] & single)]
+                # simple paths out of v that avoid the state, as (far end,
+                # edge mask, vertex mask, cycles through a taken vertex
+                # other than the far end)
+                paths = [
+                    (w, 1 << e, 1 << w, once)
+                    for w, e in adj[v]
+                    if not vertex_mask >> w & 1
+                ] if paths_pay else []
                 while paths:
                     end, path_edges, path_verts, blocked = paths.pop()
+                    openings.append(
+                        (1 << end, path_edges, path_verts, through[end] & ~blocked)
+                    )
                     taken = vertex_mask | path_verts
-                    end_bit = 1 << end
-                    # the cycles meeting state and path only at the far end
-                    attach = through[end] & ~blocked
+                    blocked |= through[end]
+                    if blocked == all_cycles:
+                        continue  # every cycle meets state or path
+                    if (everything & ~taken).bit_count() >= 3:
+                        paths += [
+                            (w, path_edges | 1 << e, path_verts | 1 << w, blocked)
+                            for w, e in adj[end]
+                            if not taken >> w & 1
+                        ]
+                still_free = free ^ bit
+                for joint, path_edges, path_verts, attach in openings:
                     while attach:
                         low = attach & -attach
                         attach ^= low
                         new = low.bit_length() - 1
                         _, cycle_edges, cycle_verts = cycles[new]
                         grown = edge_mask | path_edges | cycle_edges
-                        if grown not in seen:
-                            seen.add(grown)
-                            # every vertex of the new cycle but its joint is free
-                            states.append((
-                                grown,
-                                taken | cycle_verts,
-                                still_free | (cycle_verts ^ end_bit),
-                                attachments + ((new, parent, path_edges),),
-                            ))
-                    # a step to w pays only if w and two more vertices are untaken
-                    if (everything & ~taken).bit_count() < 3:
-                        continue
-                    blocked = (blocked if path_verts else once) | through[end]
-                    for w, e in adj[end]:
-                        if not taken >> w & 1:
-                            paths.append(
-                                (w, path_edges | 1 << e, path_verts | 1 << w, blocked)
-                            )
+                        if grown in seen:
+                            continue
+                        seen.add(grown)
+                        # every vertex of the new cycle but its joint is free
+                        added = path_verts | (cycle_verts ^ joint)
+                        line = ancestors | born
+                        states.append((
+                            grown,
+                            vertex_mask | added,
+                            still_free | (cycle_verts ^ joint),
+                            attachments + ((new, path_edges, line),),
+                            *_meet(through, added, once, twice),
+                            sides ^ line if odd[new] else sides,
+                        ))
+    return trees
 
 
 def connected_edge_subsets(

@@ -29,7 +29,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from operator import lshift
+from operator import index, lshift
 from typing import Sequence
 
 from .binomials import (
@@ -183,6 +183,26 @@ def config_from_rows(rows: Sequence[Sequence[int]]) -> ToricConfig:
     return ToricConfig(len(rows), tuple(map(tuple, support)))
 
 
+def _degree(config: ToricConfig, degree: Sequence[int]) -> tuple[int, ...]:
+    """``degree`` as a tuple of ints, one per row of ``config``.
+
+    Each entry is taken as it is, not coerced: an int or a numpy integer,
+    read by ``operator.index``; a bool, float, string or null entry is a
+    ConfigError naming it, as is a degree of the wrong length.
+    """
+    if len(degree) != config.nrows:
+        raise ConfigError(f"degree must have {config.nrows} entries")
+    target = []
+    for x in degree:
+        try:
+            if isinstance(x, bool):
+                raise TypeError
+            target.append(index(x))
+        except TypeError:  # numpy's bool refuses ``index`` itself
+            raise ConfigError(f"degree entries must be integers, got {x!r}") from None
+    return tuple(target)
+
+
 def fiber(config: ToricConfig, degree: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors with the given grading degree, lex ascending.
 
@@ -195,9 +215,7 @@ def fiber(config: ToricConfig, degree: Sequence[int]) -> tuple[tuple[int, ...], 
     one subtraction and the guard bits tell whether it fit.
     """
 
-    target = tuple(int(x) for x in degree)
-    if len(target) != config.nrows:
-        raise ConfigError(f"degree must have {config.nrows} entries")
+    target = _degree(config, degree)
     if any(x < 0 for x in target):
         return ()
     top = max(*target, config.top)
@@ -260,9 +278,13 @@ def fibers(
     by one, whose packed sweep is faster than the batch's fixed numpy cost
     there, and each fiber is split by ``_components``.
     """
-    targets = {tuple(int(x) for x in d): None for d in degrees}
-    if any(len(t) != config.nrows for t in targets):
-        raise ConfigError(f"degree must have {config.nrows} entries")
+    # Each distinct degree is converted once.  One equal to a degree already
+    # seen is skipped only when its entries are plain ints, so a float equal
+    # to an int is refused, not merged.
+    targets = {}
+    for d in map(tuple, degrees):
+        if d not in targets or set(map(type, d)) != {int}:
+            targets[_degree(config, d)] = None
     live = [t for t in targets if min(t) >= 0]
     dtype = None
     if len(targets) >= _BATCH_MIN_DEGREES:

@@ -189,16 +189,32 @@ def robustness_verdict(
 
 
 def _division_free_witness(analysis: GraphAnalysis) -> dict | None:
+    """The first pair of universal Groebner terms from two elements in
+    which the first divides the second, or None.
+
+    Pairs come in the order of a loop over the terms, both sides of each
+    element in turn, inside a loop over the same terms.  Each variable
+    lists the terms that hold it, ascending; a multiple of a term holds
+    every variable of that term's support, so it lies in each of those
+    lists, and a scan of the shortest one, ascending, meets the term's
+    first multiple first.
+    """
     terms = [
         (b, side, mono)
         for b in analysis.universal_groebner.elements
         for side, mono in (("plus", b.plus), ("minus", b.minus))
     ]
-    for b1, side1, m1 in terms:
-        for b2, side2, m2 in terms:
-            if b1 is b2:
-                continue
-            if all(x <= y for x, y in zip(m1, m2)):
+    supports = [[k for k, x in enumerate(mono) if x] for _, _, mono in terms]
+    holders: dict[int, list[int]] = {}
+    for j, support in enumerate(supports):
+        for k in support:
+            holders.setdefault(k, []).append(j)
+    every_term = range(len(terms))
+    for (b1, side1, m1), support in zip(terms, supports):
+        scan = min((holders[k] for k in support), key=len, default=every_term)
+        for j in scan:
+            b2, side2, m2 = terms[j]
+            if b2 is not b1 and all(m2[k] >= m1[k] for k in support):
                 return {
                     "divisor": {"binomial": b1.to_json(), "term": side1},
                     "multiple": {"binomial": b2.to_json(), "term": side2},

@@ -31,7 +31,7 @@ The facts of a walk are defined stage by stage, each read from one table:
 - the F4 records, whose two sides the M3 test reads.
 
 The pipeline derives them all in one pass instead, ``primitive_walk``, from
-the blocks in walk order that ``graphs.primitive_block_trees`` yields, and
+the blocks in walk order that ``graphs.primitive_block_trees`` lists, and
 returns the finished ``PrimitiveElement``: one map of the blocks through
 each vertex serves the tour and the bridge test, and one read of the
 positions table serves the chords, the F4 search and the cyclic-parity
@@ -698,7 +698,7 @@ def primitive_walk(
     """The element of a primitive walk, every fact of it in one pass.
 
     ``subset`` and ``blocks`` are the walk's sorted edge tuple and its
-    blocks in walk order, as ``graphs.primitive_block_trees`` yields them.
+    blocks in walk order, as ``graphs.primitive_block_trees`` lists them.
     One map of the blocks through each vertex serves the tour and the
     bridge test; the chords, the crossing scan, the cyclic-parity table
     with the mixed test and the sink search, and the codes are worked out

@@ -141,6 +141,54 @@ def hung_cycle_graph(k):
     return Graph(m + 2 * k, tuple(edges))
 
 
+def theta_graph(a, b, c):
+    """Three internally disjoint paths of ``a``, ``b`` and ``c`` edges
+    between vertices 0 and 1, their inner vertices numbered path by path;
+    at most one of the lengths may be 1."""
+    edges = []
+    nxt = 2
+    for length in (a, b, c):
+        path = [0, *range(nxt, nxt + length - 1), 1]
+        nxt += length - 1
+        edges += zip(path, path[1:])
+    return Graph(nxt, tuple(edges))
+
+
+def dumbbell_graph(k):
+    """Triangles ``0 1 2`` and ``k+2 k+3 k+4`` joined by the path of ``k``
+    edges from 2 to ``k+2``."""
+    far = k + 2
+    edges = [(0, 1), (1, 2), (0, 2)]
+    edges += [(v, v + 1) for v in range(2, far)]
+    edges += [(far, far + 1), (far + 1, far + 2), (far, far + 2)]
+    return Graph(far + 3, tuple(edges))
+
+
+def triangle_chain_graph(k):
+    """k triangles ``2i 2i+1, 2i+1 2i+2, 2i 2i+2``, each meeting the next
+    at one vertex."""
+    edges = [
+        e
+        for i in range(k)
+        for e in ((2 * i, 2 * i + 1), (2 * i + 1, 2 * i + 2), (2 * i, 2 * i + 2))
+    ]
+    return Graph(2 * k + 1, tuple(edges))
+
+
+def fan_graph(n):
+    """The path ``1..n`` with hub 0 joined to each of its vertices."""
+    edges = [(0, v) for v in range(1, n + 1)]
+    edges += [(v, v + 1) for v in range(1, n)]
+    return Graph(n + 1, tuple(edges))
+
+
+def wheel_graph(n):
+    """The cycle ``1..n`` with hub 0 joined to each of its vertices."""
+    edges = [(0, v) for v in range(1, n + 1)]
+    edges += [(v, v % n + 1) for v in range(1, n + 1)]
+    return Graph(n + 1, tuple(edges))
+
+
 @st.composite
 def connected_graphs(draw, max_vertices=8, max_edges=14):
     """A random spanning tree plus extra edges, at most ``max_edges`` in all."""

@@ -30,8 +30,13 @@ from toriclab.robustness import robustness_verdict
 from conftest import (
     STRUCTURAL,
     connected_graphs,
+    dumbbell_graph,
+    fan_graph,
     grid_graph,
     support_minimal,
+    theta_graph,
+    triangle_chain_graph,
+    wheel_graph,
     wide_graphs,
 )
 
@@ -410,7 +415,29 @@ def test_relabelling_maps_every_set_through_the_edge_permutation(data):
     # the sets, tags and verdict are facts of the graph, not of its labels:
     # renaming the vertices and listing the edges in another order maps
     # every set through the edge permutation and leaves the rest alone
-    g = data.draw(connected_graphs())
+    assert_relabelling_maps_through(data, data.draw(connected_graphs()))
+
+
+FAMILIES = {
+    "theta-3-4-5": theta_graph(3, 4, 5),
+    "dumbbell-8": dumbbell_graph(8),
+    "triangle-chain-5": triangle_chain_graph(5),
+    "fan-8": fan_graph(8),
+    "wheel-8": wheel_graph(8),
+}
+
+
+@pytest.mark.parametrize("graph", FAMILIES.values(), ids=FAMILIES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_relabelling_maps_every_set_through_on_families(graph, data):
+    assert_relabelling_maps_through(data, graph)
+
+
+def assert_relabelling_maps_through(data, g):
+    """Draw a vertex renaming and an edge order for ``g`` and require the
+    sets, tags and verdict of the relabelled graph to be ``g``'s mapped
+    through the edge permutation."""
     sigma = data.draw(st.permutations(range(g.vertex_count)))
     perm = data.draw(st.permutations(range(len(g.edges))))
     # edge j of h is edge perm[j] of g with its ends renamed

@@ -30,9 +30,14 @@ from toriclab.graphs import graph_to_json, load_graph
 from conftest import (
     FIXTURES,
     double_every_walk_edge,
+    dumbbell_graph,
+    fan_graph,
     fixture_path,
     grid_graph,
     hung_cycle_graph,
+    theta_graph,
+    triangle_chain_graph,
+    wheel_graph,
     windmill_graph,
 )
 
@@ -128,18 +133,36 @@ PINNED_REPORT_SHA256 = {
     ("grid-2x12", "check-force"): "6b443db30b058bcfe89c56be3aa6e0944e853f16de69376e8b8995bf56a51dd6",
     ("windmill-20", "check-force"): "58492e76c1247b36f78b0622eb872d74a64802ab2e4ac2e3549d98ee6d281b2d",
     ("hung-cycle-6", "check-force"): "b97ec74054846aa546a413d3ca0a062646a5a33ab9579119b38cb24db0288972",
+    ("theta-7-8-9", "analyze-force"): "6c5ae6c99ef578ea82ef567d53598e994d100692bd630e9aefad4d9cfefecd91",
+    ("theta-7-8-9", "check-force"): "6fb1ce88a221957f1bc369afc05a2abf671eb7653a742cc933f873c26038c13a",
+    ("dumbbell-20", "analyze-force"): "a962151e37a8b37d6a330dc1936bf754c433c47196c6b56f952b539e12060ecf",
+    ("dumbbell-20", "check-force"): "672bdd41c9ab318f4a7367d3231c9962e2624d821be85f011a000fb0d2aa45ab",
+    ("triangle-chain-8", "analyze-force"): "a0beeaa8cf66ad356ec3bc4d6a54b4cf93cbcd8b5591a44d0e16f7cad1d8853f",
+    ("triangle-chain-8", "check-force"): "1e094a76740d8a96ad3ca6dc0803758dab884a61b784672a8970eadccdcdba05",
+    ("fan-11", "analyze-force"): "0f8614baafcf235658a3cafd2f0860f029a9f7f9c38c37d33b33574ab8d57af5",
+    ("fan-11", "check-force"): "618095cfe9c7acbd1ec1084d50689da500f42cb9b3c06b2b713f6d9b95b3e4b1",
+    ("wheel-10", "analyze-force"): "265142172f7158265099cabbdf5b6d07292667ca6778737051b1bdfc51491396",
+    ("wheel-10", "check-force"): "afab36d2982c8ee5d14bd634cd3ab003376989915007fa1ebf53664b14d1da46",
 }
 
 # Graphs built from a recipe rather than read from a fixture file.  Past the
 # unforced edge limit are the sparse structured families: grids (bipartite,
 # not generalized robust), a windmill of triangles (robust) and the 12-cycle
-# with a triangle hung at each of its first six vertices.
+# with a triangle hung at each of its first six vertices.  The families
+# whose walk trees grow along paths and around hubs follow: a theta graph,
+# two triangles joined by a 20-edge path, a chain of eight triangles, a fan
+# and a wheel.
 _BUILT_GRAPHS = {
     "ladder-8-16": lambda: ladder_graph(8, 16),
     "grid-2x8": lambda: grid_graph(8),
     "grid-2x12": lambda: grid_graph(12),
     "windmill-20": lambda: windmill_graph(20),
     "hung-cycle-6": lambda: hung_cycle_graph(6),
+    "theta-7-8-9": lambda: theta_graph(7, 8, 9),
+    "dumbbell-20": lambda: dumbbell_graph(20),
+    "triangle-chain-8": lambda: triangle_chain_graph(8),
+    "fan-11": lambda: fan_graph(11),
+    "wheel-10": lambda: wheel_graph(10),
 }
 
 
@@ -149,6 +172,7 @@ _PINNED_ARGV = {
     "analyze-text": ("analyze", "--format", "text"),
     "check": ("check", "--format", "json"),
     "check-force": ("check", "--force", "--format", "json"),
+    "analyze-force": ("analyze", "--force", "--format", "json"),
 }
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -38,10 +39,15 @@ from toriclab.oracle import (
 from conftest import (
     FIXTURES,
     binomial_from_vector,
+    dumbbell_graph,
+    fan_graph,
     fixture_path,
     grid_graph,
     hung_cycle_graph,
     support_minimal,
+    theta_graph,
+    triangle_chain_graph,
+    wheel_graph,
     wide_graphs,
     windmill_graph,
 )
@@ -144,13 +150,24 @@ def test_graver_bounded_matches_walk_enumeration(graph_of, analysis_of):
 def test_graver_bounded_matches_walk_enumeration_past_the_corpus_cap():
     # box 2 is exact for graphs, so the brute-force Graver set must equal
     # the walk one past the acceptance corpus's 11 edges: on 60 corpus-
-    # generator graphs of 12-14 edges on 7-9 vertices and three family graphs
+    # generator graphs of 12-14 edges on 7-9 vertices and on eight family
+    # graphs of at most 14 edges, the most that box 2's cap admits
     drawn = random_connected_graphs(400, seed=1214, max_vertices=9, max_edges=14)
     sample = [g for g in drawn if len(g.edges) >= 12 and g.vertex_count >= 7][:60]
     assert len(sample) == 60
     assert {len(g.edges) for g in sample} == {12, 13, 14}
     assert {g.vertex_count for g in sample} == {7, 8, 9}
-    for g in sample + [grid_graph(5), windmill_graph(4), hung_cycle_graph(2)]:
+    families = [
+        grid_graph(5),
+        windmill_graph(4),
+        hung_cycle_graph(2),
+        theta_graph(3, 4, 5),
+        dumbbell_graph(6),
+        triangle_chain_graph(4),
+        fan_graph(7),
+        wheel_graph(7),
+    ]
+    for g in sample + families:
         oracle = {(b.plus, b.minus) for b in graver_bounded(graph_config(g), 2)}
         assert analyze_graph(g).graver.element_set() == oracle, g.digest()
 
@@ -480,6 +497,27 @@ def test_fibers_reject_a_degree_of_the_wrong_length():
     degrees = [(1, 1), (2, 1), (0, 0), (1, 2), (1, 1, 1)]
     with pytest.raises(ConfigError):
         fibers(cfg, degrees)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [1.7, 1.0, "1", True, None, np.True_, np.float64(1.0)],
+    ids=["float", "whole-float", "str", "bool", "none", "np-bool", "np-float"],
+)
+def test_fibers_reject_a_degree_that_is_not_integer(bad):
+    # degree entries are taken as matrix entries are: never coerced, so a
+    # float is not rounded down and a string or bool is not read as a number
+    cfg = config_from_rows([[1, 1, 0], [0, 1, 1]])
+    with pytest.raises(ConfigError, match=re.escape(repr(bad))):
+        fiber(cfg, (bad, 1))
+    # also behind a degree of equal value that came first
+    with pytest.raises(ConfigError, match=re.escape(repr(bad))):
+        fibers(cfg, [(1, 1), (2, 1), (bad, 1)])
+    # numpy integers are integers
+    found = fibers(cfg, [(np.int64(1), np.uint8(1)), (1, 1)])
+    assert list(found) == [(1, 1)]
+    assert all(type(x) is int for x in next(iter(found)))
+    assert found[1, 1][0] == fiber(cfg, (1, 1)) == ((0, 1, 0), (1, 0, 1))
 
 
 # Each boundary of the dtype table, and the dtype that holds it.

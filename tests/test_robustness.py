@@ -4,6 +4,8 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toriclab.robustness
 from toriclab.bases import analyze_graph, fiber_bundle
@@ -180,6 +182,49 @@ def test_division_witness_detector():
     assert witness is not None
     assert witness["divisor"]["binomial"]["text"] == "e1*e2 - e3*e4"
     assert witness["multiple"]["binomial"]["text"] == "e1^2*e2 - e3^2*e4"
+
+
+def _division_free_witness_reference(analysis):
+    """``_division_free_witness`` by its definition: every ordered pair of
+    terms from two elements, in term order, compared entry by entry."""
+    terms = [
+        (b, side, mono)
+        for b in analysis.universal_groebner.elements
+        for side, mono in (("plus", b.plus), ("minus", b.minus))
+    ]
+    for b1, side1, m1 in terms:
+        for b2, side2, m2 in terms:
+            if b1 is not b2 and all(x <= y for x, y in zip(m1, m2)):
+                return {
+                    "divisor": {"binomial": b1.to_json(), "term": side1},
+                    "multiple": {"binomial": b2.to_json(), "term": side2},
+                }
+    return None
+
+
+@st.composite
+def term_lists(draw):
+    """A universal Groebner stand-in: up to 14 binomials on 2-6 variables,
+    exponents 0-3, so that terms often divide one another."""
+    m = draw(st.integers(2, 6))
+    exponent = st.tuples(st.sampled_from(("plus", "minus")), st.integers(0, 3))
+    items = []
+    rows = st.lists(st.lists(exponent, min_size=m, max_size=m), max_size=14)
+    for signs in draw(rows):
+        plus = tuple(k if side == "plus" else 0 for side, k in signs)
+        minus = tuple(k if side == "minus" else 0 for side, k in signs)
+        if plus != minus:
+            items.append((make_binomial(plus, minus, lambda v: ()), {}))
+    return SimpleNamespace(universal_groebner=make_basis_set("ugb", m, items))
+
+
+@given(term_lists())
+@settings(max_examples=300, deadline=None)
+def test_division_witness_matches_the_pair_loop(analysis):
+    # the posting-list scan finds the pair loop's first witness, or none
+    assert _division_free_witness(analysis) == (
+        _division_free_witness_reference(analysis)
+    )
 
 
 def test_verdict_json_shape(verdict_of):

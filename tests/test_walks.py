@@ -44,7 +44,12 @@ from conftest import (
     STRUCTURAL,
     connected_graphs,
     double_every_walk_edge,
+    dumbbell_graph,
+    fan_graph,
     grid_graph,
+    theta_graph,
+    triangle_chain_graph,
+    wheel_graph,
     wide_graphs,
     windmill_graph,
 )
@@ -419,7 +424,7 @@ def test_deep_block_tree_without_recursion():
 
 
 def tree_decomposition(graph, blocks):
-    """The block tree of blocks as ``primitive_block_trees`` yields them,
+    """The block tree of blocks as ``primitive_block_trees`` lists them,
     after checking that each is in walk order: distinct vertices, and edge k
     joining vertex k to vertex k + 1, cyclically."""
     for verts, edges in blocks:
@@ -440,7 +445,7 @@ def tree_decomposition(graph, blocks):
 
 
 def assert_trees_match_subset_oracle(graph):
-    """The generator yields exactly the primitive connected edge subsets,
+    """The generator lists exactly the primitive connected edge subsets,
     each once, each with the block tree the block search finds, and the
     tour of its blocks is the one of that block tree."""
     trees = list(primitive_block_trees(graph))
@@ -474,12 +479,26 @@ def test_candidates_match_subset_oracle_on_12_edge_graphs(graph):
     assert_trees_match_subset_oracle(graph)
 
 
-@pytest.mark.parametrize(
-    "graph", [grid_graph(5), windmill_graph(4)], ids=["grid-2x5", "windmill-4"]
-)
+STRUCTURED = {
+    "grid-2x5": grid_graph(5),
+    "windmill-4": windmill_graph(4),
+    "theta-3-4-5": theta_graph(3, 4, 5),
+    "theta-1-4-5": theta_graph(1, 4, 5),
+    "dumbbell-8": dumbbell_graph(8),
+    "triangle-chain-5": triangle_chain_graph(5),
+    "fan-8": fan_graph(8),
+    "wheel-7": wheel_graph(7),
+    "wheel-8": wheel_graph(8),
+}
+
+
+@pytest.mark.parametrize("graph", STRUCTURED.values(), ids=STRUCTURED)
 def test_candidates_match_subset_oracle_on_structured_graphs(graph):
     # a grid's primitive walks are its even cycles, whose trees never grow;
-    # a windmill's are its pairs of triangles, joined at the hub
+    # a windmill's are its pairs of triangles, joined at the hub; a theta's
+    # cycles share paths, so only its even cycles are walks; a dumbbell's
+    # and a triangle chain's odd cycles are joined by paths; a fan's and a
+    # wheel's cycles all but the rim pass through the hub
     assert_trees_match_subset_oracle(graph)
 
 
